@@ -92,9 +92,17 @@ def cmd_solve(args) -> int:
     else:
         if kind != "circle":
             raise ValueError("the axis solver needs a circle instance")
+        on_step = None
         if args.trace:
-            _trace_axis(pts, args.trace)
-        sol = solve_axis(pts)
+            trace = Path(args.trace)
+            trace.mkdir(parents=True, exist_ok=True)
+
+            def on_step(step):
+                (trace / f"step_{step.steps:03d}.svg").write_text(
+                    render_svg(pts, step.lines, shade_corrupt=True))
+        sol = solve_axis(pts, on_step)
+        if args.trace:
+            (trace / "final.svg").write_text(render_svg(pts, sol.lines))
         doc = solution_to_doc("axis", sol.lines, kappa=sol.kappa,
                               steps=sol.steps, repair_used=sol.repair_used)
     assert verify_separation(pts, sol.lines) is None
@@ -124,39 +132,13 @@ def cmd_solve(args) -> int:
     return OK
 
 
-def _trace_axis(pts, trace_dir: str) -> None:
-    """Static per-step SVG dumps of the refinement loop."""
-    from .solvers import build_L0, refine_step
-    out = Path(trace_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    dec = decompose(pts)
-    if dec.w == 0:
-        (out / "step_000.svg").write_text(render_svg(pts, []))
-        return
-    sol = build_L0(dec, build_switch_graph(dec))
-    step = 0
-    while True:
-        (out / f"step_{step:03d}.svg").write_text(
-            render_svg(pts, sol.lines, shade_corrupt=True))
-        outcome, payload = refine_step(pts, sol, dec)
-        if outcome != "improved":
-            break
-        sol, step = payload, step + 1
-    final = solve_axis(pts)
-    (out / "final.svg").write_text(render_svg(pts, final.lines))
-
-
 def cmd_kappa(args) -> int:
     kind, pts = _load_instance(args.instance)
     if kind != "circle":
         raise ValueError("kappa diagnostics need a circle instance")
     dec = decompose(pts)
-    graph = build_switch_graph(dec) if dec.w else None
-    doc = diagnostics_to_doc(dec, graph) if graph else \
-        {"w": 0, "chunks": [{"color": c.color, "point_ids": list(c.point_ids)}
-                            for c in dec.chunks],
-         "switch_graph": {"edges": [], "isolated": [], "kappa": 0}}
-    _emit_text(dumps(doc), args.out)
+    _emit_text(dumps(diagnostics_to_doc(dec, build_switch_graph(dec))),
+               args.out)
     return OK
 
 

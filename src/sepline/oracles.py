@@ -270,6 +270,14 @@ class CRBDS:
         return len(self.neighbors_of_blue(v))
 
 
+def colorful_dominating_sets(inst: CRBDS):
+    """Every colorful dominating set, in lexicographic selection order."""
+    for pick in product(*inst.classes):
+        chosen = set(pick)
+        if all(any((u, v) in inst.edges for u in chosen) for v in inst.blues):
+            yield list(pick)
+
+
 def colorful_rbds_solve(inst: CRBDS, bound=10_000) -> Optional[list[str]]:
     """First colorful dominating set in lexicographic selection order, or None."""
     total = 1
@@ -277,10 +285,4 @@ def colorful_rbds_solve(inst: CRBDS, bound=10_000) -> Optional[list[str]]:
         total *= max(1, len(cls))
         if total > bound:
             raise TooLarge(f"{total} selections exceeds bound {bound}")
-    if any(not cls for cls in inst.classes):
-        return None
-    for pick in product(*inst.classes):
-        chosen = set(pick)
-        if all(any((u, v) in inst.edges for u in chosen) for v in inst.blues):
-            return list(pick)
-    return None
+    return next(colorful_dominating_sets(inst), None)

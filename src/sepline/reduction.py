@@ -30,7 +30,7 @@ from typing import Optional
 from .errors import (BudgetViolation, DominationFailure, InvalidDominatingSet,
                      NoSignalLine, NotSeparating)
 from .geometry import BLUE, RED, AxisLine, ColoredPoint, verify_separation
-from .oracles import CRBDS
+from .oracles import CRBDS, colorful_dominating_sets
 
 F = Fraction
 U = 4  # grid unit: strip width and height
@@ -268,21 +268,6 @@ _ORDER_SEARCH_SETS = 64    # max colorful selections to enumerate
 _ORDER_SEARCH_SPACE = 720  # max neighbor-ordering combinations to try
 
 
-def _colorful_sets(inst: CRBDS):
-    """All colorful dominating sets, or None if there are too many picks."""
-    total = 1
-    for cls in inst.classes:
-        total *= len(cls)
-    if total > _ORDER_SEARCH_SETS:
-        return None
-    out = []
-    for pick in product(*inst.classes):
-        chosen = set(pick)
-        if all(any((u, v) in inst.edges for u in chosen) for v in inst.blues):
-            out.append(list(pick))
-    return out
-
-
 def reduce_instance(norm: NormalizedCRBDS) -> ReducedInstance:
     red = _emit(norm)
     # Which dominating sets admit a canonical separating family depends on
@@ -291,7 +276,9 @@ def reduce_instance(norm: NormalizedCRBDS) -> ReducedInstance:
     # search the orderings for one under which every colorful dominating set
     # lifts; otherwise keep the one that serves the most sets.  Instances
     # whose search space exceeds the caps keep the default ordering.
-    sets = _colorful_sets(norm.inst)
+    if math.prod(len(cls) for cls in norm.inst.classes) > _ORDER_SEARCH_SETS:
+        return red
+    sets = list(colorful_dominating_sets(norm.inst))
     if not sets:
         return red
     space = 1
@@ -304,11 +291,10 @@ def reduce_instance(norm: NormalizedCRBDS) -> ReducedInstance:
         total = 0
         for s in sets:
             try:
-                lines = lift(norm, r.layout, s)
-            except InvalidDominatingSet:
+                lift(norm, r.layout, s)
+            except (InvalidDominatingSet, NotSeparating):
                 continue
-            if verify_separation(r.points, lines) is None:
-                total += 1
+            total += 1
         return total
 
     best, best_order, best_score = red, norm.inst.order, score(red)
@@ -386,6 +372,7 @@ def lift(norm: NormalizedCRBDS, layout: ReductionLayout,
          chosen: list[str]) -> list[AxisLine]:
     """Forward direction: a colorful dominating set yields a separating set
     of exactly p horizontal and q vertical lines (fence + signals + defenders).
+    Raises NotSeparating if no defender assignment verifies.
     """
     inst, k, n, d = norm.inst, layout.k, layout.n, layout.d
     if len(chosen) != k:
@@ -440,12 +427,13 @@ def lift(norm: NormalizedCRBDS, layout: ReductionLayout,
                 out.append(AxisLine("V", xlo + off))
         return out
 
-    last = None
     for assign in product(*(hits[j] for j in range(1, n + 1))):
-        last = fixed + defenders(assign)
-        if points is None or verify_separation(points, last) is None:
+        lines = fixed + defenders(assign)
+        if points is None or verify_separation(points, lines) is None:
             break
-    lines = last
+    else:
+        raise NotSeparating(
+            f"no defender assignment separates the lift of {chosen}")
     assert sum(1 for ln in lines if ln.orient == "H") == layout.p
     assert sum(1 for ln in lines if ln.orient == "V") == layout.q
     return lines

@@ -19,9 +19,10 @@ from .decomposition import (CircleDecomposition, Interval, SwitchGraph,
                             build_switch_graph, decompose, line_stabs_switch,
                             projection_interval)
 from .errors import RepairExhausted
-from .geometry import (BLUE, RED, Arc, AxisLine, CellSignature, GeneralLine,
-                       arc_interior_point, axis_coords, cell_arcs, cell_map,
-                       line_through, pick_coordinate, verify_separation)
+from .geometry import (BLUE, RED, Arc, AxisLine, CellSignature, CirclePos,
+                       GeneralLine, arc_interior_point, axis_coords, cell_arcs,
+                       cell_map, line_through, pick_coordinate,
+                       verify_separation)
 from .oracles import axis_candidates, full_mask, sep_bitset
 
 F = Fraction
@@ -57,15 +58,6 @@ class AxisSolution:
     @property
     def size(self) -> int:
         return len(self.tagged)
-
-
-@dataclass
-class SolveStats:
-    steps: int = 0
-    repair_used: bool = False
-    max_arcs_per_cell: int = 0
-    large_cells_seen: int = 0
-    arrangements_checked: int = 0
 
 
 def solve_general(points) -> GeneralSolution:
@@ -180,16 +172,6 @@ _LARGE_ONLY = "large-cell-only"
 _STUCK = "stuck"
 
 
-def _point_quadrant(p) -> int:
-    if p.x > 0 and p.y >= 0:
-        return 0
-    if p.x <= 0 and p.y > 0:
-        return 1
-    if p.x < 0 and p.y <= 0:
-        return 2
-    return 3
-
-
 def _primary_quadrant(arc: Arc, by_id) -> Optional[int]:
     if len(arc.quadrants) == 1:
         return arc.quadrants[0]
@@ -197,7 +179,7 @@ def _primary_quadrant(arc: Arc, by_id) -> Optional[int]:
         return None
     counts = {q: 0 for q in arc.quadrants}
     for i in arc.point_ids:
-        q = _point_quadrant(by_id[i])
+        q = CirclePos.of(by_id[i].x, by_id[i].y).quadrant()
         if q in counts:
             counts[q] += 1
     qa, qb = sorted(arc.quadrants)
@@ -216,18 +198,14 @@ def _cell_center(sig: CellSignature, hs, vs) -> tuple[Fraction, Fraction]:
             (max(ylo, F(-1)) + min(yhi, F(1))) / 2)
 
 
-def _check_invariants(points, lines, dec, stats: SolveStats):
+def _check_invariants(lines, dec, cm, arcs):
     """Structural facts every intermediate arrangement must satisfy."""
-    stats.arrangements_checked += 1
     for sw in dec.switches:
         assert any(line_stabs_switch(ln.orient, ln.c, sw) for ln in lines), \
             "invariant violated: a switch is not stabbed"
-    arcs = cell_arcs(points, lines)
-    cm = cell_map(points, lines)
     large = 0
     for sig, arclist in arcs.items():
         assert len(arclist) <= 4, "cell meets the circle in more than 4 arcs"
-        stats.max_arcs_per_cell = max(stats.max_arcs_per_cell, len(arclist))
         if len(arclist) >= 3:
             large += 1
         if sig in cm.corrupt:
@@ -235,22 +213,21 @@ def _check_invariants(points, lines, dec, stats: SolveStats):
             for a in arclist:
                 assert len(a.colors) <= 1, "non-monochromatic arc in corrupt cell"
     assert large <= 1, "more than one large cell"
-    stats.large_cells_seen += large
-    return cm, arcs
 
 
-def refine_step(points, solution: AxisSolution, dec=None):
-    """One strict-domination step.
+def refine_step(points, solution: AxisSolution, dec: CircleDecomposition):
+    """One strict-domination step, after checking the arrangement's
+    invariants.
 
     Returns (_DONE, solution), (_IMPROVED, new_solution),
     (_LARGE_ONLY, corrupt_sig) or (_STUCK, corrupt_sig).
     """
-    dec = dec or decompose(points)
     lines = solution.lines
     cm = cell_map(points, lines)
+    arcs = cell_arcs(points, lines)
+    _check_invariants(lines, dec, cm, arcs)
     if not cm.corrupt:
         return (_DONE, solution)
-    arcs = cell_arcs(points, lines)
     by_id = {p.id: p for p in points}
     hs, vs = axis_coords(lines)
 
@@ -417,20 +394,10 @@ def _bounded_replacement(points, keep: list[TaggedLine], budget: int):
     return None
 
 
-def repair_large_cell(points, solution: AxisSolution, kappa: int) -> AxisSolution:
-    """Replace the boundary lines of the single large corrupt cell by a
-    verified set of candidate lines, keeping total size <= kappa."""
-    lines = solution.lines
-    cm = cell_map(points, lines)
-    if not cm.corrupt:
-        return solution
-    arcs = cell_arcs(points, lines)
-    target_sig = max(cm.corrupt, key=lambda s: (len(arcs.get(s, [])), s))
-    return _repair_around(points, solution, kappa, target_sig)
-
-
 def _repair_around(points, solution: AxisSolution, kappa: int,
                    sig: CellSignature) -> AxisSolution:
+    """Replace the boundary lines of corrupt cell `sig` by a verified set of
+    candidate lines, keeping total size <= kappa."""
     hs, vs = axis_coords(solution.lines)
     boundary = set(_cell_boundary_lines(sig, hs, vs))
     keep = [t for t in solution.tagged if t.line not in boundary]
@@ -451,25 +418,25 @@ def _repair_around(points, solution: AxisSolution, kappa: int,
 # --- the full pipeline -------------------------------------------------------
 
 
-def solve_axis(points, stats: Optional[SolveStats] = None) -> AxisSolution:
+def solve_axis(points, on_step=None) -> AxisSolution:
     """Optimal axis-parallel separation for a circle instance.
 
     decompose -> switch graph -> minimum edge cover -> L0 -> strictly
     dominating refinements -> (rarely) large-cell repair.  The result has
-    exactly kappa lines and passes verification.
+    exactly kappa lines and passes verification.  `on_step`, if given, is
+    called with every arrangement the loop examines: L0 first, then each
+    accepted refinement step.
     """
-    stats = stats if stats is not None else SolveStats()
     points = list(points)
     dec = decompose(points)
-    if dec.w == 0:
-        return AxisSolution([], kappa=0)
     graph = build_switch_graph(dec)
     r = sum(1 for p in points if p.color == RED)
     b = len(points) - r
 
     sol = build_L0(dec, graph)
     while True:
-        _check_invariants(points, sol.lines, dec, stats)
+        if on_step is not None:
+            on_step(sol)
         outcome, payload = refine_step(points, sol, dec)
         if outcome == _DONE:
             break
@@ -479,18 +446,14 @@ def solve_axis(points, stats: Optional[SolveStats] = None) -> AxisSolution:
             assert new & old == old and new != old, "step did not dominate"
             assert payload.size <= sol.size, "step grew the solution"
             sol = payload
-            stats.steps = sol.steps
             assert sol.steps <= r * b, "refinement exceeded the r*b step bound"
             continue
         # _LARGE_ONLY or _STUCK: payload is the offending cell signature
         sol = _repair_around(points, sol, graph.kappa, payload)
-        stats.repair_used = True
         break
 
     assert verify_separation(points, sol.lines) is None
     assert sol.size == graph.kappa, \
         f"solution size {sol.size} != kappa {graph.kappa}"
     sol.kappa = graph.kappa
-    stats.steps = sol.steps
-    stats.repair_used = sol.repair_used
     return sol

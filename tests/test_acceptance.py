@@ -14,7 +14,7 @@ import pytest
 from sepline.decomposition import (build_switch_graph, decompose,
                                    line_stabs_switch)
 from sepline.generate import gen_circle
-from sepline.geometry import (BLUE, RED, ColoredPoint,
+from sepline.geometry import (BLUE, RED, ColoredPoint, cell_arcs,
                               circle_point_from_parameter, verify_separation)
 from sepline.matching import maximum_matching, minimum_edge_cover
 from sepline.oracles import (colorful_rbds_solve, feasible_pq,
@@ -22,8 +22,7 @@ from sepline.oracles import (colorful_rbds_solve, feasible_pq,
                              min_general_separation_circle)
 from sepline.reduction import (extract_vertices, lift, normalize,
                                reduce_instance, validate_layout)
-from sepline.solvers import (SolveStats, solve_axis, solve_general,
-                             wedge_baseline)
+from sepline.solvers import solve_axis, solve_general, wedge_baseline
 
 from test_reduction import _small_instances, toy
 
@@ -59,13 +58,14 @@ def _corpus(count, max_n, seed0):
 
 @pytest.fixture(scope="module")
 def axis_runs():
-    """Shared corpus for criteria 2, 4 and 5: 500 solved axis instances."""
+    """Shared corpus for criteria 2, 4 and 5: 500 solved axis instances,
+    each with every arrangement its refinement loop examined."""
     runs = []
     for pts in _corpus(500, 12, 20_000):
-        stats = SolveStats()
-        sol = solve_axis(pts, stats)
+        arrangements = []
+        sol = solve_axis(pts, arrangements.append)
         dec = decompose(pts)
-        runs.append((pts, dec, sol, stats))
+        runs.append((pts, dec, sol, arrangements))
     return runs
 
 
@@ -113,13 +113,17 @@ def test_criterion_3_named_instances(pts4, diag):
 
 def test_criterion_4_refinement_invariants(axis_runs):
     violations = 0
-    for pts, dec, sol, stats in axis_runs:
+    for pts, dec, sol, arrangements in axis_runs:
         r = sum(1 for p in pts if p.color == RED)
         b = len(pts) - r
-        if stats.steps > r * b:
+        if sol.steps > r * b:
             violations += 1
-        if stats.max_arcs_per_cell > 4:
-            violations += 1
+        for step in arrangements:
+            arcs = [len(a) for a in cell_arcs(pts, step.lines).values()]
+            if max(arcs, default=0) > 4:
+                violations += 1
+            if sum(1 for m in arcs if m >= 3) > 1:
+                violations += 1
         # every line set the solver returned still stabs every switch
         for sw in dec.switches:
             if not any(line_stabs_switch(ln.orient, ln.c, sw)

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+import sepline.solvers
 from sepline.cli import main
 from sepline.decomposition import decompose
 from sepline.errors import BadPattern
@@ -17,6 +18,8 @@ from sepline.serialization import (crbds_from_doc, crbds_to_doc, dumps,
                                    sidecar_to_doc, solution_from_doc,
                                    solution_to_doc)
 from sepline.solvers import solve_general
+
+from test_reduction import unliftable
 
 F = Fraction
 
@@ -215,6 +218,16 @@ class TestCommands:
         assert self.run("lift", "--sidecar", str(side),
                         "--instance", str(inst), "--set", "u2,u4") == 1
 
+    def test_lift_not_separating_exits_2(self, tmp_path):
+        crbds = tmp_path / "c.json"
+        crbds.write_text(dumps(crbds_to_doc(unliftable())))
+        inst, side = tmp_path / "r.json", tmp_path / "side.json"
+        self.run("reduce", str(crbds), "-o", str(inst),
+                 "--sidecar", str(side))
+        assert self.run("lift", "--sidecar", str(side),
+                        "--instance", str(inst), "--set", "u1_1,u2_1",
+                        "-o", str(tmp_path / "lift.json")) == 2
+
     def test_extract_not_separating_exits_2(self, tmp_path):
         crbds = tmp_path / "c.json"
         crbds.write_text(json.dumps(toy_doc()))
@@ -240,6 +253,21 @@ class TestCommands:
                         "-o", str(tmp_path / "s.json")) == 0
         files = sorted(f.name for f in trace.iterdir())
         assert "step_000.svg" in files and "final.svg" in files
+
+    def test_trace_solves_once(self, tmp_path, monkeypatch):
+        calls = []
+        build_L0 = sepline.solvers.build_L0
+
+        def counting(*args):
+            calls.append(args)
+            return build_L0(*args)
+        monkeypatch.setattr(sepline.solvers, "build_L0", counting)
+        inst = tmp_path / "i.json"
+        self.run("gen", "10", "--pattern", "alternating", "--seed", "2",
+                 "-o", str(inst))
+        assert self.run("solve", str(inst), "--trace", str(tmp_path / "tr"),
+                        "-o", str(tmp_path / "s.json")) == 0
+        assert len(calls) == 1
 
     def test_bad_input_exits_1(self, tmp_path):
         bad = tmp_path / "bad.json"

@@ -17,6 +17,16 @@ def toy():
                         ("u2", "v2"), ("u3", "v2")})
 
 
+def unliftable():
+    """The smallest planted instance (k = m = d = n = 2) on which `lift` of
+    the colorful dominating set {u1_1, u2_1} finds no separating defender
+    assignment under the chosen neighbor ordering."""
+    return CRBDS(classes=[["u1_1", "u1_2"], ["u2_1", "u2_2"]],
+                 blues=["v1", "v2"],
+                 edges={("u1_1", "v2"), ("u2_1", "v1"),
+                        ("u2_2", "v1"), ("u2_2", "v2")})
+
+
 class TestNormalize:
     def test_toy_unchanged(self):
         norm = normalize(toy())
@@ -93,6 +103,14 @@ class TestLiftExtract:
         red = reduce_instance(norm)
         with pytest.raises(InvalidDominatingSet):
             lift(norm, red.layout, ["u2", "u4"])  # v1 undominated
+
+    def test_lift_never_returns_non_separating_lines(self):
+        norm = normalize(unliftable())
+        red = reduce_instance(norm)
+        with pytest.raises(NotSeparating):
+            lift(norm, red.layout, ["u1_1", "u2_1"])
+        lines = lift(norm, red.layout, ["u1_1", "u2_2"])
+        assert verify_separation(red.points, lines) is None
 
     def test_round_trip_all_valid_sets(self):
         norm = normalize(toy())

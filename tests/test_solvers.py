@@ -6,7 +6,7 @@ from sepline.geometry import (BLUE, RED, ColoredPoint,
                               circle_point_from_parameter, verify_separation)
 from sepline.oracles import (min_axis_separation, min_general_separation_circle,
                              sep_bitset)
-from sepline.solvers import (SolveStats, build_L0, refine_step, solve_axis,
+from sepline.solvers import (build_L0, refine_step, solve_axis,
                              solve_general, wedge_baseline)
 
 F = Fraction
@@ -178,13 +178,12 @@ class TestSolveAxis:
         rng = random.Random(83)
         for _ in range(60):
             pts = _random_circle_instance(rng, rng.randint(2, 12))
-            stats = SolveStats()
-            sol = solve_axis(pts, stats)
+            sol = solve_axis(pts)
             assert verify_separation(pts, sol.lines) is None
             k_opt, _ = min_axis_separation(pts)
             assert sol.size == k_opt
             r = sum(1 for p in pts if p.color == RED)
-            assert stats.steps <= r * (len(pts) - r)
+            assert sol.steps <= r * (len(pts) - r)
 
     def test_deterministic(self):
         rng = random.Random(89)
