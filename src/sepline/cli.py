@@ -22,7 +22,8 @@ from .generate import gen_circle
 from .geometry import AxisLine, verify_separation
 from .oracles import (feasible_pq, min_axis_separation,
                       min_general_separation_circle)
-from .reduction import extract_vertices, lift, normalize, reduce_instance
+from .reduction import (ReducedInstance, extract_vertices, lift, normalize,
+                        reduce_instance)
 from .render import render_svg
 from .serialization import (crbds_from_doc, diagnostics_to_doc, dumps,
                             instance_from_doc, instance_to_doc, line_to_doc,
@@ -191,16 +192,14 @@ def cmd_reduce(args) -> int:
 
 def _load_sidecar(args):
     norm, lay = sidecar_from_doc(_read_doc(args.sidecar))
-    from .reduction import ReducedInstance
     _, pts = _load_instance(args.instance)
-    lay.points = pts
     return norm, ReducedInstance(pts, lay.p, lay.q, lay)
 
 
 def cmd_lift(args) -> int:
     norm, red = _load_sidecar(args)
     chosen = [s for s in args.set.split(",") if s]
-    lines = lift(norm, red.layout, chosen)
+    lines = lift(norm, red, chosen)
     _emit_text(dumps(solution_to_doc("axis", lines)), args.out)
     return OK
 

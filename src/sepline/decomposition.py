@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional
 
 from . import matching
@@ -78,6 +79,13 @@ class Switch:
     index: int
     start: ColoredPoint  # last point of chunk index
     end: ColoredPoint    # first point of chunk index + 1 (cyclic)
+
+    @cached_property
+    def intervals(self) -> dict[str, Interval]:
+        """Projection intervals keyed by the stabbing line's orientation:
+        "H" lines meet the Y projection, "V" lines the X projection."""
+        return {"H": projection_interval(self, "Y"),
+                "V": projection_interval(self, "X")}
 
 
 @dataclass
@@ -152,24 +160,21 @@ def projection_interval(switch: Switch, axis: str) -> Interval:
 
 
 def line_stabs_switch(orient: str, c: Fraction, switch: Switch) -> bool:
-    axis = "Y" if orient == "H" else "X"
-    return projection_interval(switch, axis).contains(c)
+    return switch.intervals[orient].contains(c)
 
 
-def faces(a: Switch, b: Switch, forbidden_x, forbidden_y) -> dict[str, Interval]:
+def faces(a: Switch, b: Switch) -> dict[str, Interval]:
     """Feasible stabbing orientations for a pair of switches.
 
-    An orientation is feasible iff the projection intervals overlap and the
-    overlap admits a coordinate avoiding every input-point coordinate, so the
-    witnessing line is usable under strict separation.
+    An orientation is feasible iff the projection intervals overlap.  A
+    switch interval is closed only at +-1, so a nonempty overlap has
+    lo < hi and holds a coordinate avoiding every input-point coordinate.
     """
     out: dict[str, Interval] = {}
-    h = projection_interval(a, "Y").intersect(projection_interval(b, "Y"))
-    if not h.is_empty() and h.pick(forbidden_y) is not None:
-        out["H"] = h
-    v = projection_interval(a, "X").intersect(projection_interval(b, "X"))
-    if not v.is_empty() and v.pick(forbidden_x) is not None:
-        out["V"] = v
+    for orient in ("H", "V"):
+        overlap = a.intervals[orient].intersect(b.intervals[orient])
+        if not overlap.is_empty():
+            out[orient] = overlap
     return out
 
 
@@ -190,27 +195,18 @@ def build_switch_graph(dec: CircleDecomposition) -> SwitchGraph:
     """The nice-pair graph over switches, with kappa = |I| + MEC(H)."""
     sw = dec.switches
     n = len(sw)
-    forbidden_x = {p.x for p in dec.points}
-    forbidden_y = {p.y for p in dec.points}
     edges: dict[tuple[int, int], dict[str, Interval]] = {}
     for i in range(n):
         for j in range(i + 1, n):
-            ann = faces(sw[i], sw[j], forbidden_x, forbidden_y)
+            ann = faces(sw[i], sw[j])
             if ann:
                 edges[(i, j)] = ann
-    degree = {i: 0 for i in range(n)}
-    for (i, j) in edges:
-        degree[i] += 1
-        degree[j] += 1
-    isolated = [i for i in range(n) if degree[i] == 0]
-
-    covered = [i for i in range(n) if degree[i] > 0]
+    touched = {v for e in edges for v in e}
+    isolated = [i for i in range(n) if i not in touched]
+    covered = sorted(touched)
     remap = {v: k for k, v in enumerate(covered)}
     sub_edges = [(remap[i], remap[j]) for (i, j) in edges]
-    if covered:
-        cover = matching.minimum_edge_cover(len(covered), sub_edges)
-        edge_cover = sorted((covered[i], covered[j]) for (i, j) in cover)
-    else:
-        edge_cover = []
+    cover = matching.minimum_edge_cover(len(covered), sub_edges)
+    edge_cover = sorted((covered[i], covered[j]) for (i, j) in cover)
     kappa = len(isolated) + len(edge_cover)
     return SwitchGraph(n, edges, isolated, kappa, edge_cover)

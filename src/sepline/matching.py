@@ -10,32 +10,25 @@ from __future__ import annotations
 from .errors import HasIsolatedVertex
 
 
-def _check_edges(n, edges):
-    clean = []
-    seen = set()
+def _adjacency(n, edges) -> list[list[int]]:
+    """Sorted, duplicate-free neighbour lists of a simple graph on 0..n-1."""
+    adj = [set() for _ in range(n)]
     for (u, v) in edges:
         if not (0 <= u < n and 0 <= v < n):
             raise ValueError(f"edge ({u}, {v}) references an invalid vertex")
         if u == v:
             raise ValueError(f"self-loop at {u}")
-        key = (min(u, v), max(u, v))
-        if key in seen:
-            continue
-        seen.add(key)
-        clean.append(key)
-    return clean
+        adj[u].add(v)
+        adj[v].add(u)
+    return [sorted(nbrs) for nbrs in adj]
 
 
 def maximum_matching(n: int, edges) -> list[tuple[int, int]]:
     """A maximum-cardinality matching, as a sorted list of vertex pairs."""
-    edges = _check_edges(n, edges)
-    adj = [[] for _ in range(n)]
-    for (u, v) in edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    for nbrs in adj:
-        nbrs.sort()
+    return _maximum_matching(n, _adjacency(n, edges))
 
+
+def _maximum_matching(n: int, adj) -> list[tuple[int, int]]:
     match = [-1] * n
     parent = [-1] * n
     base = list(range(n))
@@ -116,15 +109,11 @@ def maximum_matching(n: int, edges) -> list[tuple[int, int]]:
 def minimum_edge_cover(n: int, edges) -> list[tuple[int, int]]:
     """Minimum edge cover: a maximum matching greedily extended to uncovered
     vertices.  Size is always n - |maximum matching|."""
-    edges = _check_edges(n, edges)
-    adj = [[] for _ in range(n)]
-    for (u, v) in edges:
-        adj[u].append(v)
-        adj[v].append(u)
+    adj = _adjacency(n, edges)
     for v in range(n):
         if not adj[v]:
             raise HasIsolatedVertex(v)
-    mm = maximum_matching(n, edges)
+    mm = _maximum_matching(n, adj)
     covered = set()
     for (u, v) in mm:
         covered.add(u)
@@ -132,7 +121,7 @@ def minimum_edge_cover(n: int, edges) -> list[tuple[int, int]]:
     cover = list(mm)
     for v in range(n):
         if v not in covered:
-            u = min(adj[v])
+            u = adj[v][0]
             cover.append((min(u, v), max(u, v)))
             covered.add(v)
     return sorted(cover)

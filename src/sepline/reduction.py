@@ -259,7 +259,6 @@ def _emit(norm: NormalizedCRBDS) -> ReducedInstance:
     add(RED, 4 * U + 2, y_top_mid, ("enforcer", "C", "right"))
 
     red = ReducedInstance(pts, lay.p, lay.q, lay)
-    lay.points = pts  # lets lift verify candidate line sets
     validate_layout(red)
     return red
 
@@ -291,7 +290,7 @@ def reduce_instance(norm: NormalizedCRBDS) -> ReducedInstance:
         total = 0
         for s in sets:
             try:
-                lift(norm, r.layout, s)
+                lift(norm, r, s)
             except (InvalidDominatingSet, NotSeparating):
                 continue
             total += 1
@@ -358,22 +357,23 @@ def validate_layout(red: ReducedInstance) -> None:
     for p in by_role["functional"]:
         _, j, beta, corner, _, _ = lay.roles[p.id]
         fun.setdefault((j, beta), {})[corner] = p
+    xs = sorted({p.x for p in pts})
+    mids = [(a + b) / 2 for a, b in zip(xs, xs[1:])]
     for j in range(1, n + 1):
         spans = [(pair["BL"].x, pair["TR"].x)
                  for (jj, _), pair in fun.items() if jj == j]
-        xs = sorted({p.x for p in pts})
-        for a, b in zip(xs, xs[1:]):
-            c = (a + b) / 2
+        for c in mids:
             cut = sum(1 for lo, hi in spans if lo < c < hi)
             assert cut <= 1, "vertical separates two functional pairs"
 
 
-def lift(norm: NormalizedCRBDS, layout: ReductionLayout,
+def lift(norm: NormalizedCRBDS, red: ReducedInstance,
          chosen: list[str]) -> list[AxisLine]:
     """Forward direction: a colorful dominating set yields a separating set
     of exactly p horizontal and q vertical lines (fence + signals + defenders).
     Raises NotSeparating if no defender assignment verifies.
     """
+    layout = red.layout
     inst, k, n, d = norm.inst, layout.k, layout.n, layout.d
     if len(chosen) != k:
         raise InvalidDominatingSet(f"expected {k} vertices, got {len(chosen)}")
@@ -413,7 +413,6 @@ def lift(norm: NormalizedCRBDS, layout: ReductionLayout,
     # hits[j] yields a valid guard cover, but which pairs end up sharing a
     # cell depends on the choice, so search the (small) product of options
     # and return the first assignment that verifies.
-    points = getattr(layout, "points", None)
 
     def defenders(assign):
         out = []
@@ -429,7 +428,7 @@ def lift(norm: NormalizedCRBDS, layout: ReductionLayout,
 
     for assign in product(*(hits[j] for j in range(1, n + 1))):
         lines = fixed + defenders(assign)
-        if points is None or verify_separation(points, lines) is None:
+        if verify_separation(red.points, lines) is None:
             break
     else:
         raise NotSeparating(

@@ -15,9 +15,8 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Optional
 
-from .decomposition import (CircleDecomposition, Interval, SwitchGraph,
-                            build_switch_graph, decompose, line_stabs_switch,
-                            projection_interval)
+from .decomposition import (CircleDecomposition, SwitchGraph,
+                            build_switch_graph, decompose, line_stabs_switch)
 from .errors import RepairExhausted
 from .geometry import (BLUE, RED, Arc, AxisLine, CellSignature, CirclePos,
                        GeneralLine, arc_interior_point, axis_coords, cell_arcs,
@@ -129,14 +128,7 @@ def build_L0(dec: CircleDecomposition, graph: SwitchGraph) -> AxisSolution:
 
     def place(orient, interval, tag):
         fb = fy if orient == "H" else fx
-        # never place a tangent line: open up interval endpoints at +-1
-        interval = Interval(interval.lo, interval.hi,
-                            interval.lo_closed and abs(interval.lo) != 1,
-                            interval.hi_closed and abs(interval.hi) != 1)
         c = interval.pick(fb | used[orient])
-        if c is None:
-            # degenerate single-value interval already in use: reuse the line
-            c = interval.pick(fb)
         assert c is not None, "facing edge lost its witness coordinate"
         used[orient].add(c)
         tagged.append(TaggedLine(AxisLine(orient, c), tag))
@@ -146,22 +138,10 @@ def build_L0(dec: CircleDecomposition, graph: SwitchGraph) -> AxisSolution:
         orient = "H" if "H" in ann else "V"
         place(orient, ann[orient], f"edge:{i}-{j}")
     for r in graph.isolated:
-        sw = dec.switches[r]
-        ih = projection_interval(sw, "Y")
-        iv = projection_interval(sw, "X")
-        orient = "H" if ih.width() >= iv.width() else "V"
-        place(orient, ih if orient == "H" else iv, f"isolated:{r}")
-
-    # coincident coordinates collapse to one geometric line
-    seen = set()
-    deduped = []
-    for t in tagged:
-        key = (t.line.orient, t.line.c)
-        if key not in seen:
-            seen.add(key)
-            deduped.append(t)
-    sol = AxisSolution(deduped, kappa=graph.kappa)
-    return sol
+        itv = dec.switches[r].intervals
+        orient = "H" if itv["H"].width() >= itv["V"].width() else "V"
+        place(orient, itv[orient], f"isolated:{r}")
+    return AxisSolution(tagged, kappa=graph.kappa)
 
 
 # --- the refinement loop -----------------------------------------------------
@@ -198,11 +178,15 @@ def _cell_center(sig: CellSignature, hs, vs) -> tuple[Fraction, Fraction]:
             (max(ylo, F(-1)) + min(yhi, F(1))) / 2)
 
 
+def _stabs_every_switch(lines, dec) -> bool:
+    return all(any(line_stabs_switch(ln.orient, ln.c, sw) for ln in lines)
+               for sw in dec.switches)
+
+
 def _check_invariants(lines, dec, cm, arcs):
     """Structural facts every intermediate arrangement must satisfy."""
-    for sw in dec.switches:
-        assert any(line_stabs_switch(ln.orient, ln.c, sw) for ln in lines), \
-            "invariant violated: a switch is not stabbed"
+    assert _stabs_every_switch(lines, dec), \
+        "invariant violated: a switch is not stabbed"
     large = 0
     for sig, arclist in arcs.items():
         assert len(arclist) <= 4, "cell meets the circle in more than 4 arcs"
@@ -363,11 +347,8 @@ def _try_flip(points, solution, dec, cm, cell_arcs_list, sig, case, mirror,
         new_tagged.append(TaggedLine(AxisLine(flip_orient, cut), step_tag))
     new_lines = [t.line for t in new_tagged]
 
-    if len(new_lines) > len(lines):
+    if len(new_lines) > len(lines) or not _stabs_every_switch(new_lines, dec):
         return None
-    for sw in dec.switches:
-        if not any(line_stabs_switch(ln.orient, ln.c, sw) for ln in new_lines):
-            return None
     new_sep = sep_bitset(points, new_lines)
     if new_sep & old_sep != old_sep or new_sep == old_sep:
         return None

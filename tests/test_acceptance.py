@@ -194,7 +194,7 @@ def test_criterion_7_reduction_equivalence():
             continue
         if geo is not None:
             s = extract_vertices(norm, red, geo)
-            lines = lift(norm, red.layout, s)
+            lines = lift(norm, red, s)
             if verify_separation(red.points, lines) is not None:
                 bad += 1
                 continue

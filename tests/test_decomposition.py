@@ -3,12 +3,15 @@ from fractions import Fraction
 
 import pytest
 
+from sepline import decomposition
 from sepline.decomposition import (Interval, build_switch_graph, decompose,
                                    faces, line_stabs_switch,
                                    projection_interval)
 from sepline.errors import EmptyInstance, PointOffCircle
+from sepline.generate import gen_circle
 from sepline.geometry import (BLUE, RED, ColoredPoint,
                               circle_point_from_parameter)
+from sepline.solvers import solve_axis
 
 F = Fraction
 
@@ -95,35 +98,27 @@ class TestProjectionInterval:
 class TestFaces:
     def test_pts4_horizontal_pair(self, pts4):
         dec = decompose(pts4)
-        fx = {p.x for p in pts4}
-        fy = {p.y for p in pts4}
-        ann = faces(dec.switches[0], dec.switches[1], fx, fy)
+        ann = faces(dec.switches[0], dec.switches[1])
         assert set(ann) == {"H"}
 
     def test_pts4_opposite_disjoint(self, pts4):
         dec = decompose(pts4)
-        fx = {p.x for p in pts4}
-        fy = {p.y for p in pts4}
-        assert faces(dec.switches[0], dec.switches[2], fx, fy) == {}
+        assert faces(dec.switches[0], dec.switches[2]) == {}
 
     def test_diag_isolated(self, diag):
         dec = decompose(diag)
-        fx = {p.x for p in diag}
-        fy = {p.y for p in diag}
-        assert faces(dec.switches[0], dec.switches[1], fx, fy) == {}
+        assert faces(dec.switches[0], dec.switches[1]) == {}
 
     def test_symmetric(self):
         rng = random.Random(17)
         for _ in range(30):
             pts = _random_instance(rng)
             dec = decompose(pts)
-            fx = {p.x for p in pts}
-            fy = {p.y for p in pts}
             sw = dec.switches
             for i in range(len(sw)):
                 for j in range(i + 1, len(sw)):
-                    a = faces(sw[i], sw[j], fx, fy)
-                    b = faces(sw[j], sw[i], fx, fy)
+                    a = faces(sw[i], sw[j])
+                    b = faces(sw[j], sw[i])
                     assert set(a) == set(b)
 
 
@@ -166,8 +161,9 @@ class TestSwitchGraph:
 
     def test_witness_lines_stab_both_arcs(self):
         rng = random.Random(29)
-        for _ in range(40):
-            pts = _random_instance(rng)
+        instances = ([_random_instance(rng) for _ in range(40)]
+                     + [_mirror_instance(rng) for _ in range(40)])
+        for pts in instances:
             dec = decompose(pts)
             if dec.w == 0:
                 continue
@@ -176,6 +172,9 @@ class TestSwitchGraph:
             fy = {p.y for p in pts}
             for (i, j), ann in g.edges.items():
                 for orient, itv in ann.items():
+                    # a facing overlap is never a single point, so a witness
+                    # coordinate off every input coordinate always exists
+                    assert itv.lo < itv.hi
                     c = itv.pick(fy if orient == "H" else fx)
                     assert c is not None
                     assert line_stabs_switch(orient, c, dec.switches[i])
@@ -193,6 +192,26 @@ class TestSwitchGraph:
                                         and line_stabs_switch(orient, c, sw[j]))
 
 
+def test_projection_intervals_computed_once_per_switch(monkeypatch):
+    calls = []
+    original = decomposition.projection_interval
+
+    def counting(switch, axis):
+        calls.append((switch.index, axis))
+        return original(switch, axis)
+
+    for n, seed in ((32, 9), (15, 1227)):
+        pts = gen_circle(n, seed, "random")
+        w = decompose(pts).w
+        assert w > 0
+        calls.clear()
+        with monkeypatch.context() as m:
+            m.setattr(decomposition, "projection_interval", counting)
+            solve_axis(pts)
+        assert sorted(calls) == [(i, axis) for i in range(w)
+                                 for axis in ("X", "Y")]
+
+
 def decompose_diag_like():
     pts = [
         pt(0, BLUE, F(3, 5), F(4, 5)),
@@ -205,6 +224,21 @@ def decompose_diag_like():
         pt(7, RED, F(4, 5), F(3, 5)),
     ]
     return decompose(pts)
+
+
+def _mirror_instance(rng):
+    """Images (+-x, +-y) of a few first-quadrant points, sometimes with the
+    four axis points: every coordinate is shared by two or more points."""
+    m = rng.randint(1, 4)
+    ts = set()
+    while len(ts) < m:
+        ts.add(F(rng.randint(1, 299), 300))
+    xys = [circle_point_from_parameter(t) for t in sorted(ts)]
+    xys = [(sx * x, sy * y) for x, y in xys for sx in (1, -1) for sy in (1, -1)]
+    if rng.random() < 0.5:
+        xys += [(F(1), F(0)), (F(0), F(1)), (F(-1), F(0)), (F(0), F(-1))]
+    return [ColoredPoint(i, rng.choice([RED, BLUE]), x, y)
+            for i, (x, y) in enumerate(xys)]
 
 
 def _random_instance(rng, n=None):

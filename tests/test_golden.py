@@ -9,11 +9,16 @@ fails here.
 """
 
 import hashlib
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import sepline
 from sepline.cli import main
 from sepline.generate import gen_circle
 from sepline.geometry import (BLUE, RED, ColoredPoint,
@@ -145,3 +150,16 @@ def test_trace_monochromatic_final_is_step_000(tmp_path):
         ["final.svg", "step_000.svg"]
     assert (trace / "final.svg").read_bytes() == \
         (trace / "step_000.svg").read_bytes()
+
+
+@pytest.mark.parametrize("name", ["random/15/1227", "mirror/24/5",
+                                  "alternating/64/7"])
+def test_solve_bytes_without_asserts(tmp_path, name):
+    # the guarantees must not rest on `assert`: same bytes under python -O
+    inst = _write_instance(tmp_path, name)
+    out = tmp_path / "out.json"
+    src = str(Path(sepline.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    subprocess.run([sys.executable, "-O", "-m", "sepline.cli", "solve", inst,
+                    "--variant", "axis", "-o", str(out)], env=env, check=True)
+    assert _digest(out.read_bytes()) == GOLDEN[name][0]

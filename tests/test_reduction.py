@@ -6,8 +6,9 @@ from sepline.errors import (BudgetViolation, InvalidDominatingSet,
                             NoSignalLine, NotSeparating)
 from sepline.geometry import AxisLine, verify_separation
 from sepline.oracles import CRBDS, colorful_rbds_solve, feasible_pq
-from sepline.reduction import (extract, extract_vertices, lift, normalize,
-                               reduce_instance)
+from sepline.reduction import (ReducedInstance, extract, extract_vertices,
+                               lift, normalize, reduce_instance)
+from sepline.serialization import sidecar_from_doc, sidecar_to_doc
 
 
 def toy():
@@ -93,7 +94,7 @@ class TestLiftExtract:
         norm = normalize(toy())
         red = reduce_instance(norm)
         for s in (["u1", "u3"], ["u2", "u3"]):
-            lines = lift(norm, red.layout, s)
+            lines = lift(norm, red, s)
             assert sum(ln.orient == "H" for ln in lines) == red.p
             assert sum(ln.orient == "V" for ln in lines) == red.q
             assert verify_separation(red.points, lines) is None
@@ -102,15 +103,24 @@ class TestLiftExtract:
         norm = normalize(toy())
         red = reduce_instance(norm)
         with pytest.raises(InvalidDominatingSet):
-            lift(norm, red.layout, ["u2", "u4"])  # v1 undominated
+            lift(norm, red, ["u2", "u4"])  # v1 undominated
 
     def test_lift_never_returns_non_separating_lines(self):
         norm = normalize(unliftable())
         red = reduce_instance(norm)
         with pytest.raises(NotSeparating):
-            lift(norm, red.layout, ["u1_1", "u2_1"])
-        lines = lift(norm, red.layout, ["u1_1", "u2_2"])
+            lift(norm, red, ["u1_1", "u2_1"])
+        lines = lift(norm, red, ["u1_1", "u2_2"])
         assert verify_separation(red.points, lines) is None
+
+    def test_lift_verifies_with_layout_from_sidecar(self):
+        # a layout read back from the sidecar is verified like a fresh one
+        norm = normalize(unliftable())
+        red = reduce_instance(norm)
+        norm2, lay = sidecar_from_doc(sidecar_to_doc(norm, red))
+        rebuilt = ReducedInstance(red.points, lay.p, lay.q, lay)
+        with pytest.raises(NotSeparating):
+            lift(norm2, rebuilt, ["u1_1", "u2_1"])
 
     def test_round_trip_all_valid_sets(self):
         norm = normalize(toy())
@@ -119,7 +129,7 @@ class TestLiftExtract:
         for pick in product(*norm.inst.classes):
             s = list(pick)
             try:
-                lines = lift(norm, red.layout, s)
+                lines = lift(norm, red, s)
             except InvalidDominatingSet:
                 continue
             valid += 1
@@ -140,7 +150,7 @@ class TestLiftExtract:
     def test_extract_budget_violation(self):
         norm = normalize(toy())
         red = reduce_instance(norm)
-        lines = lift(norm, red.layout, ["u1", "u3"])
+        lines = lift(norm, red, ["u1", "u3"])
         with pytest.raises(BudgetViolation):
             extract(red, lines + [AxisLine("H", lines[0].c + 1)])
 
@@ -153,7 +163,7 @@ class TestLiftExtract:
     def test_extract_no_signal(self):
         norm = normalize(toy())
         red = reduce_instance(norm)
-        lines = lift(norm, red.layout, ["u1", "u3"])
+        lines = lift(norm, red, ["u1", "u3"])
         # drop the first signal line (track 1); re-add elsewhere to keep
         # budgets full, then extraction must fail before the signal read
         lo, hi = red.layout.h_track(1)
@@ -225,5 +235,5 @@ class TestEquivalence:
                 f"equivalence broken on edges={sorted(inst.edges)}"
             if geo is not None:
                 s = extract_vertices(norm, red, geo)
-                lines = lift(norm, red.layout, s)
+                lines = lift(norm, red, s)
                 assert verify_separation(red.points, lines) is None

@@ -106,6 +106,7 @@ class TestBuildL0:
             g = build_switch_graph(dec)
             sol = build_L0(dec, g)
             assert sol.size == g.kappa
+            assert len(set(sol.lines)) == sol.size
             for sw in dec.switches:
                 assert any(line_stabs_switch(ln.orient, ln.c, sw)
                            for ln in sol.lines)
