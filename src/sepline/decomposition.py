@@ -10,12 +10,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Optional
 
 from . import matching
 from .errors import EmptyInstance, PointOffCircle
 from .geometry import (BOTTOM, LEFT, RIGHT, TOP, CirclePos, ColoredPoint,
-                       angular_sort, arc_contains, pick_coordinate)
+                       angular_sort, arc_contains)
 
 
 @dataclass(frozen=True)
@@ -58,12 +57,6 @@ class Interval:
 
     def width(self) -> Fraction:
         return Fraction(0) if self.is_empty() else self.hi - self.lo
-
-    def pick(self, forbidden) -> Optional[Fraction]:
-        if self.is_empty():
-            return None
-        return pick_coordinate(self.lo, self.hi, self.lo_closed,
-                               self.hi_closed, forbidden)
 
 
 @dataclass

@@ -40,6 +40,10 @@ class DominationFailure(SeplineError):
     """A domination property that the theory guarantees failed to hold."""
 
 
+class GuaranteeViolated(SeplineError):
+    """A size or step bound that the theory guarantees failed to hold."""
+
+
 class RepairExhausted(SeplineError):
     """No repair of size <= kappa was found; indicates a bug, never expected."""
 

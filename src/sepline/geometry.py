@@ -9,6 +9,7 @@ there is no floating point anywhere on a computation path.
 from __future__ import annotations
 
 import functools
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
@@ -147,8 +148,8 @@ def axis_coords(lines) -> tuple[list[Fraction], list[Fraction]]:
 
 
 def point_signature(p: ColoredPoint, hs, vs) -> CellSignature:
-    return CellSignature(sum(1 for c in hs if c < p.y),
-                         sum(1 for c in vs if c < p.x))
+    """Cell of `p` given sorted, deduplicated line coordinates `hs`, `vs`."""
+    return CellSignature(bisect_left(hs, p.y), bisect_left(vs, p.x))
 
 
 @dataclass
@@ -287,22 +288,12 @@ class Arc:
     quadrants: list[int] = field(default_factory=list)
 
 
-class _AngKey:
-    __slots__ = ("pos",)
-
-    def __init__(self, pos: CirclePos):
-        self.pos = pos
-
-    def __lt__(self, other):
-        return self.pos.cmp(other.pos) < 0
-
-    def __eq__(self, other):
-        return self.pos.cmp(other.pos) == 0
+_by_angle = functools.cmp_to_key(CirclePos.cmp)
 
 
 def angular_sort(points: Iterable[ColoredPoint]) -> list[ColoredPoint]:
     """Points by ccw angle starting at the (1, 0) direction."""
-    return sorted(points, key=lambda p: _AngKey(CirclePos.of(p.x, p.y)))
+    return sorted(points, key=lambda p: _by_angle(CirclePos.of(p.x, p.y)))
 
 
 def cell_arcs(points, lines) -> dict[CellSignature, list[Arc]]:
@@ -338,7 +329,7 @@ def cell_arcs(points, lines) -> dict[CellSignature, list[Arc]]:
                   {p.color for p in pts}, [0, 1, 2, 3])
         return {ref_sig: [arc]}
 
-    crossings.sort(key=functools.cmp_to_key(lambda a, b: a[0].cmp(b[0])))
+    crossings.sort(key=lambda t: _by_angle(t[0]))
     groups: list[list] = []
     for pos, dr, dc in crossings:
         if groups and groups[-1][0].cmp(pos) == 0:
@@ -347,25 +338,31 @@ def cell_arcs(points, lines) -> dict[CellSignature, list[Arc]]:
         else:
             groups.append([pos, dr, dc])
 
-    # rotate so the walk starts at the first crossing after the reference point
-    start_idx = 0
-    for idx, (pos, _, _) in enumerate(groups):
-        if ref_pos.cmp(pos) < 0:
-            start_idx = idx
-            break
-    ordered = groups[start_idx:] + groups[:start_idx]
+    # members[g]: the points strictly inside the arc from group g to group
+    # g + 1 (a point on a crossing is in no arc); the points before the
+    # first group lie on the arc from the last group, which wraps past 0
+    members: list[list[ColoredPoint]] = [[] for _ in groups]
+    g = -1
+    for p in pts:
+        pos = CirclePos.of(p.x, p.y)
+        while g + 1 < len(groups) and groups[g + 1][0].cmp(pos) <= 0:
+            g += 1
+        if groups[g][0].cmp(pos) != 0:
+            members[g].append(p)
 
+    # the walk starts at the first crossing after the reference point
+    start = next((g for g, (pos, _, _) in enumerate(groups)
+                  if ref_pos.cmp(pos) < 0), 0)
     row, col = ref_sig.row, ref_sig.col
     result: dict[CellSignature, list[Arc]] = {}
-    for g in range(len(ordered)):
-        pos, dr, dc = ordered[g]
+    for g in (*range(start, len(groups)), *range(start)):
+        pos, dr, dc = groups[g]
         row += dr
         col += dc
-        nxt = ordered[(g + 1) % len(ordered)][0]
+        nxt = groups[(g + 1) % len(groups)][0]
         sig = CellSignature(row, col)
-        members = [p for p in pts if arc_contains(CirclePos.of(p.x, p.y), pos, nxt)]
-        arc = Arc(sig, pos, nxt, [p.id for p in members],
-                  {p.color for p in members}, arc_quadrants(pos, nxt))
+        arc = Arc(sig, pos, nxt, [p.id for p in members[g]],
+                  {p.color for p in members[g]}, arc_quadrants(pos, nxt))
         result.setdefault(sig, []).append(arc)
     assert (row, col) == (ref_sig.row, ref_sig.col), "circle walk did not close"
     return result
@@ -405,25 +402,22 @@ def _arc_parameter_candidates(start, end):
     else:
         ta = circle_parameter(start.x, start.y)
         tb = circle_parameter(end.x, end.y)
-        span = tb - ta
-        assert span > 0, "arc endpoints out of ccw order"
-        for den in range(2, 10_000):
-            for num in range(1, den):
-                yield ta + span * Fraction(num, den)
+        assert tb > ta, "arc endpoints out of ccw order"
+        yield from _rationals_between(ta, tb)
 
 
-def pick_coordinate(lo: Fraction, hi: Fraction, lo_closed: bool, hi_closed: bool,
-                    forbidden) -> Optional[Fraction]:
-    """A rational in the interval avoiding `forbidden`, or None if impossible."""
-    fb = set(forbidden)
-    if lo > hi:
-        return None
-    if lo == hi:
-        return lo if (lo_closed and hi_closed and lo not in fb) else None
+def _rationals_between(lo: Fraction, hi: Fraction):
+    """lo + (hi - lo) * num/den for den = 2, 3, ... and 0 < num < den."""
     span = hi - lo
     for den in range(2, 10_000):
         for num in range(1, den):
-            c = lo + span * Fraction(num, den)
-            if c not in fb:
-                return c
-    return None
+            yield lo + span * Fraction(num, den)
+
+
+def pick_coordinate(lo: Fraction, hi: Fraction, forbidden) -> Optional[Fraction]:
+    """A rational in the open interval (lo, hi) avoiding `forbidden`, or
+    None if lo >= hi."""
+    if lo >= hi:
+        return None
+    fb = set(forbidden)
+    return next((c for c in _rationals_between(lo, hi) if c not in fb), None)

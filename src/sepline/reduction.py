@@ -22,6 +22,7 @@ dominating set.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import permutations, product
@@ -352,17 +353,19 @@ def validate_layout(red: ReducedInstance) -> None:
     for i in range(1, k):
         assert sel[(i, "top")] == sel[(i + 1, "bottom")], "selector chain"
 
-    # no vertical line can separate two functional pairs in one track
-    fun = {}
+    # no vertical line can separate two functional pairs in one track; only
+    # the midpoints inside a track's x-range can cut one of its spans
+    fun: dict[int, dict] = {}
     for p in by_role["functional"]:
         _, j, beta, corner, _, _ = lay.roles[p.id]
-        fun.setdefault((j, beta), {})[corner] = p
+        fun.setdefault(j, {}).setdefault(beta, {})[corner] = p.x
     xs = sorted({p.x for p in pts})
     mids = [(a + b) / 2 for a, b in zip(xs, xs[1:])]
-    for j in range(1, n + 1):
-        spans = [(pair["BL"].x, pair["TR"].x)
-                 for (jj, _), pair in fun.items() if jj == j]
-        for c in mids:
+    for track in fun.values():
+        spans = [(pair["BL"], pair["TR"]) for pair in track.values()]
+        first = bisect_right(mids, min(lo for lo, _ in spans))
+        last = bisect_left(mids, max(hi for _, hi in spans))
+        for c in mids[first:last]:
             cut = sum(1 for lo, hi in spans if lo < c < hi)
             assert cut <= 1, "vertical separates two functional pairs"
 

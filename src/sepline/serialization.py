@@ -30,7 +30,10 @@ def rat_to_str(x) -> str:
 def rat_from_str(s) -> Fraction:
     if not isinstance(s, str):
         raise ValueError(f"rational must be a 'num/den' string, got {s!r}")
-    return Fraction(s)
+    try:
+        return Fraction(s)
+    except ZeroDivisionError:
+        raise ValueError(f"rational {s!r} has a zero denominator") from None
 
 
 # --- instances --------------------------------------------------------------
@@ -48,8 +51,11 @@ def instance_from_doc(doc: dict) -> tuple[str, list[ColoredPoint]]:
     kind = doc.get("kind")
     if kind not in ("circle", "planar"):
         raise ValueError(f"unknown instance kind {kind!r}")
+    recs = doc["points"]
+    if not (isinstance(recs, list) and all(isinstance(r, dict) for r in recs)):
+        raise ValueError("'points' must be a list of objects")
     points = []
-    for i, rec in enumerate(doc["points"]):
+    for i, rec in enumerate(recs):
         color = rec["color"]
         if color not in (RED, BLUE):
             raise ValueError(f"point {i}: color must be 'R' or 'B'")
@@ -176,4 +182,7 @@ def dumps(doc: dict) -> str:
 
 
 def loads(text: str) -> dict:
-    return json.loads(text)
+    doc = json.loads(text)
+    if not isinstance(doc, dict):
+        raise ValueError("a document must be a JSON object")
+    return doc

@@ -17,7 +17,8 @@ from typing import Optional
 
 from .decomposition import (CircleDecomposition, SwitchGraph,
                             build_switch_graph, decompose, line_stabs_switch)
-from .errors import RepairExhausted
+from .errors import (DominationFailure, GuaranteeViolated, NotSeparating,
+                     RepairExhausted)
 from .geometry import (BLUE, RED, Arc, AxisLine, CellSignature, CirclePos,
                        GeneralLine, arc_interior_point, axis_coords, cell_arcs,
                        cell_map, line_through, pick_coordinate,
@@ -59,8 +60,15 @@ class AxisSolution:
         return len(self.tagged)
 
 
+def _check_separates(points, lines) -> None:
+    witness = verify_separation(points, lines)
+    if witness is not None:
+        raise NotSeparating(f"pair {witness} is not separated")
+
+
 def solve_general(points) -> GeneralSolution:
-    """One line per blue chunk, anchored inside its two adjacent switches."""
+    """One line per blue chunk, anchored inside its two adjacent switches.
+    Raises NotSeparating if the lines do not verify."""
     dec = decompose(points)
     if dec.w == 0:
         return GeneralSolution([], [])
@@ -75,6 +83,7 @@ def solve_general(points) -> GeneralSolution:
         q = arc_interior_point(next_sw.start, next_sw.end)
         lines.append(line_through(p[0], p[1], q[0], q[1]))
         anchors.append((i, p, q))
+    _check_separates(dec.points, lines)
     return GeneralSolution(lines, anchors)
 
 
@@ -128,7 +137,7 @@ def build_L0(dec: CircleDecomposition, graph: SwitchGraph) -> AxisSolution:
 
     def place(orient, interval, tag):
         fb = fy if orient == "H" else fx
-        c = interval.pick(fb | used[orient])
+        c = pick_coordinate(interval.lo, interval.hi, fb | used[orient])
         assert c is not None, "facing edge lost its witness coordinate"
         used[orient].add(c)
         tagged.append(TaggedLine(AxisLine(orient, c), tag))
@@ -148,7 +157,6 @@ def build_L0(dec: CircleDecomposition, graph: SwitchGraph) -> AxisSolution:
 
 _DONE = "done"
 _IMPROVED = "improved"
-_LARGE_ONLY = "large-cell-only"
 _STUCK = "stuck"
 
 
@@ -203,8 +211,8 @@ def refine_step(points, solution: AxisSolution, dec: CircleDecomposition):
     """One strict-domination step, after checking the arrangement's
     invariants.
 
-    Returns (_DONE, solution), (_IMPROVED, new_solution),
-    (_LARGE_ONLY, corrupt_sig) or (_STUCK, corrupt_sig).
+    Returns (_DONE, solution), (_IMPROVED, new_solution) or, when no flip
+    applies, (_STUCK, corrupt_sig).
     """
     lines = solution.lines
     cm = cell_map(points, lines)
@@ -219,7 +227,7 @@ def refine_step(points, solution: AxisSolution, dec: CircleDecomposition):
     for sig in cm.corrupt:
         (large if len(arcs[sig]) >= 3 else small).append(sig)
     if not small:
-        return (_LARGE_ONLY, sorted(large)[0])
+        return (_STUCK, sorted(large)[0])
 
     # classify 2-arc corrupt cells and order them by the paper's priority
     horiz, vert, other = [], [], []
@@ -337,7 +345,7 @@ def _try_flip(points, solution, dec, cm, cell_arcs_list, sig, case, mirror,
         return None
 
     forbidden = {perp(p) for p in points}
-    cut = pick_coordinate(lo, hi, False, False, forbidden)
+    cut = pick_coordinate(lo, hi, forbidden)
     if cut is None:
         return None
 
@@ -391,9 +399,7 @@ def _repair_around(points, solution: AxisSolution, kappa: int,
                 f"no separating set of size <= {kappa} exists in the "
                 "candidate space; this contradicts the upper-bound guarantee")
         repaired = full
-    out = AxisSolution(repaired, kappa, solution.steps, True)
-    assert verify_separation(points, out.lines) is None
-    return out
+    return AxisSolution(repaired, kappa, solution.steps, True)
 
 
 # --- the full pipeline -------------------------------------------------------
@@ -404,9 +410,10 @@ def solve_axis(points, on_step=None) -> AxisSolution:
 
     decompose -> switch graph -> minimum edge cover -> L0 -> strictly
     dominating refinements -> (rarely) large-cell repair.  The result has
-    exactly kappa lines and passes verification.  `on_step`, if given, is
-    called with every arrangement the loop examines: L0 first, then each
-    accepted refinement step.
+    exactly kappa lines and passes verification, or a SeplineError is raised
+    (also under `python -O`).  `on_step`, if given, is called with every
+    arrangement the loop examines: L0 first, then each accepted refinement
+    step.
     """
     points = list(points)
     dec = decompose(points)
@@ -424,17 +431,19 @@ def solve_axis(points, on_step=None) -> AxisSolution:
         if outcome == _IMPROVED:
             old = sep_bitset(points, sol.lines)
             new = sep_bitset(points, payload.lines)
-            assert new & old == old and new != old, "step did not dominate"
-            assert payload.size <= sol.size, "step grew the solution"
+            if new & old != old or new == old:
+                raise DominationFailure(f"step {payload.steps} does not dominate")
+            if payload.size > sol.size:
+                raise GuaranteeViolated(f"step {payload.steps} grew the solution")
             sol = payload
-            assert sol.steps <= r * b, "refinement exceeded the r*b step bound"
+            if sol.steps > r * b:
+                raise GuaranteeViolated("refinement exceeded the r*b step bound")
             continue
-        # _LARGE_ONLY or _STUCK: payload is the offending cell signature
+        # _STUCK: payload is the offending cell signature
         sol = _repair_around(points, sol, graph.kappa, payload)
         break
 
-    assert verify_separation(points, sol.lines) is None
-    assert sol.size == graph.kappa, \
-        f"solution size {sol.size} != kappa {graph.kappa}"
-    sol.kappa = graph.kappa
+    _check_separates(points, sol.lines)
+    if sol.size != graph.kappa:
+        raise GuaranteeViolated(f"solution size {sol.size} != kappa {graph.kappa}")
     return sol

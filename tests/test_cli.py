@@ -275,3 +275,14 @@ class TestCommands:
         assert self.run("kappa", str(bad)) == 1
         assert self.run("gen", "4", "--pattern", "nope") == 1
         assert self.run("solve", str(tmp_path / "missing.json")) == 1
+
+    @pytest.mark.parametrize("doc", [
+        [{"color": "R", "x": "1", "y": "0"}],
+        {"kind": "circle", "points": [1]},
+        {"kind": "circle", "points": [{"color": "R", "x": "1/0", "y": "0"}]},
+    ], ids=["top-level-list", "point-not-object", "zero-denominator"])
+    def test_malformed_instance_exits_1(self, tmp_path, capsys, doc):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        assert self.run("solve", str(bad)) == 1
+        assert capsys.readouterr().err.startswith("error:")

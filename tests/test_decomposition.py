@@ -10,7 +10,7 @@ from sepline.decomposition import (Interval, build_switch_graph, decompose,
 from sepline.errors import EmptyInstance, PointOffCircle
 from sepline.generate import gen_circle
 from sepline.geometry import (BLUE, RED, ColoredPoint,
-                              circle_point_from_parameter)
+                              circle_point_from_parameter, pick_coordinate)
 from sepline.solvers import solve_axis
 
 F = Fraction
@@ -175,7 +175,8 @@ class TestSwitchGraph:
                     # a facing overlap is never a single point, so a witness
                     # coordinate off every input coordinate always exists
                     assert itv.lo < itv.hi
-                    c = itv.pick(fy if orient == "H" else fx)
+                    c = pick_coordinate(itv.lo, itv.hi,
+                                        fy if orient == "H" else fx)
                     assert c is not None
                     assert line_stabs_switch(orient, c, dec.switches[i])
                     assert line_stabs_switch(orient, c, dec.switches[j])

@@ -1,14 +1,17 @@
 import random
 from fractions import Fraction
+from functools import cmp_to_key
 
 import pytest
 
 from sepline.errors import PointOnLine
-from sepline.geometry import (BLUE, RED, AxisLine, CellSignature, ColoredPoint,
-                              angular_sort, arc_interior_point, cell_arcs,
-                              cell_map, circle_point_from_parameter,
-                              general_line, line_side, line_through,
-                              pick_coordinate, verify_separation)
+from sepline.geometry import (BLUE, RED, Arc, AxisLine, CellSignature,
+                              CirclePos, ColoredPoint, angular_sort,
+                              arc_contains, arc_interior_point, arc_quadrants,
+                              axis_coords, cell_arcs, cell_map,
+                              circle_point_from_parameter, general_line,
+                              line_side, line_through, pick_coordinate,
+                              point_signature, verify_separation)
 
 F = Fraction
 
@@ -155,12 +158,39 @@ class TestCellArcs:
             cm = cell_map(pts, lines)
             arcs = cell_arcs(pts, lines)
             by_id = {p.id: p for p in pts}
+            hs, vs = axis_coords(lines)
             for sig, arclist in arcs.items():
                 for a in arclist:
                     for i in a.point_ids:
-                        from sepline.geometry import axis_coords, point_signature
-                        hs, vs = axis_coords(lines)
                         assert point_signature(by_id[i], hs, vs) == sig
+
+    def test_matches_per_arc_scan(self):
+        # lines through points, coincident H/V crossings, lines missing the
+        # disk and the point (-1, 0) all occur in this sample
+        rng = random.Random(17)
+        for _ in range(500):
+            pts = _random_circle_points(rng, rng.randint(1, 8))
+            if rng.random() < 0.3:
+                pts.append(ColoredPoint(len(pts), rng.choice([RED, BLUE]),
+                                        F(-1), F(0)))
+            lines = []
+            for _ in range(rng.randint(0, 6)):
+                kind = rng.randrange(4)
+                if kind == 0:
+                    lines.append(AxisLine(rng.choice("HV"),
+                                          F(rng.randint(-99, 99), 100)))
+                elif kind == 1:
+                    p = rng.choice(pts)
+                    lines.append(rng.choice([AxisLine("H", p.y),
+                                             AxisLine("V", p.x)]))
+                elif kind == 2:
+                    x, y = circle_point_from_parameter(
+                        F(rng.randint(-9, 9), rng.randint(1, 9)))
+                    lines += [AxisLine("H", y), AxisLine("V", x)]
+                else:
+                    lines.append(AxisLine(rng.choice("HV"), rng.choice(
+                        [F(1), F(-1), F(3, 2), F(-2)])))
+            assert cell_arcs(pts, lines) == _per_arc_scan(pts, lines)
 
 
 class TestArcInteriorPoint:
@@ -190,14 +220,63 @@ class TestArcInteriorPoint:
 
 
 def test_pick_coordinate():
-    assert pick_coordinate(F(0), F(1), False, False, {F(1, 2)}) not in (None, F(1, 2))
-    assert pick_coordinate(F(1), F(1), True, True, set()) == 1
-    assert pick_coordinate(F(1), F(1), True, False, set()) is None
-    assert pick_coordinate(F(2), F(1), True, True, set()) is None
+    assert pick_coordinate(F(0), F(1), {F(1, 2)}) not in (None, F(1, 2))
+    assert pick_coordinate(F(2), F(1), set()) is None
 
 
 def test_angular_sort(pts4):
     assert [p.id for p in angular_sort(pts4)] == [0, 1, 2, 3]
+
+
+def _pos(p):
+    return CirclePos.of(p.x, p.y)
+
+
+def _per_arc_scan(points, lines):
+    """Reference for cell_arcs: every arc tests every point with
+    arc_contains."""
+    hs, vs = axis_coords(lines)
+    events = []
+    for orient, coords, up, down in (("H", hs, (1, 0), (-1, 0)),
+                                     ("V", vs, (0, -1), (0, 1))):
+        for c in coords:
+            if c * c < 1:
+                events.append((CirclePos.crossing(AxisLine(orient, c), True),
+                               *up))
+                events.append((CirclePos.crossing(AxisLine(orient, c), False),
+                               *down))
+    pts = sorted(points, key=cmp_to_key(lambda p, q: _pos(p).cmp(_pos(q))))
+    if not pts:
+        return {}
+    ref_pos = _pos(pts[0])
+    ref_sig = CellSignature(sum(1 for c in hs if c < pts[0].y),
+                            sum(1 for c in vs if c < pts[0].x))
+    if not events:
+        return {ref_sig: [Arc(ref_sig, ref_pos, ref_pos, [p.id for p in pts],
+                              {p.color for p in pts}, [0, 1, 2, 3])]}
+    events.sort(key=cmp_to_key(lambda a, b: a[0].cmp(b[0])))
+    groups = []
+    for pos, dr, dc in events:
+        if groups and groups[-1][0].cmp(pos) == 0:
+            groups[-1][1] += dr
+            groups[-1][2] += dc
+        else:
+            groups.append([pos, dr, dc])
+    start = next((g for g, grp in enumerate(groups)
+                  if ref_pos.cmp(grp[0]) < 0), 0)
+    groups = groups[start:] + groups[:start]
+    row, col = ref_sig.row, ref_sig.col
+    out = {}
+    for g, (pos, dr, dc) in enumerate(groups):
+        row += dr
+        col += dc
+        nxt = groups[(g + 1) % len(groups)][0]
+        members = [p for p in pts if arc_contains(_pos(p), pos, nxt)]
+        sig = CellSignature(row, col)
+        out.setdefault(sig, []).append(
+            Arc(sig, pos, nxt, [p.id for p in members],
+                {p.color for p in members}, arc_quadrants(pos, nxt)))
+    return out
 
 
 def _random_circle_points(rng, n):

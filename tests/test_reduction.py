@@ -1,3 +1,5 @@
+from dataclasses import replace
+from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -7,7 +9,8 @@ from sepline.errors import (BudgetViolation, InvalidDominatingSet,
 from sepline.geometry import AxisLine, verify_separation
 from sepline.oracles import CRBDS, colorful_rbds_solve, feasible_pq
 from sepline.reduction import (ReducedInstance, extract, extract_vertices,
-                               lift, normalize, reduce_instance)
+                               lift, normalize, reduce_instance,
+                               validate_layout)
 from sepline.serialization import sidecar_from_doc, sidecar_to_doc
 
 
@@ -237,3 +240,17 @@ class TestEquivalence:
                 s = extract_vertices(norm, red, geo)
                 lines = lift(norm, red, s)
                 assert verify_separation(red.points, lines) is None
+
+
+def test_validate_layout_rejects_vertical_through_two_pairs():
+    red = reduce_instance(normalize(toy()))
+    by_role = {role[1:4]: pid for pid, role in red.layout.roles.items()
+               if role[0] == "functional"}
+    tr1 = red.points[by_role[(1, 1, "TR")]]
+    tr2 = red.points[by_role[(1, 2, "TR")]]
+    # stretch pair 1 of track 1 into pair 2's box: the vertical just right
+    # of pair 2's BL point now cuts both pairs
+    pts = list(red.points)
+    pts[tr1.id] = replace(tr1, x=tr2.x - Fraction(1, 2))
+    with pytest.raises(AssertionError, match="two functional pairs"):
+        validate_layout(ReducedInstance(pts, red.p, red.q, red.layout))

@@ -1,12 +1,22 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
+import pytest
+
+import sepline
+from sepline import solvers
 from sepline.decomposition import build_switch_graph, decompose, line_stabs_switch
+from sepline.errors import DominationFailure
+from sepline.generate import gen_circle
 from sepline.geometry import (BLUE, RED, ColoredPoint,
                               circle_point_from_parameter, verify_separation)
 from sepline.oracles import (min_axis_separation, min_general_separation_circle,
                              sep_bitset)
-from sepline.solvers import (build_L0, refine_step, solve_axis,
+from sepline.solvers import (AxisSolution, build_L0, refine_step, solve_axis,
                              solve_general, wedge_baseline)
 
 F = Fraction
@@ -199,3 +209,33 @@ class TestSolveAxis:
         for t in sol.tagged:
             head = t.tag.split(":")[0]
             assert head in {"edge", "isolated", "flip", "repair"}
+
+
+@pytest.mark.parametrize("solver", ["solve_axis", "solve_general"])
+def test_unverified_lines_raise_without_asserts(solver):
+    # a verification that fails must raise NotSeparating under python -O too
+    script = "\n".join([
+        "import sepline.solvers as s",
+        "from sepline.errors import NotSeparating",
+        "from sepline.generate import gen_circle",
+        "s.verify_separation = lambda points, lines: (0, 1)",
+        "try:",
+        f"    s.{solver}(gen_circle(16, 7, 'random'))",
+        "except NotSeparating:",
+        "    raise SystemExit(0)",
+        "raise SystemExit('returned unverified lines')",
+    ])
+    src = str(Path(sepline.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_non_dominating_step_raises(monkeypatch):
+    def unchanged(points, sol, dec):
+        return (solvers._IMPROVED,
+                AxisSolution(sol.tagged, sol.kappa, sol.steps + 1))
+    monkeypatch.setattr(solvers, "refine_step", unchanged)
+    with pytest.raises(DominationFailure):
+        solve_axis(gen_circle(8, 1, "alternating"))
