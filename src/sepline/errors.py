@@ -45,7 +45,9 @@ class GuaranteeViolated(SeplineError):
 
 
 class RepairExhausted(SeplineError):
-    """No repair of size <= kappa was found; indicates a bug, never expected."""
+    """The bounded large-cell repair found no separating completion of
+    size <= kappa.  The solve stops here; it never widens to an
+    exponential search."""
 
 
 class InvalidDominatingSet(SeplineError):

@@ -128,7 +128,19 @@ def crbds_to_doc(inst: CRBDS) -> dict:
     return doc
 
 
+def _is_str_list(x) -> bool:
+    return isinstance(x, list) and all(isinstance(s, str) for s in x)
+
+
 def crbds_from_doc(doc: dict) -> CRBDS:
+    if not (isinstance(doc["classes"], list)
+            and all(_is_str_list(c) for c in doc["classes"])):
+        raise ValueError("'classes' must be a list of lists of strings")
+    if not _is_str_list(doc["blues"]):
+        raise ValueError("'blues' must be a list of strings")
+    if not (isinstance(doc["edges"], list)
+            and all(_is_str_list(e) and len(e) == 2 for e in doc["edges"])):
+        raise ValueError("'edges' must be a list of [red, blue] pairs")
     classes = [list(c) for c in doc["classes"]]
     if "k" in doc and doc["k"] != len(classes):
         raise ValueError("declared k does not match the class list")
@@ -162,6 +174,9 @@ def sidecar_to_doc(norm: NormalizedCRBDS, red: ReducedInstance) -> dict:
 
 
 def sidecar_from_doc(doc: dict) -> tuple[NormalizedCRBDS, ReductionLayout]:
+    for key in ("grid", "budgets", "roles", "normalized"):
+        if not isinstance(doc[key], dict):
+            raise ValueError(f"sidecar field {key!r} must be an object")
     g = doc["grid"]
     roles = {int(pid): tuple(role) for pid, role in doc["roles"].items()}
     lay = ReductionLayout(g["k"], g["n"], g["d"], g["m"], roles)

@@ -3,9 +3,11 @@
 solve_general protects each blue chunk with one line through its two
 adjacent switches (w/2 lines, optimal).  solve_axis builds the edge-cover
 seeded line set L0 of size kappa, then walks a sequence of strictly
-dominating solutions (flip one boundary line of an extreme corrupt cell)
-until every cell is monochromatic, falling back to a verified bounded
-search when only the single large central cell remains corrupt.
+dominating solutions until every cell is monochromatic.  Each step makes
+one flip (one boundary line of the priority corrupt cell); solve_axis
+checks that the step strictly dominates and does not grow.  When no flip
+applies, a bounded search replaces the stuck cell's boundary lines, and
+raises RepairExhausted if it finds nothing within kappa lines.
 """
 
 from __future__ import annotations
@@ -28,12 +30,6 @@ from .oracles import axis_candidates, full_mask, sep_bitset
 F = Fraction
 
 
-@dataclass(frozen=True)
-class TaggedLine:
-    line: AxisLine
-    tag: str  # "edge:i-j", "isolated:i", "flip:step", "repair", "wedge:i"
-
-
 @dataclass
 class GeneralSolution:
     lines: list[GeneralLine]
@@ -46,18 +42,14 @@ class GeneralSolution:
 
 @dataclass
 class AxisSolution:
-    tagged: list[TaggedLine]
+    lines: list[AxisLine]
     kappa: Optional[int] = None
     steps: int = 0
     repair_used: bool = False
 
     @property
-    def lines(self) -> list[AxisLine]:
-        return [t.line for t in self.tagged]
-
-    @property
     def size(self) -> int:
-        return len(self.tagged)
+        return len(self.lines)
 
 
 def _check_separates(points, lines) -> None:
@@ -98,7 +90,7 @@ def wedge_baseline(points) -> AxisSolution:
     fy = {p.y for p in points}
     used_x: set = set()
     used_y: set = set()
-    tagged = []
+    lines = []
     for i, chunk in enumerate(dec.chunks):
         if chunk.color != BLUE:
             continue
@@ -120,11 +112,10 @@ def wedge_baseline(points) -> AxisSolution:
             extra_x.add(q[0])
             extra_y.add(q[1])
         assert corner is not None, "no inner wedge corner found"
-        tagged.append(TaggedLine(AxisLine("V", corner[0]), f"wedge:{i}"))
-        tagged.append(TaggedLine(AxisLine("H", corner[1]), f"wedge:{i}"))
+        lines += [AxisLine("V", corner[0]), AxisLine("H", corner[1])]
         used_x.add(corner[0])
         used_y.add(corner[1])
-    return AxisSolution(tagged)
+    return AxisSolution(lines)
 
 
 def build_L0(dec: CircleDecomposition, graph: SwitchGraph) -> AxisSolution:
@@ -133,24 +124,24 @@ def build_L0(dec: CircleDecomposition, graph: SwitchGraph) -> AxisSolution:
     fx = {p.x for p in dec.points}
     fy = {p.y for p in dec.points}
     used: dict[str, set] = {"H": set(), "V": set()}
-    tagged = []
+    lines = []
 
-    def place(orient, interval, tag):
+    def place(orient, interval):
         fb = fy if orient == "H" else fx
         c = pick_coordinate(interval.lo, interval.hi, fb | used[orient])
         assert c is not None, "facing edge lost its witness coordinate"
         used[orient].add(c)
-        tagged.append(TaggedLine(AxisLine(orient, c), tag))
+        lines.append(AxisLine(orient, c))
 
     for (i, j) in graph.edge_cover:
         ann = graph.edges[(i, j)]
         orient = "H" if "H" in ann else "V"
-        place(orient, ann[orient], f"edge:{i}-{j}")
+        place(orient, ann[orient])
     for r in graph.isolated:
         itv = dec.switches[r].intervals
         orient = "H" if itv["H"].width() >= itv["V"].width() else "V"
-        place(orient, itv[orient], f"isolated:{r}")
-    return AxisSolution(tagged, kappa=graph.kappa)
+        place(orient, itv[orient])
+    return AxisSolution(lines, kappa=graph.kappa)
 
 
 # --- the refinement loop -----------------------------------------------------
@@ -192,19 +183,23 @@ def _stabs_every_switch(lines, dec) -> bool:
 
 
 def _check_invariants(lines, dec, cm, arcs):
-    """Structural facts every intermediate arrangement must satisfy."""
-    assert _stabs_every_switch(lines, dec), \
-        "invariant violated: a switch is not stabbed"
+    """Structural facts every intermediate arrangement must satisfy; raises
+    GuaranteeViolated (also under `python -O`) if one fails."""
+    def require(ok, what):
+        if not ok:
+            raise GuaranteeViolated(f"invariant violated: {what}")
+
+    require(_stabs_every_switch(lines, dec), "a switch is not stabbed")
     large = 0
     for sig, arclist in arcs.items():
-        assert len(arclist) <= 4, "cell meets the circle in more than 4 arcs"
+        require(len(arclist) <= 4, "cell meets the circle in more than 4 arcs")
         if len(arclist) >= 3:
             large += 1
         if sig in cm.corrupt:
-            assert 2 <= len(arclist) <= 4, "corrupt cell without 2-4 arcs"
-            for a in arclist:
-                assert len(a.colors) <= 1, "non-monochromatic arc in corrupt cell"
-    assert large <= 1, "more than one large cell"
+            require(len(arclist) >= 2, "corrupt cell without 2-4 arcs")
+            require(all(len(a.colors) <= 1 for a in arclist),
+                    "non-monochromatic arc in corrupt cell")
+    require(large <= 1, "more than one large cell")
 
 
 def refine_step(points, solution: AxisSolution, dec: CircleDecomposition):
@@ -229,36 +224,28 @@ def refine_step(points, solution: AxisSolution, dec: CircleDecomposition):
     if not small:
         return (_STUCK, sorted(large)[0])
 
-    # classify 2-arc corrupt cells and order them by the paper's priority
+    # classify 2-arc corrupt cells; the paper's priority cell is the
+    # horizontal-flip cell farthest from the x-axis, else the vertical-flip
+    # cell farthest from the y-axis (ties by signature)
     horiz, vert, other = [], [], []
     for sig in small:
         qs = {_primary_quadrant(a, by_id) for a in arcs[sig]}
         cx, cy = _cell_center(sig, hs, vs)
         if qs in ({0, 1}, {2, 3}):
-            horiz.append((abs(cy), cy, sig))
+            horiz.append((-abs(cy), sig, 1 if cy > 0 else 2))
         elif qs in ({0, 3}, {1, 2}):
-            vert.append((abs(cx), cx, sig))
+            vert.append((-abs(cx), sig, 4 if cx > 0 else 3))
         else:
             other.append(sig)
-
-    ordered: list[tuple[int, CellSignature]] = []
-    if horiz:
-        for _, cy, sig in sorted(horiz, key=lambda t: (-t[0], t[2])):
-            ordered.append((1 if cy > 0 else 2, sig))
-    for _, cx, sig in sorted(vert, key=lambda t: (-t[0], t[2])):
-        ordered.append((4 if cx > 0 else 3, sig))
-
-    old_sep = sep_bitset(points, lines)
-    for case, sig in ordered:
-        for mirror in (False, True):
-            new_tagged = _try_flip(points, solution, dec, cm, arcs[sig], sig,
-                                   case, mirror, old_sep)
-            if new_tagged is not None:
-                return (_IMPROVED, AxisSolution(new_tagged, solution.kappa,
-                                                solution.steps + 1,
-                                                solution.repair_used))
-    stuck_sig = ordered[0][1] if ordered else sorted(other or small)[0]
-    return (_STUCK, stuck_sig)
+    if not (horiz or vert):
+        return (_STUCK, min(other))
+    _, sig, case = min(horiz or vert)
+    new_lines = _try_flip(points, lines, dec, cm, arcs[sig], sig, case,
+                          by_id, hs, vs)
+    if new_lines is None:
+        return (_STUCK, sig)
+    return (_IMPROVED, AxisSolution(new_lines, solution.kappa,
+                                    solution.steps + 1, solution.repair_used))
 
 
 def _cell_boundary_lines(sig: CellSignature, hs, vs) -> list[AxisLine]:
@@ -274,19 +261,16 @@ def _cell_boundary_lines(sig: CellSignature, hs, vs) -> list[AxisLine]:
     return out
 
 
-def _try_flip(points, solution, dec, cm, cell_arcs_list, sig, case, mirror,
-              old_sep) -> Optional[list[TaggedLine]]:
+def _try_flip(points, lines, dec, cm, cell_arcs_list, sig, case, by_id, hs,
+              vs) -> Optional[list[AxisLine]]:
     """Flip the outward boundary line of a 2-arc corrupt cell.
 
     The removed line merges the cell with its outward neighbor; the added
     perpendicular line, placed strictly between the protected arc's points
-    and the exposed side's points, shields the protected arc.  Accepted only
-    if every switch stays stabbed and the separated-pair set strictly grows.
+    and the exposed side's points, shields the protected arc.  Returns None
+    if the flip's geometry fails or a switch would be left unstabbed;
+    solve_axis checks that the new lines strictly dominate `lines`.
     """
-    lines = solution.lines
-    hs, vs = axis_coords(lines)
-    by_id = {p.id: p for p in points}
-
     if case == 1:
         if sig.row >= len(hs):
             return None
@@ -331,8 +315,6 @@ def _try_flip(points, solution, dec, cm, cell_arcs_list, sig, case, mirror,
         lo_b = min(perp(by_id[i]) for i in arc_b.point_ids)
         exposed = arc_a if lo_a <= lo_b else arc_b
     protected = arc_b if exposed is arc_a else arc_a
-    if mirror:
-        exposed, protected = protected, exposed
 
     exposed_coords = [perp(by_id[i]) for i in exposed.point_ids]
     exposed_coords += [perp(by_id[i]) for i in cm.cells.get(neighbor, [])]
@@ -349,29 +331,23 @@ def _try_flip(points, solution, dec, cm, cell_arcs_list, sig, case, mirror,
     if cut is None:
         return None
 
-    step_tag = f"flip:{solution.steps + 1}"
-    new_tagged = [t for t in solution.tagged if t.line != boundary]
-    if all(t.line != AxisLine(flip_orient, cut) for t in new_tagged):
-        new_tagged.append(TaggedLine(AxisLine(flip_orient, cut), step_tag))
-    new_lines = [t.line for t in new_tagged]
-
-    if len(new_lines) > len(lines) or not _stabs_every_switch(new_lines, dec):
+    new_lines = [ln for ln in lines if ln != boundary]
+    if AxisLine(flip_orient, cut) not in new_lines:
+        new_lines.append(AxisLine(flip_orient, cut))
+    if not _stabs_every_switch(new_lines, dec):
         return None
-    new_sep = sep_bitset(points, new_lines)
-    if new_sep & old_sep != old_sep or new_sep == old_sep:
-        return None
-    return new_tagged
+    return new_lines
 
 
 # --- large-cell repair -------------------------------------------------------
 
 
-def _bounded_replacement(points, keep: list[TaggedLine], budget: int):
+def _bounded_replacement(points, keep: list[AxisLine], budget: int):
     """Smallest candidate-set completion of `keep` (lexicographic within each
     size) that fully separates, or None."""
     cands = axis_candidates(points)
     target = full_mask(points)
-    base = sep_bitset(points, [t.line for t in keep])
+    base = sep_bitset(points, keep)
     covers = [sep_bitset(points, [c]) for c in cands]
     for size in range(0, max(0, budget) + 1):
         for combo in combinations(range(len(cands)), size):
@@ -379,26 +355,23 @@ def _bounded_replacement(points, keep: list[TaggedLine], budget: int):
             for i in combo:
                 bits |= covers[i]
             if bits == target:
-                return keep + [TaggedLine(cands[i], "repair") for i in combo]
+                return keep + [cands[i] for i in combo]
     return None
 
 
 def _repair_around(points, solution: AxisSolution, kappa: int,
                    sig: CellSignature) -> AxisSolution:
-    """Replace the boundary lines of corrupt cell `sig` by a verified set of
-    candidate lines, keeping total size <= kappa."""
+    """Replace the boundary lines of corrupt cell `sig` by a separating set
+    of candidate lines, keeping total size <= kappa; raises RepairExhausted
+    if the bounded search finds none."""
     hs, vs = axis_coords(solution.lines)
     boundary = set(_cell_boundary_lines(sig, hs, vs))
-    keep = [t for t in solution.tagged if t.line not in boundary]
+    keep = [ln for ln in solution.lines if ln not in boundary]
     repaired = _bounded_replacement(points, keep, kappa - len(keep))
     if repaired is None:
-        # widen to a full candidate search ignoring the kept lines
-        full = _bounded_replacement(points, [], kappa)
-        if full is None:
-            raise RepairExhausted(
-                f"no separating set of size <= {kappa} exists in the "
-                "candidate space; this contradicts the upper-bound guarantee")
-        repaired = full
+        raise RepairExhausted(
+            f"no completion of the {len(keep)} kept lines to <= {kappa} "
+            "lines separates; this contradicts the upper-bound guarantee")
     return AxisSolution(repaired, kappa, solution.steps, True)
 
 

@@ -112,8 +112,10 @@ def test_criterion_3_named_instances(pts4, diag):
 
 
 def test_criterion_4_refinement_invariants(axis_runs):
-    violations = 0
+    violations = steps = repairs = 0
     for pts, dec, sol, arrangements in axis_runs:
+        steps += sol.steps
+        repairs += sol.repair_used
         r = sum(1 for p in pts if p.color == RED)
         b = len(pts) - r
         if sol.steps > r * b:
@@ -131,7 +133,9 @@ def test_criterion_4_refinement_invariants(axis_runs):
                 violations += 1
     _report(violations == 0, "criterion 4 (refinement invariants)",
             "arcs<=4 per cell, <=1 large cell, steps<=r*b, all switches "
-            f"stabbed, RepairExhausted never fired; {violations} violations")
+            f"stabbed, RepairExhausted never fired; {violations} violations; "
+            f"{steps} accepted steps, {repairs} solves used repair over "
+            f"{len(axis_runs)} instances")
 
 
 def test_criterion_5_wedge_baseline(axis_runs):

@@ -286,3 +286,29 @@ class TestCommands:
         bad.write_text(json.dumps(doc))
         assert self.run("solve", str(bad)) == 1
         assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("doc", [
+        {"k": 1, "classes": 5, "blues": [], "edges": []},
+        {"classes": [["u1"]], "blues": 5, "edges": []},
+        {"classes": [["u1"]], "blues": ["v1"], "edges": [5]},
+    ], ids=["classes-not-list", "blues-not-list", "edge-not-pair"])
+    def test_malformed_crbds_exits_1(self, tmp_path, capsys, doc):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        assert self.run("reduce", str(bad), "--sidecar",
+                        str(tmp_path / "side.json")) == 1
+        assert capsys.readouterr().err.startswith("error:")
+
+    def test_malformed_sidecar_exits_1(self, tmp_path, capsys):
+        crbds = tmp_path / "c.json"
+        crbds.write_text(json.dumps(toy_doc()))
+        inst, side = tmp_path / "r.json", tmp_path / "side.json"
+        self.run("reduce", str(crbds), "-o", str(inst),
+                 "--sidecar", str(side))
+        doc = json.loads(side.read_text())
+        doc["grid"] = 1
+        side.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert self.run("lift", "--sidecar", str(side),
+                        "--instance", str(inst), "--set", "u1,u3") == 1
+        assert capsys.readouterr().err.startswith("error:")

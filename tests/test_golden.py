@@ -4,8 +4,9 @@ Each instance is named "<pattern>/<n>/<seed>"; the pattern is a
 `gen_circle` pattern or "mirror" (m = n/4 first-quadrant points and their
 images (-x, y), (-x, -y), (x, -y), so every coordinate is shared).  The
 digests were recorded from the solver before its refinement loop was
-folded into one `solve_axis`; a refactor that changes any output byte
-fails here.
+folded into one `solve_axis`; random/60/14 and random/100/34 (two
+refinement steps each) were recorded later, before each step was cut to a
+single flip.  A refactor that changes any output byte fails here.
 """
 
 import hashlib
@@ -66,6 +67,8 @@ GOLDEN = {
     'mirror/32/6': ('4961aef33a91a801', 'e55a9bf201b57220', 'f0ee33a0a44df8a0'),
     'mirror/40/7': ('5f7d6d9bd9f33803', 'a22c907f2de01177', 'd42edf71d956479b'),
     'mirror/48/8': ('cd6e49beb6f96c07', '896d08a1ea219111', '01a73b12af586626'),
+    'random/60/14': ('711fadb3a13b4598', '965feaac64056eda', 'e912df0f3ae718bc'),
+    'random/100/34': ('78c413b17fb64fd7', '515a56e92eb0e924', 'eed6573242b749ca'),
 }
 
 # name -> digest of the --trace directory (w > 0 only)
@@ -77,6 +80,8 @@ TRACE_GOLDEN = {
     'mirror/24/5': '5b3f976324bb3f43',
     'alternating/16/4': '6950605746bcd9ef',
     'chunked:16,16,16,16/64/9': '72140cc504215779',
+    'random/60/14': 'b415fbfeb7d508ac',
+    'random/100/34': 'da2fbb49aeacd623',
 }
 
 

@@ -10,7 +10,7 @@ import pytest
 import sepline
 from sepline import solvers
 from sepline.decomposition import build_switch_graph, decompose, line_stabs_switch
-from sepline.errors import DominationFailure
+from sepline.errors import DominationFailure, RepairExhausted
 from sepline.generate import gen_circle
 from sepline.geometry import (BLUE, RED, ColoredPoint,
                               circle_point_from_parameter, verify_separation)
@@ -204,17 +204,20 @@ class TestSolveAxis:
             b = solve_axis(pts)
             assert a.lines == b.lines and a.steps == b.steps
 
-    def test_provenance_tags(self, pts4):
-        sol = solve_axis(pts4)
-        for t in sol.tagged:
-            head = t.tag.split(":")[0]
-            assert head in {"edge", "isolated", "flip", "repair"}
+
+def _run_optimized(script):
+    """Run `script` under `python -O`, where every `assert` is stripped."""
+    src = str(Path(sepline.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 @pytest.mark.parametrize("solver", ["solve_axis", "solve_general"])
 def test_unverified_lines_raise_without_asserts(solver):
     # a verification that fails must raise NotSeparating under python -O too
-    script = "\n".join([
+    _run_optimized("\n".join([
         "import sepline.solvers as s",
         "from sepline.errors import NotSeparating",
         "from sepline.generate import gen_circle",
@@ -224,18 +227,58 @@ def test_unverified_lines_raise_without_asserts(solver):
         "except NotSeparating:",
         "    raise SystemExit(0)",
         "raise SystemExit('returned unverified lines')",
-    ])
-    src = str(Path(sepline.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
-                          capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
+    ]))
+
+
+def test_broken_invariant_raises_without_asserts():
+    # the per-step invariants must raise GuaranteeViolated under python -O too
+    _run_optimized("\n".join([
+        "import sepline.solvers as s",
+        "from sepline.errors import GuaranteeViolated",
+        "from sepline.generate import gen_circle",
+        "s._stabs_every_switch = lambda lines, dec: False",
+        "try:",
+        "    s.solve_axis(gen_circle(16, 7, 'random'))",
+        "except GuaranteeViolated:",
+        "    raise SystemExit(0)",
+        "raise SystemExit('an unstabbed switch went unnoticed')",
+    ]))
 
 
 def test_non_dominating_step_raises(monkeypatch):
     def unchanged(points, sol, dec):
         return (solvers._IMPROVED,
-                AxisSolution(sol.tagged, sol.kappa, sol.steps + 1))
+                AxisSolution(sol.lines, sol.kappa, sol.steps + 1))
     monkeypatch.setattr(solvers, "refine_step", unchanged)
     with pytest.raises(DominationFailure):
         solve_axis(gen_circle(8, 1, "alternating"))
+
+
+def test_one_flip_per_step(monkeypatch):
+    # a step tries the priority cell only; a failed flip is a stuck outcome
+    pts = gen_circle(60, 14, "random")
+    dec = decompose(pts)
+    sol = build_L0(dec, build_switch_graph(dec))
+    calls = []
+
+    def no_flip(points, lines, dec, cm, arcs, sig, *rest):
+        calls.append(sig)
+        return None
+    monkeypatch.setattr(solvers, "_try_flip", no_flip)
+    outcome, payload = refine_step(pts, sol, dec)
+    assert len(calls) == 1
+    assert (outcome, payload) == ("stuck", calls[0])
+
+
+def test_failed_repair_raises_without_widening(monkeypatch):
+    # gen_circle(15, 1227) gets stuck and needs repair; a bounded search that
+    # finds nothing ends the solve instead of starting a wider one
+    calls = []
+
+    def nothing(points, keep, budget):
+        calls.append(budget)
+        return None
+    monkeypatch.setattr(solvers, "_bounded_replacement", nothing)
+    with pytest.raises(RepairExhausted):
+        solve_axis(gen_circle(15, 1227, "random"))
+    assert len(calls) == 1
