@@ -19,44 +19,11 @@ from .geometry import (BOTTOM, LEFT, RIGHT, TOP, CirclePos, ColoredPoint,
 
 @dataclass(frozen=True)
 class Interval:
-    """A rational interval with independently open/closed endpoints."""
+    """The open rational interval (lo, hi).  Whether an end at +-1 is
+    attained never matters: every line built here has |c| < 1."""
 
     lo: Fraction
     hi: Fraction
-    lo_closed: bool
-    hi_closed: bool
-
-    def is_empty(self) -> bool:
-        if self.lo > self.hi:
-            return True
-        return self.lo == self.hi and not (self.lo_closed and self.hi_closed)
-
-    def intersect(self, other: "Interval") -> "Interval":
-        if self.lo > other.lo:
-            lo, lc = self.lo, self.lo_closed
-        elif other.lo > self.lo:
-            lo, lc = other.lo, other.lo_closed
-        else:
-            lo, lc = self.lo, self.lo_closed and other.lo_closed
-        if self.hi < other.hi:
-            hi, hc = self.hi, self.hi_closed
-        elif other.hi < self.hi:
-            hi, hc = other.hi, other.hi_closed
-        else:
-            hi, hc = self.hi, self.hi_closed and other.hi_closed
-        return Interval(lo, hi, lc, hc)
-
-    def contains(self, c: Fraction) -> bool:
-        if c < self.lo or c > self.hi:
-            return False
-        if c == self.lo and not self.lo_closed:
-            return False
-        if c == self.hi and not self.hi_closed:
-            return False
-        return True
-
-    def width(self) -> Fraction:
-        return Fraction(0) if self.is_empty() else self.hi - self.lo
 
 
 @dataclass
@@ -84,7 +51,6 @@ class Switch:
 @dataclass
 class CircleDecomposition:
     points: list[ColoredPoint]           # input order, id-indexed
-    order: list[int]                     # ids by ccw angle from (1, 0)
     chunks: list[Chunk]
     switches: list[Switch]
 
@@ -127,16 +93,12 @@ def decompose(points) -> CircleDecomposition:
             nxt = runs[(i + 1) % len(runs)]
             switches.append(Switch(i, by_id[chunk.point_ids[-1]],
                                    by_id[nxt.point_ids[0]]))
-    return CircleDecomposition(points, [p.id for p in ordered], runs, switches)
+    return CircleDecomposition(points, runs, switches)
 
 
 def projection_interval(switch: Switch, axis: str) -> Interval:
-    """Exact image of the open switch arc under the X or Y projection.
-
-    An endpoint is closed iff the extremum is attained at a turning point of
-    the projection interior to the arc; it is open when attained only in the
-    limit at an excluded arc endpoint.
-    """
+    """Image of the open switch arc under the X or Y projection; an end
+    widens to -1 or 1 when the arc passes that turning point."""
     a = CirclePos.of(switch.start.x, switch.start.y)
     b = CirclePos.of(switch.end.x, switch.end.y)
     if axis == "Y":
@@ -147,27 +109,25 @@ def projection_interval(switch: Switch, axis: str) -> Interval:
         va, vb = switch.start.x, switch.end.x
         top_in = arc_contains(RIGHT, a, b)
         bot_in = arc_contains(LEFT, a, b)
-    hi, hc = (Fraction(1), True) if top_in else (max(va, vb), False)
-    lo, lc = (Fraction(-1), True) if bot_in else (min(va, vb), False)
-    return Interval(lo, hi, lc, hc)
+    return Interval(Fraction(-1) if bot_in else min(va, vb),
+                    Fraction(1) if top_in else max(va, vb))
 
 
 def line_stabs_switch(orient: str, c: Fraction, switch: Switch) -> bool:
-    return switch.intervals[orient].contains(c)
+    itv = switch.intervals[orient]
+    return itv.lo < c < itv.hi
 
 
 def faces(a: Switch, b: Switch) -> dict[str, Interval]:
-    """Feasible stabbing orientations for a pair of switches.
-
-    An orientation is feasible iff the projection intervals overlap.  A
-    switch interval is closed only at +-1, so a nonempty overlap has
-    lo < hi and holds a coordinate avoiding every input-point coordinate.
-    """
+    """Feasible stabbing orientations for a pair of switches, each with the
+    overlap of their projection intervals.  A nonempty overlap has lo < hi,
+    so it holds a coordinate avoiding every input-point coordinate."""
     out: dict[str, Interval] = {}
     for orient in ("H", "V"):
-        overlap = a.intervals[orient].intersect(b.intervals[orient])
-        if not overlap.is_empty():
-            out[orient] = overlap
+        ia, ib = a.intervals[orient], b.intervals[orient]
+        lo, hi = max(ia.lo, ib.lo), min(ia.hi, ib.hi)
+        if lo < hi:
+            out[orient] = Interval(lo, hi)
     return out
 
 

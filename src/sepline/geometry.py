@@ -15,7 +15,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Optional, Union
 
-from .errors import PointOnLine
+from .errors import GuaranteeViolated, PointOnLine
 
 RED = "R"
 BLUE = "B"
@@ -203,11 +203,12 @@ class CirclePos:
         """Circle crossing of an axis line with |c| < 1.
 
         For horizontal lines `upper` selects the x > 0 crossing; for vertical
-        lines it selects the y > 0 crossing.
+        lines it selects the y > 0 crossing.  Raises ValueError if |c| >= 1.
         """
         c = line.c
         c2 = c * c
-        assert c2 < 1
+        if c2 >= 1:
+            raise ValueError(f"line {line} does not cross the open unit disk")
         if line.orient == "H":
             return CirclePos(1 if upper else -1, 1 - c2, _sign(c), c2)
         return CirclePos(_sign(c), c2, 1 if upper else -1, 1 - c2)
@@ -250,10 +251,7 @@ def arc_contains(pos: CirclePos, start: CirclePos, end: CirclePos) -> bool:
 
     Equal endpoints denote the full circle minus that single point.
     """
-    cs = start.cmp(end)
-    if cs == 0:
-        return pos.cmp(start) != 0
-    if cs < 0:
+    if start.cmp(end) < 0:
         return start.cmp(pos) < 0 and pos.cmp(end) < 0
     return start.cmp(pos) < 0 or pos.cmp(end) < 0
 
@@ -364,7 +362,8 @@ def cell_arcs(points, lines) -> dict[CellSignature, list[Arc]]:
         arc = Arc(sig, pos, nxt, [p.id for p in members[g]],
                   {p.color for p in members[g]}, arc_quadrants(pos, nxt))
         result.setdefault(sig, []).append(arc)
-    assert (row, col) == (ref_sig.row, ref_sig.col), "circle walk did not close"
+    if (row, col) != (ref_sig.row, ref_sig.col):
+        raise GuaranteeViolated("circle walk did not close")
     return result
 
 
@@ -402,7 +401,8 @@ def _arc_parameter_candidates(start, end):
     else:
         ta = circle_parameter(start.x, start.y)
         tb = circle_parameter(end.x, end.y)
-        assert tb > ta, "arc endpoints out of ccw order"
+        if tb <= ta:
+            raise GuaranteeViolated("arc endpoints out of ccw order")
         yield from _rationals_between(ta, tb)
 
 

@@ -151,9 +151,19 @@ def crbds_from_doc(doc: dict) -> CRBDS:
         if u not in reds or v not in set(blues):
             raise ValueError(f"edge ({u!r}, {v!r}) references unknown vertex")
         edges.add((u, v))
-    order = None
-    if doc.get("order") is not None:
-        order = {v: list(us) for v, us in doc["order"].items()}
+    order = doc.get("order")
+    if order is not None:
+        if not isinstance(order, dict):
+            raise ValueError("'order' must map blue vertices to neighbor lists")
+        nbrs: dict[str, list[str]] = {v: [] for v in blues}
+        for u, v in edges:
+            nbrs[v].append(u)
+        for v, us in order.items():
+            if not (v in nbrs and _is_str_list(us)
+                    and sorted(us) == sorted(nbrs[v])):
+                raise ValueError(
+                    f"order of {v!r} must permute a blue vertex's neighbors")
+        order = {v: list(us) for v, us in order.items()}
     return CRBDS(classes, blues, edges, order)
 
 
@@ -177,6 +187,8 @@ def sidecar_from_doc(doc: dict) -> tuple[NormalizedCRBDS, ReductionLayout]:
     for key in ("grid", "budgets", "roles", "normalized"):
         if not isinstance(doc[key], dict):
             raise ValueError(f"sidecar field {key!r} must be an object")
+    if not all(isinstance(role, list) for role in doc["roles"].values()):
+        raise ValueError("sidecar roles must map point ids to lists")
     g = doc["grid"]
     roles = {int(pid): tuple(role) for pid, role in doc["roles"].items()}
     lay = ReductionLayout(g["k"], g["n"], g["d"], g["m"], roles)

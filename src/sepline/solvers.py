@@ -111,7 +111,8 @@ def wedge_baseline(points) -> AxisSolution:
             # degenerate: both candidate corners on the circle; re-pick q
             extra_x.add(q[0])
             extra_y.add(q[1])
-        assert corner is not None, "no inner wedge corner found"
+        if corner is None:
+            raise GuaranteeViolated("no inner wedge corner found")
         lines += [AxisLine("V", corner[0]), AxisLine("H", corner[1])]
         used_x.add(corner[0])
         used_y.add(corner[1])
@@ -129,7 +130,8 @@ def build_L0(dec: CircleDecomposition, graph: SwitchGraph) -> AxisSolution:
     def place(orient, interval):
         fb = fy if orient == "H" else fx
         c = pick_coordinate(interval.lo, interval.hi, fb | used[orient])
-        assert c is not None, "facing edge lost its witness coordinate"
+        if c is None:
+            raise GuaranteeViolated("facing edge lost its witness coordinate")
         used[orient].add(c)
         lines.append(AxisLine(orient, c))
 
@@ -139,7 +141,8 @@ def build_L0(dec: CircleDecomposition, graph: SwitchGraph) -> AxisSolution:
         place(orient, ann[orient])
     for r in graph.isolated:
         itv = dec.switches[r].intervals
-        orient = "H" if itv["H"].width() >= itv["V"].width() else "V"
+        h, v = itv["H"], itv["V"]
+        orient = "H" if h.hi - h.lo >= v.hi - v.lo else "V"
         place(orient, itv[orient])
     return AxisSolution(lines, kappa=graph.kappa)
 
@@ -240,8 +243,8 @@ def refine_step(points, solution: AxisSolution, dec: CircleDecomposition):
     if not (horiz or vert):
         return (_STUCK, min(other))
     _, sig, case = min(horiz or vert)
-    new_lines = _try_flip(points, lines, dec, cm, arcs[sig], sig, case,
-                          by_id, hs, vs)
+    new_lines = _try_flip(points, lines, cm, arcs[sig], sig, case, by_id, hs,
+                          vs)
     if new_lines is None:
         return (_STUCK, sig)
     return (_IMPROVED, AxisSolution(new_lines, solution.kappa,
@@ -261,15 +264,16 @@ def _cell_boundary_lines(sig: CellSignature, hs, vs) -> list[AxisLine]:
     return out
 
 
-def _try_flip(points, lines, dec, cm, cell_arcs_list, sig, case, by_id, hs,
+def _try_flip(points, lines, cm, cell_arcs_list, sig, case, by_id, hs,
               vs) -> Optional[list[AxisLine]]:
     """Flip the outward boundary line of a 2-arc corrupt cell.
 
     The removed line merges the cell with its outward neighbor; the added
     perpendicular line, placed strictly between the protected arc's points
     and the exposed side's points, shields the protected arc.  Returns None
-    if the flip's geometry fails or a switch would be left unstabbed;
-    solve_axis checks that the new lines strictly dominate `lines`.
+    if the flip's geometry fails.  solve_axis checks that the new lines
+    strictly dominate `lines`, and the next refine_step that they stab
+    every switch.
     """
     if case == 1:
         if sig.row >= len(hs):
@@ -296,19 +300,15 @@ def _try_flip(points, lines, dec, cm, cell_arcs_list, sig, case, by_id, hs,
         neighbor = CellSignature(sig.row, sig.col + 1)
         flip_orient, perp = "H", (lambda p: p.y)
 
+    # the cell holds both colours and _check_invariants made each arc
+    # monochromatic, so each arc holds the points of one colour
     arc_a, arc_b = cell_arcs_list
-    if not arc_a.point_ids or not arc_b.point_ids:
-        return None
     ncolors = cm.colors.get(neighbor, set())
     if len(ncolors) > 1:
         return None
 
-    def arc_color(arc):
-        return next(iter(arc.colors)) if arc.colors else None
-
     if ncolors:
-        ncolor = next(iter(ncolors))
-        exposed = arc_a if arc_color(arc_a) == ncolor else arc_b
+        exposed = arc_a if ncolors == arc_a.colors else arc_b
     else:
         # empty neighbor matches either color: prefer the lower-coordinate arc
         lo_a = min(perp(by_id[i]) for i in arc_a.point_ids)
@@ -328,14 +328,9 @@ def _try_flip(points, lines, dec, cm, cell_arcs_list, sig, case, by_id, hs,
 
     forbidden = {perp(p) for p in points}
     cut = pick_coordinate(lo, hi, forbidden)
-    if cut is None:
-        return None
-
     new_lines = [ln for ln in lines if ln != boundary]
     if AxisLine(flip_orient, cut) not in new_lines:
         new_lines.append(AxisLine(flip_orient, cut))
-    if not _stabs_every_switch(new_lines, dec):
-        return None
     return new_lines
 
 

@@ -291,7 +291,10 @@ class TestCommands:
         {"k": 1, "classes": 5, "blues": [], "edges": []},
         {"classes": [["u1"]], "blues": 5, "edges": []},
         {"classes": [["u1"]], "blues": ["v1"], "edges": [5]},
-    ], ids=["classes-not-list", "blues-not-list", "edge-not-pair"])
+        {**toy_doc(), "order": 5},
+        {**toy_doc(), "order": {"v1": ["u2", "u4"]}},
+    ], ids=["classes-not-list", "blues-not-list", "edge-not-pair",
+            "order-not-object", "order-not-neighbors"])
     def test_malformed_crbds_exits_1(self, tmp_path, capsys, doc):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(doc))
@@ -299,16 +302,25 @@ class TestCommands:
                         str(tmp_path / "side.json")) == 1
         assert capsys.readouterr().err.startswith("error:")
 
-    def test_malformed_sidecar_exits_1(self, tmp_path, capsys):
+    def lift_with_sidecar_field(self, tmp_path, capsys, key, value):
+        """`lift` on the toy reduction after setting one sidecar field."""
         crbds = tmp_path / "c.json"
         crbds.write_text(json.dumps(toy_doc()))
         inst, side = tmp_path / "r.json", tmp_path / "side.json"
         self.run("reduce", str(crbds), "-o", str(inst),
                  "--sidecar", str(side))
         doc = json.loads(side.read_text())
-        doc["grid"] = 1
+        doc[key] = value
         side.write_text(json.dumps(doc))
         capsys.readouterr()
-        assert self.run("lift", "--sidecar", str(side),
-                        "--instance", str(inst), "--set", "u1,u3") == 1
+        return self.run("lift", "--sidecar", str(side),
+                        "--instance", str(inst), "--set", "u1,u3")
+
+    def test_malformed_sidecar_exits_1(self, tmp_path, capsys):
+        assert self.lift_with_sidecar_field(tmp_path, capsys, "grid", 1) == 1
+        assert capsys.readouterr().err.startswith("error:")
+
+    def test_malformed_sidecar_roles_exits_1(self, tmp_path, capsys):
+        assert self.lift_with_sidecar_field(tmp_path, capsys, "roles",
+                                            {"0": 5}) == 1
         assert capsys.readouterr().err.startswith("error:")

@@ -71,21 +71,22 @@ class TestProjectionInterval:
     def test_first_quadrant_switch(self, pts4):
         dec = decompose(pts4)
         s1 = dec.switches[0]  # open arc (1,0) -> (0,1)
-        assert projection_interval(s1, "Y") == Interval(F(0), F(1), False, False)
-        assert projection_interval(s1, "X") == Interval(F(0), F(1), False, False)
+        assert projection_interval(s1, "Y") == Interval(F(0), F(1))
+        assert projection_interval(s1, "X") == Interval(F(0), F(1))
 
     def test_third_quadrant_switch(self, pts4):
         dec = decompose(pts4)
         s3 = dec.switches[2]  # open arc (-1,0) -> (0,-1)
-        assert projection_interval(s3, "X") == Interval(F(-1), F(0), False, False)
+        assert projection_interval(s3, "X") == Interval(F(-1), F(0))
 
     def test_turning_point_closes_endpoint(self):
-        # arc from (3/5,4/5) to (-3/5,4/5) passes through (0,1)
+        # arc from (3/5,4/5) to (-3/5,4/5) passes through (0,1), which
+        # widens hi to 1
         a = pt(0, RED, F(3, 5), F(4, 5))
         b = pt(1, BLUE, F(-3, 5), F(4, 5))
         from sepline.decomposition import Switch
         s = Switch(0, a, b)
-        assert projection_interval(s, "Y") == Interval(F(4, 5), F(1), False, True)
+        assert projection_interval(s, "Y") == Interval(F(4, 5), F(1))
 
     def test_stab(self, pts4):
         dec = decompose(pts4)

@@ -1,0 +1,20 @@
+"""The solve path must keep its guarantees under `python -O`, which strips
+every `assert`; its modules check with explicit raises instead."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import sepline
+
+SOLVE_PATH = ("geometry.py", "decomposition.py", "solvers.py")
+
+
+@pytest.mark.parametrize("module", SOLVE_PATH)
+def test_no_assert_statements(module):
+    path = Path(sepline.__file__).parent / module
+    tree = ast.parse(path.read_text(), filename=str(path))
+    lines = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Assert)]
+    assert lines == [], f"{module} asserts on lines {lines}"

@@ -12,7 +12,7 @@ from sepline import solvers
 from sepline.decomposition import build_switch_graph, decompose, line_stabs_switch
 from sepline.errors import DominationFailure, RepairExhausted
 from sepline.generate import gen_circle
-from sepline.geometry import (BLUE, RED, ColoredPoint,
+from sepline.geometry import (BLUE, RED, ColoredPoint, cell_arcs, cell_map,
                               circle_point_from_parameter, verify_separation)
 from sepline.oracles import (min_axis_separation, min_general_separation_circle,
                              sep_bitset)
@@ -261,7 +261,7 @@ def test_one_flip_per_step(monkeypatch):
     sol = build_L0(dec, build_switch_graph(dec))
     calls = []
 
-    def no_flip(points, lines, dec, cm, arcs, sig, *rest):
+    def no_flip(points, lines, cm, arcs, sig, *rest):
         calls.append(sig)
         return None
     monkeypatch.setattr(solvers, "_try_flip", no_flip)
@@ -282,3 +282,58 @@ def test_failed_repair_raises_without_widening(monkeypatch):
     with pytest.raises(RepairExhausted):
         solve_axis(gen_circle(15, 1227, "random"))
     assert len(calls) == 1
+
+
+def test_lost_witness_raises_without_asserts():
+    # build_L0 must raise GuaranteeViolated under python -O when an edge
+    # interval yields no coordinate
+    _run_optimized("\n".join([
+        "import sepline.solvers as s",
+        "from sepline.errors import GuaranteeViolated",
+        "from sepline.generate import gen_circle",
+        "s.pick_coordinate = lambda lo, hi, forbidden: None",
+        "try:",
+        "    s.solve_axis(gen_circle(16, 7, 'random'))",
+        "except GuaranteeViolated:",
+        "    raise SystemExit(0)",
+        "raise SystemExit('a missing coordinate went unnoticed')",
+    ]))
+
+
+# Every gen_circle(n, seed, "random") instance known to end in repair, by
+# why refine_step got stuck: "other" is a 2-arc corrupt cell with neither a
+# horizontal nor a vertical flip, "large" a large cell (3-4 arcs) that is the
+# only corrupt cell left.
+REPAIR_CORPUS = {
+    "other": [(5, 52), (5, 120), (6, 11), (7, 50), (7, 70), (8, 94),
+              (8, 120), (10, 11), (10, 25), (10, 52), (11, 95), (11, 112),
+              (13, 49), (13, 69), (13, 88), (14, 27), (14, 54), (14, 56),
+              (15, 85), (16, 45), (17, 18), (17, 117), (19, 69), (20, 62),
+              (20, 120)],
+    "large": [(15, 41), (15, 92), (15, 1227), (17, 1), (18, 43), (18, 109),
+              (21, 40), (23, 89), (24, 31), (24, 56), (25, 66), (25, 67),
+              (32, 18), (33, 110), (34, 14)],
+}
+
+
+@pytest.mark.parametrize("cause,n,seed", [
+    (cause, n, seed) for cause, cases in REPAIR_CORPUS.items()
+    for n, seed in cases], ids=str)
+def test_repair_corpus(monkeypatch, cause, n, seed):
+    pts = gen_circle(n, seed, "random")
+    stuck = []
+    repair = solvers._repair_around
+
+    def recording(points, sol, kappa, sig):
+        stuck.append((sol.lines, sig))
+        return repair(points, sol, kappa, sig)
+    monkeypatch.setattr(solvers, "_repair_around", recording)
+    sol = solve_axis(pts)
+    assert sol.repair_used and sol.size == sol.kappa
+    assert verify_separation(pts, sol.lines) is None
+    [(lines, sig)] = stuck
+    arcs = cell_arcs(pts, lines)[sig]
+    if cause == "other":
+        assert len(arcs) == 2
+    else:
+        assert len(arcs) >= 3 and cell_map(pts, lines).corrupt == {sig}
