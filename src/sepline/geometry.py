@@ -114,25 +114,60 @@ def line_side(line: Line, p: ColoredPoint) -> int:
 
 
 def verify_separation(points, lines) -> Optional[tuple[int, int]]:
-    """None if every red-blue pair is split by some line, else one witness pair.
+    """None if every red-blue pair is split by some line, else one witness
+    pair: the first red and the first blue id of the first cell holding both
+    colours, cells taken in the order of their first point.
 
-    Raises PointOnLine when strictness is violated.
+    Raises PointOnLine for the first point, in input order, that lies on a
+    line, naming the first such line in `lines`.  Axis lines alone are
+    decided by bisecting each point into the sorted line coordinates,
+    O(n log L).  Any other list is decided in integer arithmetic, O(n L):
+    each line becomes integers (A, B, C), a positive multiple of its side
+    expression, so a point x = xn/xd, y = yn/yd has the sign of
+    A*xn*yd + B*yn*xd + C*xd*yd.
     """
-    groups: dict[tuple, dict[str, int]] = {}
+    if all(isinstance(ln, AxisLine) for ln in lines):
+        first: dict[tuple[bool, Fraction], int] = {}
+        for i, ln in enumerate(lines):
+            first.setdefault((ln.orient == "H", ln.c), i)
+        hs = sorted(c for h, c in first if h)
+        vs = sorted(c for h, c in first if not h)
+        end = len(lines)
+
+        def cell(p):
+            i = min(first.get((True, p.y), end),
+                    first.get((False, p.x), end))
+            if i < end:
+                raise PointOnLine(p.id, lines[i])
+            return bisect_left(hs, p.y), bisect_left(vs, p.x)
+    else:
+        forms = [_integer_form(ln) for ln in lines]
+
+        def cell(p):
+            xn, xd = p.x.numerator, p.x.denominator
+            yn, yd = p.y.numerator, p.y.denominator
+            u, v, w = xn * yd, yn * xd, xd * yd
+            sides = [a * u + b * v + c * w for a, b, c in forms]
+            if 0 in sides:
+                raise PointOnLine(p.id, lines[sides.index(0)])
+            return tuple([s > 0 for s in sides])
+
+    cells: dict[tuple, dict[str, int]] = {}
     for p in points:
-        sig = []
-        for ln in lines:
-            s = line_side(ln, p)
-            if s == 0:
-                raise PointOnLine(p.id, ln)
-            sig.append(s)
-        cell = groups.setdefault(tuple(sig), {})
-        if p.color not in cell:
-            cell[p.color] = p.id
-    for cell in groups.values():
-        if RED in cell and BLUE in cell:
-            return (cell[RED], cell[BLUE])
-    return None
+        cells.setdefault(cell(p), {}).setdefault(p.color, p.id)
+    return next(((c[RED], c[BLUE]) for c in cells.values()
+                 if RED in c and BLUE in c), None)
+
+
+def _integer_form(line: Line) -> tuple[int, int, int]:
+    """Integers (A, B, C): A*x + B*y + C is a positive multiple of the
+    expression whose sign `line_side` takes."""
+    if isinstance(line, AxisLine):
+        coeffs = (0, 1, -line.c) if line.orient == "H" else (1, 0, -line.c)
+    else:
+        coeffs = (line.a, line.b, line.c)
+    den = lcm(*(f.denominator for f in coeffs))
+    return tuple(f.numerator * (den // f.denominator) for f in coeffs)
 
 
 @dataclass(frozen=True, order=True)

@@ -28,13 +28,19 @@ from fractions import Fraction
 from itertools import permutations, product
 from typing import Optional
 
-from .errors import (BudgetViolation, DominationFailure, InvalidDominatingSet,
-                     NoSignalLine, NotSeparating)
+from .errors import (BudgetViolation, DominationFailure, GuaranteeViolated,
+                     InvalidDominatingSet, NoSignalLine, NotSeparating)
 from .geometry import BLUE, RED, AxisLine, ColoredPoint, verify_separation
 from .oracles import CRBDS, colorful_dominating_sets
 
 F = Fraction
 U = 4  # grid unit: strip width and height
+
+
+def _require(ok: bool, message: str) -> None:
+    """A structural guarantee of the reduction; holds under `python -O`."""
+    if not ok:
+        raise GuaranteeViolated(message)
 
 
 @dataclass
@@ -124,15 +130,20 @@ def normalize(inst: CRBDS) -> NormalizedCRBDS:
             cls.append(f"_pad_{ci}_{len(cls) + 1}")
 
     out = CRBDS(classes, blues, edges)
-    assert out.k % 2 == 0 and d % 2 == 0
-    assert all(out.degree(v) == d for v in out.blues)
+    _require(out.k % 2 == 0 and d % 2 == 0, "k or d is odd after normalizing")
+    _require(all(out.degree(v) == d for v in out.blues),
+             "a blue vertex's degree differs from d after normalizing")
     return NormalizedCRBDS(out, d, m, inst.k,
                            added_degree_class, added_parity_class)
 
 
+ROLE_NAMES = ("selector", "functional", "guard", "enforcer")
+
+
 @dataclass
 class ReductionLayout:
-    """Track grid geometry plus the role of every generated point."""
+    """Track grid geometry plus the role of every generated point; a role
+    is a tuple led by one of ROLE_NAMES."""
 
     k: int
     n: int
@@ -317,18 +328,19 @@ def validate_layout(red: ReducedInstance) -> None:
     """Structural facts every reduced instance must satisfy."""
     lay, pts = red.layout, red.points
     k, n, d = lay.k, lay.n, lay.d
-    assert len(pts) == 2 * k + 3 * d * n + 6, "point-count formula violated"
+    _require(len(pts) == 2 * k + 3 * d * n + 6, "point-count formula violated")
 
     by_role = {}
     for pid, role in lay.roles.items():
         by_role.setdefault(role[0], []).append(pts[pid])
-    assert len(by_role["selector"]) == 2 * k
-    assert len(by_role["functional"]) == 2 * d * n
-    assert len(by_role["guard"]) == d * n
-    assert len(by_role["enforcer"]) == 6
+    _require(len(by_role["selector"]) == 2 * k, "selector count is not 2k")
+    _require(len(by_role["functional"]) == 2 * d * n,
+             "functional point count is not 2dn")
+    _require(len(by_role["guard"]) == d * n, "guard count is not dn")
+    _require(len(by_role["enforcer"]) == 6, "enforcer count is not 6")
 
-    assert len({p.x for p in by_role["selector"]}) == 1, "selectors share x"
-    assert len({p.y for p in by_role["guard"]}) == 1, "guards share y"
+    _require(len({p.x for p in by_role["selector"]}) == 1, "selectors share x")
+    _require(len({p.y for p in by_role["guard"]}) == 1, "guards share y")
 
     # selector, guard and enforcer pairs share coordinates on purpose (they
     # are the forced separation demands); the functional points must not add
@@ -338,20 +350,19 @@ def validate_layout(red: ReducedInstance) -> None:
         fun_coord: dict = {}
         for p in by_role["functional"]:
             c = axis(p)
-            if c in fun_coord and fun_coord[c] != p.color:
-                raise AssertionError(
-                    "opposite-color functional points share a coordinate")
+            _require(fun_coord.get(c, p.color) == p.color,
+                     "opposite-color functional points share a coordinate")
             fun_coord.setdefault(c, p.color)
         others = {axis(p) for role in ("selector", "guard", "enforcer")
                   for p in by_role[role]}
-        assert not others & set(fun_coord), \
-            "functional point shares a coordinate with another role"
+        _require(not others & set(fun_coord),
+                 "functional point shares a coordinate with another role")
 
     # selector color chain across adjacent tracks
     sel = {(lay.roles[p.id][1], lay.roles[p.id][2]): p.color
            for p in by_role["selector"]}
     for i in range(1, k):
-        assert sel[(i, "top")] == sel[(i + 1, "bottom")], "selector chain"
+        _require(sel[(i, "top")] == sel[(i + 1, "bottom")], "selector chain")
 
     # no vertical line can separate two functional pairs in one track; only
     # the midpoints inside a track's x-range can cut one of its spans
@@ -367,7 +378,7 @@ def validate_layout(red: ReducedInstance) -> None:
         last = bisect_left(mids, max(hi for _, hi in spans))
         for c in mids[first:last]:
             cut = sum(1 for lo, hi in spans if lo < c < hi)
-            assert cut <= 1, "vertical separates two functional pairs"
+            _require(cut <= 1, "vertical separates two functional pairs")
 
 
 def lift(norm: NormalizedCRBDS, red: ReducedInstance,
@@ -436,8 +447,10 @@ def lift(norm: NormalizedCRBDS, red: ReducedInstance,
     else:
         raise NotSeparating(
             f"no defender assignment separates the lift of {chosen}")
-    assert sum(1 for ln in lines if ln.orient == "H") == layout.p
-    assert sum(1 for ln in lines if ln.orient == "V") == layout.q
+    _require(sum(1 for ln in lines if ln.orient == "H") == layout.p,
+             "lift's horizontal line count is not p")
+    _require(sum(1 for ln in lines if ln.orient == "V") == layout.q,
+             "lift's vertical line count is not q")
     return lines
 
 

@@ -18,7 +18,8 @@ from fractions import Fraction
 
 from .geometry import BLUE, RED, AxisLine, ColoredPoint, GeneralLine
 from .oracles import CRBDS
-from .reduction import NormalizedCRBDS, ReducedInstance, ReductionLayout
+from .reduction import (ROLE_NAMES, NormalizedCRBDS, ReducedInstance,
+                        ReductionLayout)
 
 
 def rat_to_str(x) -> str:
@@ -79,8 +80,10 @@ def line_from_doc(rec: dict):
         if rec["orient"] not in ("H", "V"):
             raise ValueError(f"bad orientation {rec['orient']!r}")
         return AxisLine(rec["orient"], rat_from_str(rec["c"]))
-    return GeneralLine(rat_from_str(rec["a"]), rat_from_str(rec["b"]),
-                       rat_from_str(rec["c"]))
+    a, b = rat_from_str(rec["a"]), rat_from_str(rec["b"])
+    if a == 0 and b == 0:
+        raise ValueError("degenerate general line: a = b = 0")
+    return GeneralLine(a, b, rat_from_str(rec["c"]))
 
 
 def solution_to_doc(variant: str, lines, *, kappa=None, steps=0,
@@ -187,8 +190,16 @@ def sidecar_from_doc(doc: dict) -> tuple[NormalizedCRBDS, ReductionLayout]:
     for key in ("grid", "budgets", "roles", "normalized"):
         if not isinstance(doc[key], dict):
             raise ValueError(f"sidecar field {key!r} must be an object")
-    if not all(isinstance(role, list) for role in doc["roles"].values()):
-        raise ValueError("sidecar roles must map point ids to lists")
+    for key, names in (("grid", "kndm"), ("budgets", "pq")):
+        for name in names:
+            x = doc[key][name]
+            if not (isinstance(x, int) and not isinstance(x, bool) and x >= 1):
+                raise ValueError(f"sidecar {key} {name!r} must be an "
+                                 "integer >= 1")
+    if not all(isinstance(role, list) and role and role[0] in ROLE_NAMES
+               for role in doc["roles"].values()):
+        raise ValueError("sidecar roles must map point ids to lists that "
+                         f"start with one of {', '.join(ROLE_NAMES)}")
     g = doc["grid"]
     roles = {int(pid): tuple(role) for pid, role in doc["roles"].items()}
     lay = ReductionLayout(g["k"], g["n"], g["d"], g["m"], roles)

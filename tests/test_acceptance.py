@@ -13,6 +13,7 @@ import pytest
 
 from sepline.decomposition import (build_switch_graph, decompose,
                                    line_stabs_switch)
+from sepline.errors import GuaranteeViolated
 from sepline.generate import gen_circle
 from sepline.geometry import (BLUE, RED, ColoredPoint, cell_arcs,
                               circle_point_from_parameter, verify_separation)
@@ -219,7 +220,7 @@ def test_criterion_8_layout_assertions():
         lay = red.layout
         try:
             validate_layout(red)
-        except AssertionError:
+        except GuaranteeViolated:
             bad += 1
             continue
         k, n, d = lay.k, lay.n, lay.d

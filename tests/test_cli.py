@@ -158,6 +158,25 @@ class TestCommands:
         doc = json.loads(sol.read_text())
         assert doc["variant"] == "axis" and doc["size"] == doc["kappa"]
 
+    def test_verify_general_solution_n640(self, tmp_path, capsys):
+        inst, sol = tmp_path / "i.json", tmp_path / "s.json"
+        assert self.run("gen", "640", "--seed", "1", "-o", str(inst)) == 0
+        assert self.run("solve", str(inst), "--variant", "general",
+                        "-o", str(sol)) == 0
+        assert self.run("verify", str(inst), "--lines", str(sol)) == 0
+        assert capsys.readouterr().out.strip() == "Separated"
+
+    @pytest.mark.parametrize("c", ["1", "0"])
+    def test_verify_degenerate_general_line_exits_1(self, tmp_path, capsys,
+                                                    c):
+        inst, sol = tmp_path / "i.json", tmp_path / "s.json"
+        self.run("gen", "4", "--pattern", "alternating", "-o", str(inst))
+        sol.write_text(json.dumps({"lines": [{"a": "0", "b": "0", "c": c}]}))
+        capsys.readouterr()
+        assert self.run("verify", str(inst), "--lines", str(sol)) == 1
+        assert capsys.readouterr().err.startswith(
+            "error: degenerate general line")
+
     def test_verify_not_separating_exits_2(self, tmp_path, capsys):
         inst = tmp_path / "i.json"
         self.run("gen", "4", "--pattern", "alternating", "-o", str(inst))
@@ -303,14 +322,18 @@ class TestCommands:
         assert capsys.readouterr().err.startswith("error:")
 
     def lift_with_sidecar_field(self, tmp_path, capsys, key, value):
-        """`lift` on the toy reduction after setting one sidecar field."""
+        """`lift` on the toy reduction after setting one sidecar field, or,
+        for an object, updating the entries of that field it names."""
         crbds = tmp_path / "c.json"
         crbds.write_text(json.dumps(toy_doc()))
         inst, side = tmp_path / "r.json", tmp_path / "side.json"
         self.run("reduce", str(crbds), "-o", str(inst),
                  "--sidecar", str(side))
         doc = json.loads(side.read_text())
-        doc[key] = value
+        if isinstance(value, dict) and isinstance(doc[key], dict):
+            doc[key].update(value)
+        else:
+            doc[key] = value
         side.write_text(json.dumps(doc))
         capsys.readouterr()
         return self.run("lift", "--sidecar", str(side),
@@ -324,3 +347,23 @@ class TestCommands:
         assert self.lift_with_sidecar_field(tmp_path, capsys, "roles",
                                             {"0": 5}) == 1
         assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("key,value", [
+        ("grid", {"k": "x"}),
+        ("grid", {"n": 0}),
+        ("grid", {"d": True}),
+        ("grid", {"m": 2.0}),
+        ("budgets", {"p": "4"}),
+        ("budgets", {"q": -1}),
+        ("roles", {"0": []}),
+        ("roles", {"0": ["nobody"]}),
+    ], ids=["grid-k-str", "grid-n-zero", "grid-d-bool", "grid-m-float",
+            "budget-p-str", "budget-q-negative", "role-empty",
+            "role-unknown"])
+    def test_malformed_sidecar_numbers_and_roles_exit_1(self, tmp_path,
+                                                        capsys, key, value):
+        assert self.lift_with_sidecar_field(tmp_path, capsys, key, value) == 1
+        name = next(iter(value))
+        expected = ("error: sidecar roles" if key == "roles"
+                    else f"error: sidecar {key} {name!r} must be an integer")
+        assert capsys.readouterr().err.startswith(expected)

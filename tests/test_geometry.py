@@ -4,11 +4,12 @@ from functools import cmp_to_key
 
 import pytest
 
+import sepline.geometry as geometry
 from sepline.errors import PointOnLine
 from sepline.geometry import (BLUE, RED, Arc, AxisLine, CellSignature,
-                              CirclePos, ColoredPoint, angular_sort,
-                              arc_contains, arc_interior_point, arc_quadrants,
-                              axis_coords, cell_arcs, cell_map,
+                              CirclePos, ColoredPoint, GeneralLine,
+                              angular_sort, arc_contains, arc_interior_point,
+                              arc_quadrants, axis_coords, cell_arcs, cell_map,
                               circle_point_from_parameter, general_line,
                               line_side, line_through, pick_coordinate,
                               point_signature, verify_separation)
@@ -84,6 +85,43 @@ class TestVerifySeparation:
         pts = [pt(0, RED, 1, 0)]
         with pytest.raises(PointOnLine):
             verify_separation(pts, [AxisLine("H", F(0))])
+
+    def test_earlier_line_named_when_point_on_two(self):
+        pts = [pt(0, RED, 2, 3), pt(1, BLUE, F(1, 2), 3)]
+        for lines in ([AxisLine("V", F(2)), AxisLine("H", F(3))],
+                      [AxisLine("H", F(3)), AxisLine("V", F(2))]):
+            with pytest.raises(PointOnLine) as exc:
+                verify_separation(pts, lines)
+            assert exc.value.point_id == 0 and exc.value.line is lines[0]
+
+    def test_never_calls_line_side(self, monkeypatch, pts4):
+        def forbidden(line, p):
+            raise AssertionError("line_side called")
+        monkeypatch.setattr(geometry, "line_side", forbidden)
+        assert verify_separation(pts4, [AxisLine("H", F(1, 2))]) == (0, 3)
+        assert verify_separation(
+            pts4, [AxisLine("H", F(1, 2)), general_line(1, 1, 0)]) == (2, 3)
+
+    @pytest.mark.parametrize("kind", ["axis", "general", "mixed"])
+    def test_matches_fraction_reference(self, kind):
+        # lines through points, near misses, duplicates, non-integer and
+        # degenerate general lines and empty lists all occur in this sample
+        rng = random.Random({"axis": 23, "general": 29, "mixed": 31}[kind])
+        raised = 0
+        for _ in range(2000):
+            pts = _random_points(rng, rng.randint(0, 9))
+            lines = _random_lines(rng, pts, kind, rng.randint(0, 6))
+            try:
+                expected = _fraction_verify(pts, lines)
+            except PointOnLine as exc:
+                raised += 1
+                with pytest.raises(PointOnLine) as got:
+                    verify_separation(pts, lines)
+                assert got.value.point_id == exc.point_id
+                assert got.value.line is exc.line
+            else:
+                assert verify_separation(pts, lines) == expected
+        assert 200 < raised < 1800
 
 
 class TestCellMap:
@@ -288,3 +326,72 @@ def _random_circle_points(rng, n):
         x, y = circle_point_from_parameter(t)
         pts.append(ColoredPoint(i, rng.choice([RED, BLUE]), x, y))
     return pts
+
+
+def _fraction_verify(points, lines):
+    """Reference for verify_separation: a Fraction sign for every
+    point-line pair, cells keyed by the sign vector."""
+    groups = {}
+    for p in points:
+        sig = []
+        for ln in lines:
+            s = line_side(ln, p)
+            if s == 0:
+                raise PointOnLine(p.id, ln)
+            sig.append(s)
+        cell = groups.setdefault(tuple(sig), {})
+        if p.color not in cell:
+            cell[p.color] = p.id
+    for cell in groups.values():
+        if RED in cell and BLUE in cell:
+            return (cell[RED], cell[BLUE])
+    return None
+
+
+def _random_points(rng, n):
+    """Circle points and planar points with small non-integer coordinates;
+    coordinates repeat, so lines through one point often meet another."""
+    pts = []
+    for i in range(n):
+        if rng.random() < 0.5:
+            x, y = circle_point_from_parameter(
+                F(rng.randint(-20, 20), rng.randint(1, 20)))
+        else:
+            x = F(rng.randint(-6, 6), rng.randint(1, 3))
+            y = F(rng.randint(-6, 6), rng.randint(1, 3))
+        pts.append(ColoredPoint(i, rng.choice([RED, BLUE]), x, y))
+    return pts
+
+
+def _random_lines(rng, pts, kind, count):
+    lines = []
+    for _ in range(count):
+        general = kind == "general" or (kind == "mixed" and rng.random() < .5)
+        # 0: anywhere, 1: through a point, 2: one part in 10^6 off a point,
+        # 3: a duplicate of an earlier line (a fresh but equal object)
+        how = rng.randrange(4) if pts else 0
+        if how == 3 and lines:
+            ln = rng.choice(lines)
+            lines.append(AxisLine(ln.orient, ln.c) if isinstance(ln, AxisLine)
+                         else GeneralLine(2 * ln.a, 2 * ln.b, 2 * ln.c))
+            continue
+        off = F(rng.choice([-1, 1]), 10**6) if how == 2 else F(0)
+        p = rng.choice(pts) if how in (1, 2) else None
+        if not general:
+            orient = rng.choice("HV")
+            if p is None:
+                c = F(rng.randint(-12, 12), rng.randint(1, 4))
+            else:
+                c = (p.y if orient == "H" else p.x) + off
+            lines.append(AxisLine(orient, c))
+        elif rng.random() < 0.1:
+            lines.append(GeneralLine(F(0), F(0), F(rng.randint(-2, 2), 3)))
+        else:
+            a = F(rng.randint(-5, 5), rng.randint(1, 4))
+            b = F(rng.randint(-5, 5), rng.randint(1, 4))
+            if a == 0 and b == 0:
+                b = F(1, 7)
+            c = (F(rng.randint(-9, 9), rng.randint(1, 5)) if p is None
+                 else -(a * p.x + b * p.y) + off)
+            lines.append(GeneralLine(a, b, c))
+    return lines

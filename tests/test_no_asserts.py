@@ -1,5 +1,6 @@
-"""The solve path must keep its guarantees under `python -O`, which strips
-every `assert`; its modules check with explicit raises instead."""
+"""The solve path and the reduction must keep their guarantees under
+`python -O`, which strips every `assert`; their modules check with explicit
+raises instead."""
 
 import ast
 from pathlib import Path
@@ -8,7 +9,8 @@ import pytest
 
 import sepline
 
-SOLVE_PATH = ("geometry.py", "decomposition.py", "solvers.py")
+SOLVE_PATH = ("geometry.py", "decomposition.py", "solvers.py",
+              "reduction.py")
 
 
 @pytest.mark.parametrize("module", SOLVE_PATH)

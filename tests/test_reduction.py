@@ -4,8 +4,8 @@ from itertools import product
 
 import pytest
 
-from sepline.errors import (BudgetViolation, InvalidDominatingSet,
-                            NoSignalLine, NotSeparating)
+from sepline.errors import (BudgetViolation, GuaranteeViolated,
+                            InvalidDominatingSet, NoSignalLine, NotSeparating)
 from sepline.geometry import AxisLine, verify_separation
 from sepline.oracles import CRBDS, colorful_rbds_solve, feasible_pq
 from sepline.reduction import (ReducedInstance, extract, extract_vertices,
@@ -252,5 +252,5 @@ def test_validate_layout_rejects_vertical_through_two_pairs():
     # of pair 2's BL point now cuts both pairs
     pts = list(red.points)
     pts[tr1.id] = replace(tr1, x=tr2.x - Fraction(1, 2))
-    with pytest.raises(AssertionError, match="two functional pairs"):
+    with pytest.raises(GuaranteeViolated, match="two functional pairs"):
         validate_layout(ReducedInstance(pts, red.p, red.q, red.layout))
