@@ -9,6 +9,7 @@ inputs and seeds (the run report's timing field excepted).
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import os
 import sys
@@ -225,7 +226,9 @@ def cmd_render(args) -> int:
 
 # --- argument parsing --------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and kept for the process."""
     ap = argparse.ArgumentParser(
         prog="sepline",
         description="exact red-blue point separation by lines")

@@ -8,7 +8,6 @@ there is no floating point anywhere on a computation path.
 
 from __future__ import annotations
 
-import functools
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -25,11 +24,9 @@ ONE = Fraction(1)
 
 
 def _sign(x) -> int:
-    if x > 0:
-        return 1
-    if x < 0:
-        return -1
-    return 0
+    """Sign of an int or a Fraction, read off its numerator."""
+    n = x.numerator
+    return (n > 0) - (n < 0)
 
 
 @dataclass(frozen=True)
@@ -222,12 +219,23 @@ def cell_map(points, lines) -> CellMap:
 
 @dataclass(frozen=True)
 class CirclePos:
-    """A point of the unit circle: x = sx*sqrt(x2), y = sy*sqrt(y2), x2+y2=1."""
+    """A point of the unit circle: x = sx*sqrt(x2), y = sy*sqrt(y2), x2+y2=1.
+
+    `key` orders positions by angle in [0, 2*pi), counterclockwise from
+    (1, 0): the quadrant, then sx*x2, which grows with x, negated in
+    quadrants 0 and 1, where the angle grows as x shrinks.
+    """
 
     sx: int
     x2: Fraction
     sy: int
     y2: Fraction
+    key: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        q = self.quadrant()
+        x = self.x2 if self.sx > 0 else -self.x2
+        object.__setattr__(self, "key", (q, -x if q <= 1 else x))
 
     @staticmethod
     def of(x: Fraction, y: Fraction) -> "CirclePos":
@@ -257,23 +265,6 @@ class CirclePos:
             return 2
         return 3
 
-    def _cmp_x(self, other: "CirclePos") -> int:
-        if self.sx != other.sx:
-            return 1 if self.sx > other.sx else -1
-        if self.sx == 0:
-            return 0
-        d = _sign(self.x2 - other.x2)
-        return d if self.sx > 0 else -d
-
-    def cmp(self, other: "CirclePos") -> int:
-        """Compare by angle in [0, 2*pi), counterclockwise from (1, 0)."""
-        qa, qb = self.quadrant(), other.quadrant()
-        if qa != qb:
-            return 1 if qa > qb else -1
-        c = self._cmp_x(other)
-        # in quadrants 0 and 1 the angle grows as x shrinks
-        return -c if qa <= 1 else c
-
 
 TOP = CirclePos(0, ZERO, 1, ONE)
 BOTTOM = CirclePos(0, ZERO, -1, ONE)
@@ -286,18 +277,19 @@ def arc_contains(pos: CirclePos, start: CirclePos, end: CirclePos) -> bool:
 
     Equal endpoints denote the full circle minus that single point.
     """
-    if start.cmp(end) < 0:
-        return start.cmp(pos) < 0 and pos.cmp(end) < 0
-    return start.cmp(pos) < 0 or pos.cmp(end) < 0
+    s, p, e = start.key, pos.key, end.key
+    if s < e:
+        return s < p < e
+    return s < p or p < e
 
 
 def arc_quadrants(start: CirclePos, end: CirclePos) -> list[int]:
     """Quadrants met going ccw from start to end (whole circle if equal)."""
-    if start.cmp(end) == 0:
+    if start.key == end.key:
         return [0, 1, 2, 3]
-    qs = [start.quadrant()]
-    qe = end.quadrant()
-    if qs[0] == qe and start.cmp(end) < 0:
+    qs = [start.key[0]]
+    qe = end.key[0]
+    if qs[0] == qe and start.key < end.key:
         return qs
     q = qs[0]
     while True:
@@ -321,12 +313,15 @@ class Arc:
     quadrants: list[int] = field(default_factory=list)
 
 
-_by_angle = functools.cmp_to_key(CirclePos.cmp)
+def angular_positions(points) -> list[tuple[CirclePos, ColoredPoint]]:
+    """(position, point) pairs by ccw angle from the (1, 0) direction."""
+    return sorted(((CirclePos.of(p.x, p.y), p) for p in points),
+                  key=lambda t: t[0].key)
 
 
 def angular_sort(points: Iterable[ColoredPoint]) -> list[ColoredPoint]:
     """Points by ccw angle starting at the (1, 0) direction."""
-    return sorted(points, key=lambda p: _by_angle(CirclePos.of(p.x, p.y)))
+    return [p for _, p in angular_positions(points)]
 
 
 def cell_arcs(points, lines) -> dict[CellSignature, list[Arc]]:
@@ -350,22 +345,21 @@ def cell_arcs(points, lines) -> dict[CellSignature, list[Arc]]:
             crossings.append((CirclePos.crossing(AxisLine("V", c), True), 0, -1))
             crossings.append((CirclePos.crossing(AxisLine("V", c), False), 0, 1))
 
-    pts = angular_sort(points)
+    pts = angular_positions(points)
     if not pts:
         return {}
-    ref = pts[0]
-    ref_pos = CirclePos.of(ref.x, ref.y)
+    ref_pos, ref = pts[0]
     ref_sig = point_signature(ref, hs, vs)
 
     if not crossings:
-        arc = Arc(ref_sig, ref_pos, ref_pos, [p.id for p in pts],
-                  {p.color for p in pts}, [0, 1, 2, 3])
+        arc = Arc(ref_sig, ref_pos, ref_pos, [p.id for _, p in pts],
+                  {p.color for _, p in pts}, [0, 1, 2, 3])
         return {ref_sig: [arc]}
 
-    crossings.sort(key=lambda t: _by_angle(t[0]))
+    crossings.sort(key=lambda t: t[0].key)
     groups: list[list] = []
     for pos, dr, dc in crossings:
-        if groups and groups[-1][0].cmp(pos) == 0:
+        if groups and groups[-1][0].key == pos.key:
             groups[-1][1] += dr
             groups[-1][2] += dc
         else:
@@ -375,17 +369,17 @@ def cell_arcs(points, lines) -> dict[CellSignature, list[Arc]]:
     # g + 1 (a point on a crossing is in no arc); the points before the
     # first group lie on the arc from the last group, which wraps past 0
     members: list[list[ColoredPoint]] = [[] for _ in groups]
+    keys = [grp[0].key for grp in groups]
     g = -1
-    for p in pts:
-        pos = CirclePos.of(p.x, p.y)
-        while g + 1 < len(groups) and groups[g + 1][0].cmp(pos) <= 0:
+    for pos, p in pts:
+        k = pos.key
+        while g + 1 < len(keys) and keys[g + 1] <= k:
             g += 1
-        if groups[g][0].cmp(pos) != 0:
+        if keys[g] != k:
             members[g].append(p)
 
     # the walk starts at the first crossing after the reference point
-    start = next((g for g, (pos, _, _) in enumerate(groups)
-                  if ref_pos.cmp(pos) < 0), 0)
+    start = next((g for g, k in enumerate(keys) if ref_pos.key < k), 0)
     row, col = ref_sig.row, ref_sig.col
     result: dict[CellSignature, list[Arc]] = {}
     for g in (*range(start, len(groups)), *range(start)):
@@ -417,8 +411,8 @@ def arc_interior_point(start: ColoredPoint, end: ColoredPoint,
 def _arc_parameter_candidates(start, end):
     a = CirclePos.of(start.x, start.y)
     b = CirclePos.of(end.x, end.y)
-    a_is_left = a.cmp(LEFT) == 0
-    b_is_left = b.cmp(LEFT) == 0
+    a_is_left = a.key == LEFT.key
+    b_is_left = b.key == LEFT.key
     if a_is_left:
         tb = circle_parameter(end.x, end.y)
         for j in range(10_000):
@@ -450,9 +444,9 @@ def _rationals_between(lo: Fraction, hi: Fraction):
 
 
 def pick_coordinate(lo: Fraction, hi: Fraction, forbidden) -> Optional[Fraction]:
-    """A rational in the open interval (lo, hi) avoiding `forbidden`, or
-    None if lo >= hi."""
+    """A rational in the open interval (lo, hi) that is not in `forbidden`
+    (any container; it is not copied), or None if lo >= hi."""
     if lo >= hi:
         return None
-    fb = set(forbidden)
-    return next((c for c in _rationals_between(lo, hi) if c not in fb), None)
+    return next((c for c in _rationals_between(lo, hi) if c not in forbidden),
+                None)

@@ -32,36 +32,44 @@ def _maximum_matching(n: int, adj) -> list[tuple[int, int]]:
     match = [-1] * n
     parent = [-1] * n
     base = list(range(n))
+    used = [False] * n
 
     def lca(a, b):
-        used = [False] * n
+        seen = set()
         x = a
         while True:
             x = base[x]
-            used[x] = True
+            seen.add(x)
             if match[x] == -1:
                 break
             x = parent[match[x]]
         y = b
         while True:
             y = base[y]
-            if used[y]:
+            if y in seen:
                 return y
             y = parent[match[y]]
 
     def mark_path(x, b, child, blossom):
         while base[x] != b:
-            blossom[base[x]] = True
-            blossom[base[match[x]]] = True
+            blossom.add(base[x])
+            blossom.add(base[match[x]])
             parent[x] = child
             child = match[x]
             x = parent[match[x]]
 
+    tree: list[int] = []  # the vertices the last search touched
+
     def find_path(root):
-        nonlocal parent, base
-        used = [False] * n
-        parent = [-1] * n
-        base = list(range(n))
+        """One alternating-tree search from `root`.  It first resets the
+        entries of the previous search's tree, the only ones that search
+        changed.  A blossom relabels the tree's vertices in index order,
+        so the queue grows as under a scan over all vertices."""
+        for i in tree:
+            used[i] = False
+            parent[i] = -1
+            base[i] = i
+        tree[:] = [root]
         used[root] = True
         queue = [root]
         qi = 0
@@ -74,17 +82,19 @@ def _maximum_matching(n: int, adj) -> list[tuple[int, int]]:
                 if to == root or (match[to] != -1 and parent[match[to]] != -1):
                     # odd cycle: contract the blossom
                     b = lca(v, to)
-                    blossom = [False] * n
+                    blossom = set()
                     mark_path(v, b, to, blossom)
                     mark_path(to, b, v, blossom)
-                    for i in range(n):
-                        if blossom[base[i]]:
+                    tree.sort()
+                    for i in tree:
+                        if base[i] in blossom:
                             base[i] = b
                             if not used[i]:
                                 used[i] = True
                                 queue.append(i)
                 elif parent[to] == -1:
                     parent[to] = v
+                    tree.append(to)
                     if match[to] == -1:
                         # augmenting path found: flip it
                         u = to
@@ -96,6 +106,7 @@ def _maximum_matching(n: int, adj) -> list[tuple[int, int]]:
                             u = ppv
                         return True
                     used[match[to]] = True
+                    tree.append(match[to])
                     queue.append(match[to])
         return False
 

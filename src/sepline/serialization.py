@@ -76,6 +76,12 @@ def line_to_doc(ln) -> dict:
 
 
 def line_from_doc(rec: dict):
+    if not isinstance(rec, dict):
+        raise ValueError(f"a line record must be an object, got {rec!r}")
+    for key in ("orient", "c", "a", "b"):
+        if key in rec and not isinstance(rec[key], str):
+            raise ValueError(f"line field {key!r} must be a string, "
+                             f"got {rec[key]!r}")
     if "orient" in rec:
         if rec["orient"] not in ("H", "V"):
             raise ValueError(f"bad orientation {rec['orient']!r}")
@@ -97,6 +103,8 @@ def solution_to_doc(variant: str, lines, *, kappa=None, steps=0,
 
 
 def solution_from_doc(doc: dict):
+    if not isinstance(doc.get("lines"), list):
+        raise ValueError("'lines' must be a list of line objects")
     lines = [line_from_doc(rec) for rec in doc["lines"]]
     return doc.get("variant", "axis"), lines
 

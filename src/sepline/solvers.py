@@ -12,18 +12,19 @@ raises RepairExhausted if it finds nothing within kappa lines.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from typing import Optional
 
 from .decomposition import (CircleDecomposition, SwitchGraph,
-                            build_switch_graph, decompose, line_stabs_switch)
+                            build_switch_graph, decompose)
 from .errors import (DominationFailure, GuaranteeViolated, NotSeparating,
                      RepairExhausted)
-from .geometry import (BLUE, RED, Arc, AxisLine, CellSignature, CirclePos,
-                       GeneralLine, arc_interior_point, axis_coords, cell_arcs,
-                       cell_map, line_through, pick_coordinate,
+from .geometry import (BLUE, RED, Arc, AxisLine, CellMap, CellSignature,
+                       CirclePos, GeneralLine, arc_interior_point, axis_coords,
+                       cell_arcs, cell_map, line_through, pick_coordinate,
                        verify_separation)
 from .oracles import axis_candidates, full_mask, sep_bitset
 
@@ -122,17 +123,16 @@ def wedge_baseline(points) -> AxisSolution:
 def build_L0(dec: CircleDecomposition, graph: SwitchGraph) -> AxisSolution:
     """One line per edge-cover edge plus one per isolated switch; kappa lines
     in total, stabbing every switch."""
-    fx = {p.x for p in dec.points}
-    fy = {p.y for p in dec.points}
-    used: dict[str, set] = {"H": set(), "V": set()}
+    # the point coordinates, then also every line placed so far
+    forbidden = {"H": {p.y for p in dec.points},
+                 "V": {p.x for p in dec.points}}
     lines = []
 
     def place(orient, interval):
-        fb = fy if orient == "H" else fx
-        c = pick_coordinate(interval.lo, interval.hi, fb | used[orient])
+        c = pick_coordinate(interval.lo, interval.hi, forbidden[orient])
         if c is None:
             raise GuaranteeViolated("facing edge lost its witness coordinate")
-        used[orient].add(c)
+        forbidden[orient].add(c)
         lines.append(AxisLine(orient, c))
 
     for (i, j) in graph.edge_cover:
@@ -181,8 +181,15 @@ def _cell_center(sig: CellSignature, hs, vs) -> tuple[Fraction, Fraction]:
 
 
 def _stabs_every_switch(lines, dec) -> bool:
-    return all(any(line_stabs_switch(ln.orient, ln.c, sw) for ln in lines)
-               for sw in dec.switches)
+    """Whether every switch's open interval, in some orientation, holds a
+    line coordinate of that orientation; O(w log L)."""
+    coords = dict(zip(("H", "V"), axis_coords(lines)))
+
+    def stabbed(sw, orient):
+        cs, itv = coords[orient], sw.intervals[orient]
+        return bisect_right(cs, itv.lo) < bisect_left(cs, itv.hi)
+
+    return all(stabbed(sw, "H") or stabbed(sw, "V") for sw in dec.switches)
 
 
 def _check_invariants(lines, dec, cm, arcs):
@@ -373,6 +380,35 @@ def _repair_around(points, solution: AxisSolution, kappa: int,
 # --- the full pipeline -------------------------------------------------------
 
 
+def _unsplit_pairs(cm: CellMap, color) -> int:
+    """Red-blue pairs that share a cell: sum of |R|*|B| over corrupt cells."""
+    total = 0
+    for sig in cm.corrupt:
+        ids = cm.cells[sig]
+        r = sum(1 for i in ids if color[i] == RED)
+        total += r * (len(ids) - r)
+    return total
+
+
+def _strictly_dominates(points, old_lines, new_lines) -> bool:
+    """Whether `new_lines` split every red-blue pair `old_lines` split, and
+    more, in O(n log L).
+
+    A mixed new cell that meets two old cells holds a pair that only the
+    old lines split: a red and a blue from different old cells, or else
+    one of them and a point from another old cell.  So the new unsplit
+    pairs are a subset of the old ones iff every mixed new cell lies inside
+    one old cell, and then a strict subset iff there are fewer of them.
+    """
+    old, new = cell_map(points, old_lines), cell_map(points, new_lines)
+    old_cell = {i: sig for sig, ids in old.cells.items() for i in ids}
+    if any(len({old_cell[i] for i in new.cells[sig]}) > 1
+           for sig in new.corrupt):
+        return False
+    color = {p.id: p.color for p in points}
+    return _unsplit_pairs(new, color) < _unsplit_pairs(old, color)
+
+
 def solve_axis(points, on_step=None) -> AxisSolution:
     """Optimal axis-parallel separation for a circle instance.
 
@@ -397,9 +433,7 @@ def solve_axis(points, on_step=None) -> AxisSolution:
         if outcome == _DONE:
             break
         if outcome == _IMPROVED:
-            old = sep_bitset(points, sol.lines)
-            new = sep_bitset(points, payload.lines)
-            if new & old != old or new == old:
+            if not _strictly_dominates(points, sol.lines, payload.lines):
                 raise DominationFailure(f"step {payload.steps} does not dominate")
             if payload.size > sol.size:
                 raise GuaranteeViolated(f"step {payload.steps} grew the solution")

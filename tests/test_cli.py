@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import sepline
 import sepline.solvers
 from sepline.cli import main
 from sepline.decomposition import decompose
@@ -305,6 +310,43 @@ class TestCommands:
         bad.write_text(json.dumps(doc))
         assert self.run("solve", str(bad)) == 1
         assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("doc", [
+        {"lines": [5]},
+        {"lines": 5},
+        {"lines": [{"orient": "H", "c": 5}]},
+    ], ids=["line-not-object", "lines-not-list", "coordinate-not-string"])
+    def test_malformed_solution_exits_1(self, tmp_path, capsys, doc):
+        inst, sol = tmp_path / "i.json", tmp_path / "s.json"
+        self.run("gen", "4", "--pattern", "alternating", "-o", str(inst))
+        sol.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert self.run("verify", str(inst), "--lines", str(sol)) == 1
+        assert capsys.readouterr().err.startswith("error:")
+
+    def test_one_process_runs_commands_back_to_back(self, tmp_path, capsys):
+        # the parser is built once per process; each command's output is
+        # still that of a fresh `sepline` process
+        inst, sol = tmp_path / "i.json", tmp_path / "s.json"
+        self.run("gen", "24", "--seed", "5", "-o", str(inst))
+        commands = [["solve", str(inst)], ["kappa", str(inst)],
+                    ["verify", str(inst), "--lines", str(sol)]]
+        capsys.readouterr()
+        in_process = []
+        for argv in commands:
+            assert self.run(*argv) == 0
+            out = capsys.readouterr().out
+            if argv[0] == "solve":
+                sol.write_text(out)
+            in_process.append(out)
+        src = str(Path(sepline.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        fresh = [subprocess.run([sys.executable, "-m", "sepline.cli", *argv],
+                                env=env, capture_output=True, text=True,
+                                check=True).stdout
+                 for argv in commands]
+        assert in_process == fresh
+        assert in_process[2] == "Separated\n"
 
     @pytest.mark.parametrize("doc", [
         {"k": 1, "classes": 5, "blues": [], "edges": []},

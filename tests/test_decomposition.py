@@ -84,8 +84,8 @@ class TestProjectionInterval:
         # widens hi to 1
         a = pt(0, RED, F(3, 5), F(4, 5))
         b = pt(1, BLUE, F(-3, 5), F(4, 5))
-        from sepline.decomposition import Switch
-        s = Switch(0, a, b)
+        s = decompose([a, b]).switches[0]
+        assert (s.start, s.end) == (a, b)
         assert projection_interval(s, "Y") == Interval(F(4, 5), F(1))
 
     def test_stab(self, pts4):
@@ -253,3 +253,52 @@ def _random_instance(rng, n=None):
         x, y = circle_point_from_parameter(t)
         pts.append(ColoredPoint(i, rng.choice([RED, BLUE]), x, y))
     return pts
+
+
+def _all_pairs_edges(dec):
+    """The switch-graph edges by the facing test on every pair of
+    switches, in (i, j) order; the reference for the interval sweep."""
+    sw = dec.switches
+    edges = {}
+    for i in range(len(sw)):
+        for j in range(i + 1, len(sw)):
+            ann = faces(sw[i], sw[j])
+            if ann:
+                edges[(i, j)] = ann
+    return edges
+
+
+def _sixty_digit_instance(n, seed):
+    """Circle points from 30-digit parameters: 60-digit coordinates."""
+    rng = random.Random(seed)
+    ts = set()
+    while len(ts) < n:
+        ts.add(F(rng.randint(-10**30, 10**30), rng.randint(1, 10**30)))
+    pts = [circle_point_from_parameter(t) for t in sorted(ts)]
+    return [ColoredPoint(i, rng.choice([RED, BLUE]), x, y)
+            for i, (x, y) in enumerate(pts)]
+
+
+def _sweep_corpus():
+    from test_golden import _mirror
+    rng = random.Random(31)
+    for n, seed in ((20, 1), (80, 2), (160, 3), (300, 4)):
+        yield f"random/{n}", gen_circle(n, seed, "random")
+    for n in (16, 64, 150):
+        yield f"alternating/{n}", gen_circle(n, n, "alternating")
+    for n, seed in ((24, 5), (48, 6), (96, 7), (200, 8)):
+        yield f"mirror/{n}", _mirror(n, seed)
+    for k in range(6):
+        yield f"mirror-small/{k}", _mirror_instance(rng)
+    for n, seed in ((24, 9), (60, 10)):
+        yield f"sixty-digit/{n}", _sixty_digit_instance(n, seed)
+
+
+@pytest.mark.parametrize("name,pts", list(_sweep_corpus()),
+                         ids=[name for name, _ in _sweep_corpus()])
+def test_sweep_edges_equal_all_pairs(name, pts):
+    dec = decompose(pts)
+    edges = build_switch_graph(dec).edges
+    expected = _all_pairs_edges(dec)
+    assert list(edges) == list(expected)
+    assert edges == expected

@@ -270,6 +270,39 @@ def _pos(p):
     return CirclePos.of(p.x, p.y)
 
 
+def _ref_cmp(a, b):
+    """Angular comparison by quadrant, then x; the reference for
+    CirclePos.key."""
+    qa, qb = a.quadrant(), b.quadrant()
+    if qa != qb:
+        return 1 if qa > qb else -1
+    if a.sx != b.sx:
+        c = 1 if a.sx > b.sx else -1
+    elif a.sx == 0 or a.x2 == b.x2:
+        c = 0
+    else:
+        c = 1 if (a.x2 > b.x2) == (a.sx > 0) else -1
+    # in quadrants 0 and 1 the angle grows as x shrinks
+    return -c if qa <= 1 else c
+
+
+def test_angular_key_matches_reference_order():
+    rng = random.Random(5)
+    positions = [geometry.TOP, geometry.BOTTOM, geometry.LEFT, geometry.RIGHT]
+    for _ in range(150):
+        x, y = circle_point_from_parameter(
+            F(rng.randint(-30, 30), rng.randint(1, 30)))
+        positions.append(CirclePos.of(x, y))
+        c = F(rng.randint(-29, 29), 30)
+        positions.append(CirclePos.crossing(AxisLine(rng.choice("HV"), c),
+                                            rng.random() < 0.5))
+    for a in positions:
+        for b in positions[::7]:
+            ref = _ref_cmp(a, b)
+            assert (a.key < b.key) == (ref < 0)
+            assert (a.key == b.key) == (ref == 0)
+
+
 def _per_arc_scan(points, lines):
     """Reference for cell_arcs: every arc tests every point with
     arc_contains."""
@@ -283,7 +316,8 @@ def _per_arc_scan(points, lines):
                                *up))
                 events.append((CirclePos.crossing(AxisLine(orient, c), False),
                                *down))
-    pts = sorted(points, key=cmp_to_key(lambda p, q: _pos(p).cmp(_pos(q))))
+    pts = sorted(points, key=cmp_to_key(lambda p, q: _ref_cmp(_pos(p),
+                                                              _pos(q))))
     if not pts:
         return {}
     ref_pos = _pos(pts[0])
@@ -292,16 +326,16 @@ def _per_arc_scan(points, lines):
     if not events:
         return {ref_sig: [Arc(ref_sig, ref_pos, ref_pos, [p.id for p in pts],
                               {p.color for p in pts}, [0, 1, 2, 3])]}
-    events.sort(key=cmp_to_key(lambda a, b: a[0].cmp(b[0])))
+    events.sort(key=cmp_to_key(lambda a, b: _ref_cmp(a[0], b[0])))
     groups = []
     for pos, dr, dc in events:
-        if groups and groups[-1][0].cmp(pos) == 0:
+        if groups and _ref_cmp(groups[-1][0], pos) == 0:
             groups[-1][1] += dr
             groups[-1][2] += dc
         else:
             groups.append([pos, dr, dc])
     start = next((g for g, grp in enumerate(groups)
-                  if ref_pos.cmp(grp[0]) < 0), 0)
+                  if _ref_cmp(ref_pos, grp[0]) < 0), 0)
     groups = groups[start:] + groups[:start]
     row, col = ref_sig.row, ref_sig.col
     out = {}

@@ -116,3 +116,111 @@ def test_deterministic_output():
     edges = [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)]
     runs = {tuple(maximum_matching(4, edges)) for _ in range(5)}
     assert len(runs) == 1
+
+
+def _reference_matching(n, adj):
+    """Edmonds' search with fresh O(n) state per root and a full scan per
+    blossom; the matching `maximum_matching` must reproduce pair for pair."""
+    match = [-1] * n
+    parent = [-1] * n
+    base = list(range(n))
+
+    def lca(a, b):
+        used = [False] * n
+        x = a
+        while True:
+            x = base[x]
+            used[x] = True
+            if match[x] == -1:
+                break
+            x = parent[match[x]]
+        y = b
+        while True:
+            y = base[y]
+            if used[y]:
+                return y
+            y = parent[match[y]]
+
+    def mark_path(x, b, child, blossom):
+        while base[x] != b:
+            blossom[base[x]] = True
+            blossom[base[match[x]]] = True
+            parent[x] = child
+            child = match[x]
+            x = parent[match[x]]
+
+    def find_path(root):
+        nonlocal parent, base
+        used = [False] * n
+        parent = [-1] * n
+        base = list(range(n))
+        used[root] = True
+        queue = [root]
+        qi = 0
+        while qi < len(queue):
+            v = queue[qi]
+            qi += 1
+            for to in adj[v]:
+                if base[v] == base[to] or match[v] == to:
+                    continue
+                if to == root or (match[to] != -1 and parent[match[to]] != -1):
+                    b = lca(v, to)
+                    blossom = [False] * n
+                    mark_path(v, b, to, blossom)
+                    mark_path(to, b, v, blossom)
+                    for i in range(n):
+                        if blossom[base[i]]:
+                            base[i] = b
+                            if not used[i]:
+                                used[i] = True
+                                queue.append(i)
+                elif parent[to] == -1:
+                    parent[to] = v
+                    if match[to] == -1:
+                        u = to
+                        while u != -1:
+                            pv = parent[u]
+                            ppv = match[pv]
+                            match[u] = pv
+                            match[pv] = u
+                            u = ppv
+                        return True
+                    used[match[to]] = True
+                    queue.append(match[to])
+        return False
+
+    for v in range(n):
+        if match[v] == -1:
+            find_path(v)
+    return sorted((v, match[v]) for v in range(n) if match[v] > v)
+
+
+def _seeded_graphs(count):
+    """Sparse to moderately dense random graphs, several components each,
+    with shuffled edge lists."""
+    rng = random.Random(20)
+    for _ in range(count):
+        n = rng.randint(1, 60)
+        p = rng.choice([0.03, 0.08, 0.15, 0.3])
+        edges = [(u, v) for u in range(n) for v in range(u + 1, n)
+                 if rng.random() < p]
+        rng.shuffle(edges)
+        yield n, [(v, u) if rng.random() < 0.5 else (u, v)
+                  for u, v in edges]
+
+
+def test_matching_equals_reference_pairs():
+    for n, edges in _seeded_graphs(600):
+        adj = [sorted({v for e in edges if u in e for v in e if v != u})
+               for u in range(n)]
+        assert maximum_matching(n, edges) == _reference_matching(n, adj)
+
+
+def test_matching_size_equals_networkx():
+    nx = pytest.importorskip("networkx")
+    for n, edges in _seeded_graphs(300):
+        g = nx.Graph()
+        g.add_nodes_from(range(n))
+        g.add_edges_from(edges)
+        expected = len(nx.max_weight_matching(g, maxcardinality=True))
+        assert len(maximum_matching(n, edges)) == expected

@@ -9,7 +9,7 @@ import pytest
 
 import sepline
 
-SOLVE_PATH = ("geometry.py", "decomposition.py", "solvers.py",
+SOLVE_PATH = ("geometry.py", "decomposition.py", "matching.py", "solvers.py",
               "reduction.py")
 
 

@@ -12,10 +12,11 @@ from sepline import solvers
 from sepline.decomposition import build_switch_graph, decompose, line_stabs_switch
 from sepline.errors import DominationFailure, RepairExhausted
 from sepline.generate import gen_circle
-from sepline.geometry import (BLUE, RED, ColoredPoint, cell_arcs, cell_map,
-                              circle_point_from_parameter, verify_separation)
-from sepline.oracles import (min_axis_separation, min_general_separation_circle,
-                             sep_bitset)
+from sepline.geometry import (BLUE, RED, AxisLine, ColoredPoint, cell_arcs,
+                              cell_map, circle_point_from_parameter,
+                              verify_separation)
+from sepline.oracles import (axis_candidates, min_axis_separation,
+                             min_general_separation_circle, sep_bitset)
 from sepline.solvers import (AxisSolution, build_L0, refine_step, solve_axis,
                              solve_general, wedge_baseline)
 
@@ -337,3 +338,92 @@ def test_repair_corpus(monkeypatch, cause, n, seed):
         assert len(arcs) == 2
     else:
         assert len(arcs) >= 3 and cell_map(pts, lines).corrupt == {sig}
+
+
+def _bitset_dominates(pts, old_lines, new_lines):
+    """The strict-domination test on red-blue pair bitsets; the reference
+    for the cell-partition test in solve_axis."""
+    old, new = sep_bitset(pts, old_lines), sep_bitset(pts, new_lines)
+    return new & old == old and new != old
+
+
+def _partition_dominates(pts, old_lines, new_lines):
+    return solvers._strictly_dominates(pts, old_lines, new_lines)
+
+
+def test_partition_domination_on_golden_steps():
+    from test_golden import GOLDEN, instance
+    steps = 0
+    for name in sorted(GOLDEN):
+        pts = instance(name)
+        seen = []
+        solve_axis(pts, on_step=lambda sol: seen.append(sol.lines))
+        for old, new in zip(seen, seen[1:]):
+            assert _partition_dominates(pts, old, new)
+            assert _bitset_dominates(pts, old, new)
+            # the step backwards dominates under neither test
+            assert not _partition_dominates(pts, new, old)
+            assert not _bitset_dominates(pts, new, old)
+            steps += 1
+    assert steps >= 4
+
+
+def test_partition_domination_equals_bitset_on_random_pairs():
+    rng = random.Random(47)
+    outcomes = []
+    for _ in range(2000):
+        pts = _random_circle_instance(rng, rng.randint(2, 9))
+        cands = axis_candidates(pts)
+        old = rng.sample(cands, rng.randint(0, min(5, len(cands))))
+        if rng.random() < 0.6:
+            # one line dropped, one added, or one swapped: steps a
+            # refinement could take
+            new = [ln for ln in old if rng.random() < 0.8]
+            new += rng.sample(cands, rng.randint(0, 2))
+        else:
+            new = rng.sample(cands, rng.randint(0, min(5, len(cands))))
+        want = _bitset_dominates(pts, old, new)
+        assert _partition_dominates(pts, old, new) == want
+        outcomes.append(want)
+    assert 100 < sum(outcomes) < 1900
+
+
+def test_bisection_stab_check_equals_line_loop():
+    rng = random.Random(53)
+    results = []
+    for _ in range(400):
+        pts = _random_circle_instance(rng, rng.randint(2, 14))
+        dec = decompose(pts)
+        # interval ends are point coordinates or +-1: draw lines there and
+        # between them, so a line at an open interval's end is common
+        coords = sorted({v for p in pts for v in (p.x, p.y)} | {F(-1), F(1)})
+        mids = [(a + b) / 2 for a, b in zip(coords, coords[1:])]
+        lines = [AxisLine(rng.choice("HV"), rng.choice(coords + mids))
+                 for _ in range(rng.randint(0, 6))]
+        want = all(any(line_stabs_switch(ln.orient, ln.c, sw) for ln in lines)
+                   for sw in dec.switches)
+        assert solvers._stabs_every_switch(lines, dec) == want
+        results.append(want)
+    assert 20 < sum(results) < 380
+
+
+# (n, seed) -> (kappa, steps) of gen_circle(n, seed, "random"): the two
+# golden instances with refinement steps and two larger ones
+STEP_INSTANCES = {(60, 14): (17, 2), (100, 34): (30, 2),
+                  (480, 1): (154, 2), (640, 3): (216, 1)}
+
+
+@pytest.mark.parametrize("n,seed", sorted(STEP_INSTANCES), ids=str)
+def test_steps_never_call_sep_bitset(monkeypatch, n, seed):
+    # the domination check of every step partitions the points into cells;
+    # the O(L*r*b) pair bitset is for repair and the tests only
+    def forbidden(points, lines):
+        raise AssertionError("sep_bitset called outside repair")
+    monkeypatch.setattr(solvers, "sep_bitset", forbidden)
+    monkeypatch.setattr(sepline.oracles, "sep_bitset", forbidden)
+    pts = gen_circle(n, seed, "random")
+    sol = solve_axis(pts)
+    kappa, steps = STEP_INSTANCES[(n, seed)]
+    assert (sol.kappa, sol.steps, sol.repair_used) == (kappa, steps, False)
+    assert sol.size == sol.kappa
+    assert verify_separation(pts, sol.lines) is None
