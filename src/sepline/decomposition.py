@@ -55,6 +55,7 @@ class CircleDecomposition:
     points: list[ColoredPoint]           # input order, id-indexed
     chunks: list[Chunk]
     switches: list[Switch]
+    positions: list[tuple[CirclePos, ColoredPoint]]  # by ccw angle
 
     @property
     def w(self) -> int:
@@ -62,7 +63,8 @@ class CircleDecomposition:
 
 
 def decompose(points) -> CircleDecomposition:
-    """Chunks and switches of a circle instance in angular order."""
+    """Chunks and switches of a circle instance in angular order, and the
+    angular order itself."""
     points = list(points)
     if not points:
         raise EmptyInstance("a circle instance needs at least one point")
@@ -96,7 +98,7 @@ def decompose(points) -> CircleDecomposition:
             nxt = runs[(i + 1) % len(runs)]
             a, b = chunk.point_ids[-1], nxt.point_ids[0]
             switches.append(Switch(i, by_id[a], by_id[b], pos[a], pos[b]))
-    return CircleDecomposition(points, runs, switches)
+    return CircleDecomposition(points, runs, switches, keyed)
 
 
 def projection_interval(switch: Switch, axis: str) -> Interval:

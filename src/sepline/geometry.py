@@ -12,7 +12,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Optional, Union
+from typing import Iterable, NamedTuple, Optional, Union
 
 from .errors import GuaranteeViolated, PointOnLine
 
@@ -117,41 +117,25 @@ def verify_separation(points, lines) -> Optional[tuple[int, int]]:
 
     Raises PointOnLine for the first point, in input order, that lies on a
     line, naming the first such line in `lines`.  Axis lines alone are
-    decided by bisecting each point into the sorted line coordinates,
-    O(n log L).  Any other list is decided in integer arithmetic, O(n L):
-    each line becomes integers (A, B, C), a positive multiple of its side
-    expression, so a point x = xn/xd, y = yn/yd has the sign of
-    A*xn*yd + B*yn*xd + C*xd*yd.
+    decided by `cell_map`, O(n log L).  Any other list is decided in integer
+    arithmetic, O(n L): each line becomes integers (A, B, C), a positive
+    multiple of its side expression, so a point x = xn/xd, y = yn/yd has the
+    sign of A*xn*yd + B*yn*xd + C*xd*yd.
     """
     if all(isinstance(ln, AxisLine) for ln in lines):
-        first: dict[tuple[bool, Fraction], int] = {}
-        for i, ln in enumerate(lines):
-            first.setdefault((ln.orient == "H", ln.c), i)
-        hs = sorted(c for h, c in first if h)
-        vs = sorted(c for h, c in first if not h)
-        end = len(lines)
-
-        def cell(p):
-            i = min(first.get((True, p.y), end),
-                    first.get((False, p.x), end))
-            if i < end:
-                raise PointOnLine(p.id, lines[i])
-            return bisect_left(hs, p.y), bisect_left(vs, p.x)
+        cells = cell_map(points, lines).colors
     else:
         forms = [_integer_form(ln) for ln in lines]
-
-        def cell(p):
+        cells = {}
+        for p in points:
             xn, xd = p.x.numerator, p.x.denominator
             yn, yd = p.y.numerator, p.y.denominator
             u, v, w = xn * yd, yn * xd, xd * yd
             sides = [a * u + b * v + c * w for a, b, c in forms]
             if 0 in sides:
                 raise PointOnLine(p.id, lines[sides.index(0)])
-            return tuple([s > 0 for s in sides])
-
-    cells: dict[tuple, dict[str, int]] = {}
-    for p in points:
-        cells.setdefault(cell(p), {}).setdefault(p.color, p.id)
+            cells.setdefault(tuple([s > 0 for s in sides]), {}).setdefault(
+                p.color, p.id)
     return next(((c[RED], c[BLUE]) for c in cells.values()
                  if RED in c and BLUE in c), None)
 
@@ -167,8 +151,7 @@ def _integer_form(line: Line) -> tuple[int, int, int]:
     return tuple(f.numerator * (den // f.denominator) for f in coeffs)
 
 
-@dataclass(frozen=True, order=True)
-class CellSignature:
+class CellSignature(NamedTuple):
     row: int  # index into sorted horizontal-line coordinates
     col: int  # index into sorted vertical-line coordinates
 
@@ -186,28 +169,34 @@ def point_signature(p: ColoredPoint, hs, vs) -> CellSignature:
 
 @dataclass
 class CellMap:
-    cells: dict[CellSignature, list[int]]
+    hs: list[Fraction]  # sorted, deduplicated horizontal-line coordinates
+    vs: list[Fraction]  # the same for vertical lines
+    cells: dict[CellSignature, list[int]]  # ids in input order
     corrupt: set[CellSignature]
-    colors: dict[CellSignature, set[str]]
+    colors: dict[CellSignature, dict[str, int]]  # colour -> its first id
 
 
 def cell_map(points, lines) -> CellMap:
-    """Assign every point its arrangement cell; flag non-monochromatic cells."""
+    """The cell partition of an axis arrangement: every point's cell, cells
+    in the order of their first point, and the non-monochromatic ones.
+
+    Raises PointOnLine for the first point, in input order, that lies on a
+    line, naming the first such line in `lines`."""
     hs, vs = axis_coords(lines)
-    hset, vset = set(hs), set(vs)
-    for p in points:
-        if p.y in hset:
-            raise PointOnLine(p.id, AxisLine("H", p.y))
-        if p.x in vset:
-            raise PointOnLine(p.id, AxisLine("V", p.x))
+    nh, nv = len(hs), len(vs)
     cells: dict[CellSignature, list[int]] = {}
-    colors: dict[CellSignature, set[str]] = {}
+    colors: dict[CellSignature, dict[str, int]] = {}
     for p in points:
-        sig = point_signature(p, hs, vs)
+        row, col = bisect_left(hs, p.y), bisect_left(vs, p.x)
+        if (row < nh and hs[row] == p.y) or (col < nv and vs[col] == p.x):
+            raise PointOnLine(p.id, next(
+                ln for ln in lines
+                if ln.c == (p.y if ln.orient == "H" else p.x)))
+        sig = CellSignature(row, col)
         cells.setdefault(sig, []).append(p.id)
-        colors.setdefault(sig, set()).add(p.color)
+        colors.setdefault(sig, {}).setdefault(p.color, p.id)
     corrupt = {sig for sig, cols in colors.items() if len(cols) == 2}
-    return CellMap(cells, corrupt, colors)
+    return CellMap(hs, vs, cells, corrupt, colors)
 
 
 # --- exact positions on the unit circle ------------------------------------
@@ -324,15 +313,16 @@ def angular_sort(points: Iterable[ColoredPoint]) -> list[ColoredPoint]:
     return [p for _, p in angular_positions(points)]
 
 
-def cell_arcs(points, lines) -> dict[CellSignature, list[Arc]]:
+def cell_arcs(positions, hs, vs) -> dict[CellSignature, list[Arc]]:
     """Maximal circle arcs per arrangement cell, computed combinatorially.
 
-    Lines with |coordinate| >= 1 miss the open unit disk and contribute no
-    crossings.  Walks the circle once, flipping one index of the cell
-    signature at every crossing event; coincident crossings (one horizontal
-    plus one vertical line meeting on the circle) are folded into one event.
+    `positions` are the points as `angular_positions` orders them; `hs` and
+    `vs` are the sorted, deduplicated line coordinates.  Lines with
+    |coordinate| >= 1 miss the open unit disk and contribute no crossings.
+    Walks the circle once, flipping one index of the cell signature at every
+    crossing event; coincident crossings (one horizontal plus one vertical
+    line meeting on the circle) are folded into one event.
     """
-    hs, vs = axis_coords(lines)
     crossings: list[tuple[CirclePos, int, int]] = []
     for c in hs:
         if c * c < 1:
@@ -345,15 +335,14 @@ def cell_arcs(points, lines) -> dict[CellSignature, list[Arc]]:
             crossings.append((CirclePos.crossing(AxisLine("V", c), True), 0, -1))
             crossings.append((CirclePos.crossing(AxisLine("V", c), False), 0, 1))
 
-    pts = angular_positions(points)
-    if not pts:
+    if not positions:
         return {}
-    ref_pos, ref = pts[0]
+    ref_pos, ref = positions[0]
     ref_sig = point_signature(ref, hs, vs)
 
     if not crossings:
-        arc = Arc(ref_sig, ref_pos, ref_pos, [p.id for _, p in pts],
-                  {p.color for _, p in pts}, [0, 1, 2, 3])
+        arc = Arc(ref_sig, ref_pos, ref_pos, [p.id for _, p in positions],
+                  {p.color for _, p in positions}, [0, 1, 2, 3])
         return {ref_sig: [arc]}
 
     crossings.sort(key=lambda t: t[0].key)
@@ -371,7 +360,7 @@ def cell_arcs(points, lines) -> dict[CellSignature, list[Arc]]:
     members: list[list[ColoredPoint]] = [[] for _ in groups]
     keys = [grp[0].key for grp in groups]
     g = -1
-    for pos, p in pts:
+    for pos, p in positions:
         k = pos.key
         while g + 1 < len(keys) and keys[g + 1] <= k:
             g += 1
@@ -380,7 +369,7 @@ def cell_arcs(points, lines) -> dict[CellSignature, list[Arc]]:
 
     # the walk starts at the first crossing after the reference point
     start = next((g for g, k in enumerate(keys) if ref_pos.key < k), 0)
-    row, col = ref_sig.row, ref_sig.col
+    row, col = ref_sig
     result: dict[CellSignature, list[Arc]] = {}
     for g in (*range(start, len(groups)), *range(start)):
         pos, dr, dc = groups[g]
@@ -391,7 +380,7 @@ def cell_arcs(points, lines) -> dict[CellSignature, list[Arc]]:
         arc = Arc(sig, pos, nxt, [p.id for p in members[g]],
                   {p.color for p in members[g]}, arc_quadrants(pos, nxt))
         result.setdefault(sig, []).append(arc)
-    if (row, col) != (ref_sig.row, ref_sig.col):
+    if (row, col) != ref_sig:
         raise GuaranteeViolated("circle walk did not close")
     return result
 

@@ -174,8 +174,11 @@ def min_general_separation_circle(points, bound=DEFAULT_GENERAL_BOUND):
 def feasible_pq(points, p: int, q: int, bound=120):
     """Exact decision: can <= p horizontal plus <= q vertical lines separate?
 
-    Returns a witness line list, or None for infeasible.
+    Returns a witness line list, or None for infeasible.  Raises ValueError
+    if p or q is negative.
     """
+    if p < 0 or q < 0:
+        raise ValueError(f"budgets must be >= 0, got p={p}, q={q}")
     points = list(points)
     cands = axis_candidates(points)
     if len(cands) > bound:

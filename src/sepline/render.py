@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .geometry import BLUE, RED, AxisLine, axis_coords, cell_map
+from .geometry import BLUE, RED, AxisLine, cell_map
 
 _COLORS = {RED: "#c62828", BLUE: "#1565c0"}
 
@@ -70,9 +70,8 @@ def render_svg(points, lines=(), *, kind="circle", layout=None,
     axis = [ln for ln in lines if isinstance(ln, AxisLine)]
     if shade_corrupt and axis and len(axis) == len(lines):
         cm = cell_map(points, axis)
-        hs, vs = axis_coords(axis)
-        rows = [y0] + hs + [y1]
-        cols = [x0] + vs + [x1]
+        rows = [y0] + cm.hs + [y1]
+        cols = [x0] + cm.vs + [x1]
         for sig in sorted(cm.corrupt):
             cx0, cx1 = cols[sig.col], cols[sig.col + 1]
             cy0, cy1 = rows[sig.row], rows[sig.row + 1]

@@ -170,8 +170,9 @@ def _primary_quadrant(arc: Arc, by_id) -> Optional[int]:
     return qb
 
 
-def _cell_center(sig: CellSignature, hs, vs) -> tuple[Fraction, Fraction]:
+def _cell_center(sig: CellSignature, cm: CellMap) -> tuple[Fraction, Fraction]:
     """Center of the cell clipped to the circle's bounding square."""
+    hs, vs = cm.hs, cm.vs
     ylo = hs[sig.row - 1] if sig.row > 0 else F(-1)
     yhi = hs[sig.row] if sig.row < len(hs) else F(1)
     xlo = vs[sig.col - 1] if sig.col > 0 else F(-1)
@@ -180,10 +181,10 @@ def _cell_center(sig: CellSignature, hs, vs) -> tuple[Fraction, Fraction]:
             (max(ylo, F(-1)) + min(yhi, F(1))) / 2)
 
 
-def _stabs_every_switch(lines, dec) -> bool:
+def _stabs_every_switch(cm: CellMap, dec) -> bool:
     """Whether every switch's open interval, in some orientation, holds a
     line coordinate of that orientation; O(w log L)."""
-    coords = dict(zip(("H", "V"), axis_coords(lines)))
+    coords = {"H": cm.hs, "V": cm.vs}
 
     def stabbed(sw, orient):
         cs, itv = coords[orient], sw.intervals[orient]
@@ -192,14 +193,14 @@ def _stabs_every_switch(lines, dec) -> bool:
     return all(stabbed(sw, "H") or stabbed(sw, "V") for sw in dec.switches)
 
 
-def _check_invariants(lines, dec, cm, arcs):
+def _check_invariants(dec, cm, arcs):
     """Structural facts every intermediate arrangement must satisfy; raises
     GuaranteeViolated (also under `python -O`) if one fails."""
     def require(ok, what):
         if not ok:
             raise GuaranteeViolated(f"invariant violated: {what}")
 
-    require(_stabs_every_switch(lines, dec), "a switch is not stabbed")
+    require(_stabs_every_switch(cm, dec), "a switch is not stabbed")
     large = 0
     for sig, arclist in arcs.items():
         require(len(arclist) <= 4, "cell meets the circle in more than 4 arcs")
@@ -212,21 +213,19 @@ def _check_invariants(lines, dec, cm, arcs):
     require(large <= 1, "more than one large cell")
 
 
-def refine_step(points, solution: AxisSolution, dec: CircleDecomposition):
-    """One strict-domination step, after checking the arrangement's
-    invariants.
+def refine_step(points, solution: AxisSolution, dec: CircleDecomposition,
+                cm: CellMap):
+    """One strict-domination step, after checking the invariants of the
+    arrangement whose cell partition is `cm`.
 
     Returns (_DONE, solution), (_IMPROVED, new_solution) or, when no flip
     applies, (_STUCK, corrupt_sig).
     """
-    lines = solution.lines
-    cm = cell_map(points, lines)
-    arcs = cell_arcs(points, lines)
-    _check_invariants(lines, dec, cm, arcs)
+    arcs = cell_arcs(dec.positions, cm.hs, cm.vs)
+    _check_invariants(dec, cm, arcs)
     if not cm.corrupt:
         return (_DONE, solution)
     by_id = {p.id: p for p in points}
-    hs, vs = axis_coords(lines)
 
     small, large = [], []
     for sig in cm.corrupt:
@@ -240,7 +239,7 @@ def refine_step(points, solution: AxisSolution, dec: CircleDecomposition):
     horiz, vert, other = [], [], []
     for sig in small:
         qs = {_primary_quadrant(a, by_id) for a in arcs[sig]}
-        cx, cy = _cell_center(sig, hs, vs)
+        cx, cy = _cell_center(sig, cm)
         if qs in ({0, 1}, {2, 3}):
             horiz.append((-abs(cy), sig, 1 if cy > 0 else 2))
         elif qs in ({0, 3}, {1, 2}):
@@ -250,8 +249,8 @@ def refine_step(points, solution: AxisSolution, dec: CircleDecomposition):
     if not (horiz or vert):
         return (_STUCK, min(other))
     _, sig, case = min(horiz or vert)
-    new_lines = _try_flip(points, lines, cm, arcs[sig], sig, case, by_id, hs,
-                          vs)
+    new_lines = _try_flip(points, solution.lines, cm, arcs[sig], sig, case,
+                          by_id)
     if new_lines is None:
         return (_STUCK, sig)
     return (_IMPROVED, AxisSolution(new_lines, solution.kappa,
@@ -271,8 +270,8 @@ def _cell_boundary_lines(sig: CellSignature, hs, vs) -> list[AxisLine]:
     return out
 
 
-def _try_flip(points, lines, cm, cell_arcs_list, sig, case, by_id, hs,
-              vs) -> Optional[list[AxisLine]]:
+def _try_flip(points, lines, cm, cell_arcs_list, sig, case,
+              by_id) -> Optional[list[AxisLine]]:
     """Flip the outward boundary line of a 2-arc corrupt cell.
 
     The removed line merges the cell with its outward neighbor; the added
@@ -282,6 +281,7 @@ def _try_flip(points, lines, cm, cell_arcs_list, sig, case, by_id, hs,
     strictly dominate `lines`, and the next refine_step that they stab
     every switch.
     """
+    hs, vs = cm.hs, cm.vs
     if case == 1:
         if sig.row >= len(hs):
             return None
@@ -310,12 +310,12 @@ def _try_flip(points, lines, cm, cell_arcs_list, sig, case, by_id, hs,
     # the cell holds both colours and _check_invariants made each arc
     # monochromatic, so each arc holds the points of one colour
     arc_a, arc_b = cell_arcs_list
-    ncolors = cm.colors.get(neighbor, set())
+    ncolors = cm.colors.get(neighbor, {})
     if len(ncolors) > 1:
         return None
 
     if ncolors:
-        exposed = arc_a if ncolors == arc_a.colors else arc_b
+        exposed = arc_a if ncolors.keys() == arc_a.colors else arc_b
     else:
         # empty neighbor matches either color: prefer the lower-coordinate arc
         lo_a = min(perp(by_id[i]) for i in arc_a.point_ids)
@@ -390,9 +390,10 @@ def _unsplit_pairs(cm: CellMap, color) -> int:
     return total
 
 
-def _strictly_dominates(points, old_lines, new_lines) -> bool:
-    """Whether `new_lines` split every red-blue pair `old_lines` split, and
-    more, in O(n log L).
+def _strictly_dominates(old: CellMap, new: CellMap, color) -> bool:
+    """Whether the lines partitioned as `new` split every red-blue pair the
+    lines partitioned as `old` split, and more, in O(n); `color` maps each
+    point id to its colour.
 
     A mixed new cell that meets two old cells holds a pair that only the
     old lines split: a red and a blue from different old cells, or else
@@ -400,12 +401,10 @@ def _strictly_dominates(points, old_lines, new_lines) -> bool:
     pairs are a subset of the old ones iff every mixed new cell lies inside
     one old cell, and then a strict subset iff there are fewer of them.
     """
-    old, new = cell_map(points, old_lines), cell_map(points, new_lines)
     old_cell = {i: sig for sig, ids in old.cells.items() for i in ids}
     if any(len({old_cell[i] for i in new.cells[sig]}) > 1
            for sig in new.corrupt):
         return False
-    color = {p.id: p.color for p in points}
     return _unsplit_pairs(new, color) < _unsplit_pairs(old, color)
 
 
@@ -422,22 +421,25 @@ def solve_axis(points, on_step=None) -> AxisSolution:
     points = list(points)
     dec = decompose(points)
     graph = build_switch_graph(dec)
+    color = {p.id: p.color for p in points}
     r = sum(1 for p in points if p.color == RED)
     b = len(points) - r
 
     sol = build_L0(dec, graph)
+    cm = cell_map(points, sol.lines)
     while True:
         if on_step is not None:
             on_step(sol)
-        outcome, payload = refine_step(points, sol, dec)
+        outcome, payload = refine_step(points, sol, dec, cm)
         if outcome == _DONE:
             break
         if outcome == _IMPROVED:
-            if not _strictly_dominates(points, sol.lines, payload.lines):
+            new_cm = cell_map(points, payload.lines)
+            if not _strictly_dominates(cm, new_cm, color):
                 raise DominationFailure(f"step {payload.steps} does not dominate")
             if payload.size > sol.size:
                 raise GuaranteeViolated(f"step {payload.steps} grew the solution")
-            sol = payload
+            sol, cm = payload, new_cm
             if sol.steps > r * b:
                 raise GuaranteeViolated("refinement exceeded the r*b step bound")
             continue

@@ -15,7 +15,8 @@ from sepline.decomposition import (build_switch_graph, decompose,
                                    line_stabs_switch)
 from sepline.errors import GuaranteeViolated
 from sepline.generate import gen_circle
-from sepline.geometry import (BLUE, RED, ColoredPoint, cell_arcs,
+from sepline.geometry import (BLUE, RED, ColoredPoint, angular_positions,
+                              axis_coords, cell_arcs,
                               circle_point_from_parameter, verify_separation)
 from sepline.matching import maximum_matching, minimum_edge_cover
 from sepline.oracles import (colorful_rbds_solve, feasible_pq,
@@ -28,6 +29,10 @@ from sepline.solvers import solve_axis, solve_general, wedge_baseline
 from test_reduction import _small_instances, toy
 
 F = Fraction
+
+
+def _arcs(pts, lines):
+    return cell_arcs(angular_positions(pts), *axis_coords(lines))
 
 
 def _report(ok: bool, label: str, detail: str):
@@ -122,7 +127,7 @@ def test_criterion_4_refinement_invariants(axis_runs):
         if sol.steps > r * b:
             violations += 1
         for step in arrangements:
-            arcs = [len(a) for a in cell_arcs(pts, step.lines).values()]
+            arcs = [len(a) for a in _arcs(pts, step.lines).values()]
             if max(arcs, default=0) > 4:
                 violations += 1
             if sum(1 for m in arcs if m >= 3) > 1:

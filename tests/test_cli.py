@@ -213,6 +213,14 @@ class TestCommands:
         assert json.loads(out.read_text())["feasible"] is False
         assert self.run("oracle", str(inst), "--variant", "pq",
                         "--p", "1", "--q", "1", "-o", str(out)) == 0
+        # negative budgets are bad input, not an answer
+        pair = tmp_path / "pair.json"
+        pair.write_text(json.dumps({"kind": "circle", "points": [
+            {"color": "R", "x": "1", "y": "0"},
+            {"color": "B", "x": "-1", "y": "0"}]}))
+        for p, q in (("-1", "1"), ("0", "-2")):
+            assert self.run("oracle", str(pair), "--variant", "pq",
+                            "--p", p, "--q", q) == 1
 
     def test_reduce_lift_extract_flow(self, tmp_path, capsys):
         crbds = tmp_path / "c.json"
@@ -260,6 +268,20 @@ class TestCommands:
                  "--sidecar", str(side))
         assert self.run("extract", "--sidecar", str(side),
                         "--instance", str(inst), "--lines", "H:1,V:1") == 2
+
+    def test_render_cells_and_verify_name_the_same_line(self, tmp_path,
+                                                        capsys):
+        # (1, 0) lies on both lines; the earlier one, x=1, is named
+        inst = tmp_path / "i.json"
+        inst.write_text(json.dumps({"kind": "circle", "points": [
+            {"color": "R", "x": "1", "y": "0"},
+            {"color": "B", "x": "0", "y": "1"}]}))
+        capsys.readouterr()
+        assert self.run("verify", str(inst), "--lines", "V:1,H:0") == 1
+        assert capsys.readouterr().err == "error: point 0 lies on line x=1\n"
+        assert self.run("render", str(inst), "--cells",
+                        "--solution", "V:1,H:0") == 1
+        assert capsys.readouterr().err == "error: point 0 lies on line x=1\n"
 
     def test_render_command(self, tmp_path):
         inst = tmp_path / "i.json"

@@ -8,8 +8,9 @@ import sepline.geometry as geometry
 from sepline.errors import PointOnLine
 from sepline.geometry import (BLUE, RED, Arc, AxisLine, CellSignature,
                               CirclePos, ColoredPoint, GeneralLine,
-                              angular_sort, arc_contains, arc_interior_point,
-                              arc_quadrants, axis_coords, cell_arcs, cell_map,
+                              angular_positions, angular_sort, arc_contains,
+                              arc_interior_point, arc_quadrants, axis_coords,
+                              cell_arcs, cell_map,
                               circle_point_from_parameter, general_line,
                               line_side, line_through, pick_coordinate,
                               point_signature, verify_separation)
@@ -19,6 +20,10 @@ F = Fraction
 
 def pt(i, color, x, y):
     return ColoredPoint(i, color, F(x), F(y))
+
+
+def _arcs(pts, lines):
+    return cell_arcs(angular_positions(pts), *axis_coords(lines))
 
 
 class TestCircleParametrization:
@@ -141,10 +146,26 @@ class TestCellMap:
         assert sorted(cm.cells[sig]) == [0, 3]  # red (1,0) with blue (0,-1)
         assert sig in cm.corrupt
 
+    def test_sorted_coordinates(self, pts4):
+        lines = [AxisLine("V", F(1, 2)), AxisLine("H", F(1, 3)),
+                 AxisLine("H", F(-1, 2)), AxisLine("H", F(1, 3))]
+        cm = cell_map(pts4, lines)
+        assert (cm.hs, cm.vs) == ([F(-1, 2), F(1, 3)], [F(1, 2)])
+
+    def test_earlier_line_named_on_tie(self):
+        # (1, 0) lies on x = 1 and on y = 0: the earlier line is named,
+        # as verify_separation names it
+        pts = [pt(0, RED, 1, 0), pt(1, BLUE, 0, 1)]
+        for lines in ([AxisLine("V", F(1)), AxisLine("H", F(0))],
+                      [AxisLine("H", F(0)), AxisLine("V", F(1))]):
+            with pytest.raises(PointOnLine) as exc:
+                cell_map(pts, lines)
+            assert exc.value.point_id == 0 and exc.value.line is lines[0]
+
 
 class TestCellArcs:
     def test_one_secant(self, pts4):
-        arcs = cell_arcs(pts4, [AxisLine("H", F(1, 2))])
+        arcs = _arcs(pts4, [AxisLine("H", F(1, 2))])
         assert sorted(len(v) for v in arcs.values()) == [1, 1]
 
     def test_central_cell_four_arcs(self, pts4):
@@ -152,18 +173,18 @@ class TestCellArcs:
         # a central cell of half-width 1/2 would sit entirely inside the disk
         lines = [AxisLine("H", F(3, 4)), AxisLine("H", F(-3, 4)),
                  AxisLine("V", F(3, 4)), AxisLine("V", F(-3, 4))]
-        arcs = cell_arcs(pts4, lines)
+        arcs = _arcs(pts4, lines)
         assert len(arcs[CellSignature(1, 1)]) == 4
 
     def test_inner_cell_has_no_arcs(self, pts4):
         lines = [AxisLine("H", F(1, 2)), AxisLine("H", F(-1, 2)),
                  AxisLine("V", F(1, 2)), AxisLine("V", F(-1, 2))]
-        arcs = cell_arcs(pts4, lines)
+        arcs = _arcs(pts4, lines)
         assert CellSignature(1, 1) not in arcs
 
     def test_arc_points_partition(self, pts4):
         lines = [AxisLine("H", F(1, 3)), AxisLine("V", F(-2, 7))]
-        arcs = cell_arcs(pts4, lines)
+        arcs = _arcs(pts4, lines)
         ids = sorted(i for arclist in arcs.values() for a in arclist
                      for i in a.point_ids)
         assert ids == [0, 1, 2, 3]
@@ -179,7 +200,7 @@ class TestCellArcs:
                 orient = rng.choice("HV")
                 if all(c != (p.y if orient == "H" else p.x) for p in pts):
                     lines.append(AxisLine(orient, c))
-            arcs = cell_arcs(pts, lines)
+            arcs = _arcs(pts, lines)
             for arclist in arcs.values():
                 assert len(arclist) <= 4
 
@@ -194,7 +215,7 @@ class TestCellArcs:
                 if all(c != (p.y if orient == "H" else p.x) for p in pts):
                     lines.append(AxisLine(orient, c))
             cm = cell_map(pts, lines)
-            arcs = cell_arcs(pts, lines)
+            arcs = _arcs(pts, lines)
             by_id = {p.id: p for p in pts}
             hs, vs = axis_coords(lines)
             for sig, arclist in arcs.items():
@@ -228,7 +249,7 @@ class TestCellArcs:
                 else:
                     lines.append(AxisLine(rng.choice("HV"), rng.choice(
                         [F(1), F(-1), F(3, 2), F(-2)])))
-            assert cell_arcs(pts, lines) == _per_arc_scan(pts, lines)
+            assert _arcs(pts, lines) == _per_arc_scan(pts, lines)
 
 
 class TestArcInteriorPoint:

@@ -12,7 +12,8 @@ from sepline import solvers
 from sepline.decomposition import build_switch_graph, decompose, line_stabs_switch
 from sepline.errors import DominationFailure, RepairExhausted
 from sepline.generate import gen_circle
-from sepline.geometry import (BLUE, RED, AxisLine, ColoredPoint, cell_arcs,
+from sepline.geometry import (BLUE, RED, AxisLine, ColoredPoint,
+                              angular_positions, axis_coords, cell_arcs,
                               cell_map, circle_point_from_parameter,
                               verify_separation)
 from sepline.oracles import (axis_candidates, min_axis_separation,
@@ -37,6 +38,10 @@ def _random_circle_instance(rng, n, bichromatic=False):
                for i, t in enumerate(sorted(ts))]
         if not bichromatic or len({p.color for p in pts}) == 2:
             return pts
+
+
+def _arcs(pts, lines):
+    return cell_arcs(angular_positions(pts), *axis_coords(lines))
 
 
 def alternating_instance(n):
@@ -138,7 +143,8 @@ class TestRefineStep:
         dec = decompose(pts4)
         sol = build_L0(dec, build_switch_graph(dec))
         # pts4's L0 already separates; refine must report done unchanged
-        outcome, payload = refine_step(pts4, sol, dec)
+        outcome, payload = refine_step(pts4, sol, dec,
+                                       cell_map(pts4, sol.lines))
         if outcome == "done":
             assert payload is sol
         else:
@@ -154,7 +160,8 @@ class TestRefineStep:
             sol = build_L0(dec, build_switch_graph(dec))
             while True:
                 old = sep_bitset(pts, sol.lines)
-                outcome, payload = refine_step(pts, sol, dec)
+                outcome, payload = refine_step(pts, sol, dec,
+                                               cell_map(pts, sol.lines))
                 if outcome != "improved":
                     break
                 new = sep_bitset(pts, payload.lines)
@@ -247,7 +254,7 @@ def test_broken_invariant_raises_without_asserts():
 
 
 def test_non_dominating_step_raises(monkeypatch):
-    def unchanged(points, sol, dec):
+    def unchanged(points, sol, dec, cm):
         return (solvers._IMPROVED,
                 AxisSolution(sol.lines, sol.kappa, sol.steps + 1))
     monkeypatch.setattr(solvers, "refine_step", unchanged)
@@ -266,7 +273,7 @@ def test_one_flip_per_step(monkeypatch):
         calls.append(sig)
         return None
     monkeypatch.setattr(solvers, "_try_flip", no_flip)
-    outcome, payload = refine_step(pts, sol, dec)
+    outcome, payload = refine_step(pts, sol, dec, cell_map(pts, sol.lines))
     assert len(calls) == 1
     assert (outcome, payload) == ("stuck", calls[0])
 
@@ -333,7 +340,7 @@ def test_repair_corpus(monkeypatch, cause, n, seed):
     assert sol.repair_used and sol.size == sol.kappa
     assert verify_separation(pts, sol.lines) is None
     [(lines, sig)] = stuck
-    arcs = cell_arcs(pts, lines)[sig]
+    arcs = _arcs(pts, lines)[sig]
     if cause == "other":
         assert len(arcs) == 2
     else:
@@ -348,7 +355,9 @@ def _bitset_dominates(pts, old_lines, new_lines):
 
 
 def _partition_dominates(pts, old_lines, new_lines):
-    return solvers._strictly_dominates(pts, old_lines, new_lines)
+    return solvers._strictly_dominates(cell_map(pts, old_lines),
+                                       cell_map(pts, new_lines),
+                                       {p.id: p.color for p in pts})
 
 
 def test_partition_domination_on_golden_steps():
@@ -402,7 +411,8 @@ def test_bisection_stab_check_equals_line_loop():
                  for _ in range(rng.randint(0, 6))]
         want = all(any(line_stabs_switch(ln.orient, ln.c, sw) for ln in lines)
                    for sw in dec.switches)
-        assert solvers._stabs_every_switch(lines, dec) == want
+        # the partition of no points: these lines may pass through points
+        assert solvers._stabs_every_switch(cell_map([], lines), dec) == want
         results.append(want)
     assert 20 < sum(results) < 380
 
@@ -427,3 +437,24 @@ def test_steps_never_call_sep_bitset(monkeypatch, n, seed):
     assert (sol.kappa, sol.steps, sol.repair_used) == (kappa, steps, False)
     assert sol.size == sol.kappa
     assert verify_separation(pts, sol.lines) is None
+
+
+@pytest.mark.parametrize("n,seed", [(60, 14), (100, 34)], ids=str)
+def test_one_partition_per_arrangement(monkeypatch, n, seed):
+    # L0 and each step's arrangement are partitioned once, and the points
+    # are sorted by angle once, in decompose
+    calls = {"cell_map": 0, "angular_positions": 0}
+
+    def counting(mod, name):
+        fn = getattr(mod, name)
+
+        def wrapped(*args):
+            calls[name] += 1
+            return fn(*args)
+        monkeypatch.setattr(mod, name, wrapped)
+    counting(solvers, "cell_map")
+    counting(sepline.geometry, "angular_positions")
+    counting(sepline.decomposition, "angular_positions")
+    sol = solve_axis(gen_circle(n, seed, "random"))
+    assert sol.steps == 2
+    assert calls == {"cell_map": sol.steps + 1, "angular_positions": 1}

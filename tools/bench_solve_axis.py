@@ -15,9 +15,12 @@ wrapping the names `solve_axis` calls through its module:
 * ``edge_cover``     -- `matching.minimum_edge_cover`
 * ``L0``             -- `build_L0`
 * ``refine_step``    -- every `refine_step` call, summed
-* ``domination``     -- the strict-domination check of every accepted step:
-                        `sep_bitset` (which repair also calls; see
-                        ``repair_used``) or `_strictly_dominates`
+* ``partition``      -- every `cell_map` call through `solvers`; a tree
+                        whose `refine_step` or `_strictly_dominates` makes
+                        those calls counts that time in both layers
+* ``domination``     -- `_strictly_dominates`, the strict-domination check
+                        of every accepted step
+* ``repair``         -- `_repair_around` (see ``repair_used``)
 * ``final_verify``   -- `_check_separates`
 * ``total``          -- the whole `solve_axis` call
 
@@ -44,7 +47,7 @@ CORPUS = [(320, 2, "random"), (480, 1, "random"), (640, 3, "random"),
           (10_000, 1, "alternating")]
 
 LAYERS = ("decompose", "switch_graph", "edge_cover", "L0", "refine_step",
-          "domination", "final_verify", "total")
+          "partition", "domination", "repair", "final_verify", "total")
 
 
 def _install(solvers, matching, spent):
@@ -67,8 +70,9 @@ def _install(solvers, matching, spent):
     wrap(matching, "minimum_edge_cover", "edge_cover")
     wrap(solvers, "build_L0", "L0")
     wrap(solvers, "refine_step", "refine_step")
-    wrap(solvers, "sep_bitset", "domination")
+    wrap(solvers, "cell_map", "partition")
     wrap(solvers, "_strictly_dominates", "domination")
+    wrap(solvers, "_repair_around", "repair")
     wrap(solvers, "_check_separates", "final_verify")
 
 
