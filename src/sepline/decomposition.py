@@ -13,17 +13,25 @@ from functools import cached_property
 
 from . import matching
 from .errors import EmptyInstance, PointOffCircle
-from .geometry import (BOTTOM, LEFT, RIGHT, TOP, CirclePos, ColoredPoint,
-                       angular_positions, arc_contains)
+from .geometry import (BOTTOM, LEFT, MINUS_ONE, ONE, RIGHT, TOP, CirclePos,
+                       ColoredPoint, angular_positions, arc_contains,
+                       order_key)
 
 
 @dataclass(frozen=True)
 class Interval:
-    """The open rational interval (lo, hi).  Whether an end at +-1 is
-    attained never matters: every line built here has |c| < 1."""
+    """The open rational interval (lo, hi), with the order keys of its
+    ends.  Whether an end at +-1 is attained never matters: every line
+    built here has |c| < 1."""
 
     lo: Fraction
     hi: Fraction
+    lok: tuple = field(init=False, repr=False, compare=False)
+    hik: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "lok", order_key(self.lo))
+        object.__setattr__(self, "hik", order_key(self.hi))
 
 
 @dataclass
@@ -73,9 +81,9 @@ def decompose(points) -> CircleDecomposition:
             raise PointOffCircle(p.id)
     seen = set()
     for p in points:
-        key = (p.x, p.y)
+        key = (p.x.numerator, p.x.denominator, p.y.numerator, p.y.denominator)
         if key in seen:
-            raise ValueError(f"duplicate point position {key}")
+            raise ValueError(f"duplicate point position {(p.x, p.y)}")
         seen.add(key)
 
     keyed = angular_positions(points)
@@ -106,15 +114,15 @@ def projection_interval(switch: Switch, axis: str) -> Interval:
     widens to -1 or 1 when the arc passes that turning point."""
     a, b = switch.start_pos, switch.end_pos
     if axis == "Y":
-        va, vb = switch.start.y, switch.end.y
+        ka, kb = switch.start.yk, switch.end.yk
         top_in = arc_contains(TOP, a, b)
         bot_in = arc_contains(BOTTOM, a, b)
     else:
-        va, vb = switch.start.x, switch.end.x
+        ka, kb = switch.start.xk, switch.end.xk
         top_in = arc_contains(RIGHT, a, b)
         bot_in = arc_contains(LEFT, a, b)
-    return Interval(Fraction(-1) if bot_in else min(va, vb),
-                    Fraction(1) if top_in else max(va, vb))
+    return Interval(MINUS_ONE if bot_in else min(ka, kb)[1],
+                    ONE if top_in else max(ka, kb)[1])
 
 
 def line_stabs_switch(orient: str, c: Fraction, switch: Switch) -> bool:
@@ -129,9 +137,9 @@ def faces(a: Switch, b: Switch) -> dict[str, Interval]:
     out: dict[str, Interval] = {}
     for orient in ("H", "V"):
         ia, ib = a.intervals[orient], b.intervals[orient]
-        lo, hi = max(ia.lo, ib.lo), min(ia.hi, ib.hi)
-        if lo < hi:
-            out[orient] = Interval(lo, hi)
+        lok, hik = max(ia.lok, ib.lok), min(ia.hik, ib.hik)
+        if lok < hik:
+            out[orient] = Interval(lok[1], hik[1])
     return out
 
 
@@ -160,11 +168,11 @@ def build_switch_graph(dec: CircleDecomposition) -> SwitchGraph:
     candidates = set()
     for orient in ("H", "V"):
         itvs = [s.intervals[orient] for s in sw]
-        order = sorted(range(n), key=lambda i: itvs[i].lo)
+        order = sorted(range(n), key=lambda i: itvs[i].lok)
         for a, i in enumerate(order):
-            hi = itvs[i].hi
+            hik = itvs[i].hik
             b = a + 1
-            while b < n and itvs[order[b]].lo < hi:
+            while b < n and itvs[order[b]].lok < hik:
                 j = order[b]
                 candidates.add((i, j) if i < j else (j, i))
                 b += 1

@@ -4,6 +4,15 @@ Points, axis-parallel and general lines, side predicates, cell signatures of
 axis-parallel arrangements, separation verification and circular-arc
 bookkeeping.  Every predicate here is decided with exact rational arithmetic;
 there is no floating point anywhere on a computation path.
+
+Order keys.  Sorting, bisecting and comparing coordinates goes through
+`order_key(v) = (floor(v * 2**64), v)`, computed once where the value is
+created: `ColoredPoint.xk`/`yk`, `CirclePos.key`, the interval keys of
+`decomposition.Interval` and the line-key lists of `CellMap`.  A key tuple
+orders exactly like its rational, because the floor is monotone and values
+with equal floors fall through to the exact `Fraction`; so an integer
+comparison decides all but the comparisons of values within 2**-64 of each
+other, and those are decided in `Fraction` arithmetic as before.
 """
 
 from __future__ import annotations
@@ -21,6 +30,13 @@ BLUE = "B"
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+MINUS_ONE = Fraction(-1)
+
+
+def order_key(v) -> tuple[int, Fraction]:
+    """(floor(v * 2**64), v): sorts, bisects and compares exactly like the
+    rational (or int) `v`, and mostly in integer arithmetic."""
+    return ((v.numerator << 64) // v.denominator, v)
 
 
 def _sign(x) -> int:
@@ -35,9 +51,18 @@ class ColoredPoint:
     color: str  # RED or BLUE
     x: Fraction
     y: Fraction
+    xk: tuple = field(init=False, compare=False, repr=False)  # order keys
+    yk: tuple = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "xk", order_key(self.x))
+        object.__setattr__(self, "yk", order_key(self.y))
 
     def on_unit_circle(self) -> bool:
-        return self.x * self.x + self.y * self.y == 1
+        """x^2 + y^2 = 1, as xn^2 yd^2 + yn^2 xd^2 = xd^2 yd^2 in integers."""
+        xn2, xd2 = self.x.numerator ** 2, self.x.denominator ** 2
+        yn2, yd2 = self.y.numerator ** 2, self.y.denominator ** 2
+        return xn2 * yd2 + yn2 * xd2 == xd2 * yd2
 
 
 @dataclass(frozen=True)
@@ -156,10 +181,21 @@ class CellSignature(NamedTuple):
     col: int  # index into sorted vertical-line coordinates
 
 
+def _sorted_keys(cs) -> list[tuple]:
+    """Order keys of the distinct values of `cs`, ascending."""
+    ks = sorted(map(order_key, cs))
+    return [k for i, k in enumerate(ks) if i == 0 or k != ks[i - 1]]
+
+
+def axis_keys(lines) -> tuple[list[tuple], list[tuple]]:
+    """Order keys of the sorted, deduplicated H and V line coordinates."""
+    return (_sorted_keys(ln.c for ln in lines if ln.orient == "H"),
+            _sorted_keys(ln.c for ln in lines if ln.orient == "V"))
+
+
 def axis_coords(lines) -> tuple[list[Fraction], list[Fraction]]:
-    hs = sorted({ln.c for ln in lines if ln.orient == "H"})
-    vs = sorted({ln.c for ln in lines if ln.orient == "V"})
-    return hs, vs
+    hks, vks = axis_keys(lines)
+    return [k[1] for k in hks], [k[1] for k in vks]
 
 
 def point_signature(p: ColoredPoint, hs, vs) -> CellSignature:
@@ -171,6 +207,8 @@ def point_signature(p: ColoredPoint, hs, vs) -> CellSignature:
 class CellMap:
     hs: list[Fraction]  # sorted, deduplicated horizontal-line coordinates
     vs: list[Fraction]  # the same for vertical lines
+    hks: list[tuple]    # their order keys
+    vks: list[tuple]
     cells: dict[CellSignature, list[int]]  # ids in input order
     corrupt: set[CellSignature]
     colors: dict[CellSignature, dict[str, int]]  # colour -> its first id
@@ -182,13 +220,14 @@ def cell_map(points, lines) -> CellMap:
 
     Raises PointOnLine for the first point, in input order, that lies on a
     line, naming the first such line in `lines`."""
-    hs, vs = axis_coords(lines)
-    nh, nv = len(hs), len(vs)
+    hks, vks = axis_keys(lines)
+    nh, nv = len(hks), len(vks)
     cells: dict[CellSignature, list[int]] = {}
     colors: dict[CellSignature, dict[str, int]] = {}
     for p in points:
-        row, col = bisect_left(hs, p.y), bisect_left(vs, p.x)
-        if (row < nh and hs[row] == p.y) or (col < nv and vs[col] == p.x):
+        yk, xk = p.yk, p.xk
+        row, col = bisect_left(hks, yk), bisect_left(vks, xk)
+        if (row < nh and hks[row] == yk) or (col < nv and vks[col] == xk):
             raise PointOnLine(p.id, next(
                 ln for ln in lines
                 if ln.c == (p.y if ln.orient == "H" else p.x)))
@@ -196,7 +235,8 @@ def cell_map(points, lines) -> CellMap:
         cells.setdefault(sig, []).append(p.id)
         colors.setdefault(sig, {}).setdefault(p.color, p.id)
     corrupt = {sig for sig, cols in colors.items() if len(cols) == 2}
-    return CellMap(hs, vs, cells, corrupt, colors)
+    return CellMap([k[1] for k in hks], [k[1] for k in vks], hks, vks,
+                   cells, corrupt, colors)
 
 
 # --- exact positions on the unit circle ------------------------------------
@@ -211,8 +251,8 @@ class CirclePos:
     """A point of the unit circle: x = sx*sqrt(x2), y = sy*sqrt(y2), x2+y2=1.
 
     `key` orders positions by angle in [0, 2*pi), counterclockwise from
-    (1, 0): the quadrant, then sx*x2, which grows with x, negated in
-    quadrants 0 and 1, where the angle grows as x shrinks.
+    (1, 0): the quadrant, then the order key of sx*x2, which grows with x,
+    negated in quadrants 0 and 1, where the angle grows as x shrinks.
     """
 
     sx: int
@@ -224,7 +264,7 @@ class CirclePos:
     def __post_init__(self):
         q = self.quadrant()
         x = self.x2 if self.sx > 0 else -self.x2
-        object.__setattr__(self, "key", (q, -x if q <= 1 else x))
+        object.__setattr__(self, "key", (q, *order_key(-x if q <= 1 else x)))
 
     @staticmethod
     def of(x: Fraction, y: Fraction) -> "CirclePos":
@@ -238,9 +278,9 @@ class CirclePos:
         lines it selects the y > 0 crossing.  Raises ValueError if |c| >= 1.
         """
         c = line.c
-        c2 = c * c
-        if c2 >= 1:
+        if abs(c.numerator) >= c.denominator:
             raise ValueError(f"line {line} does not cross the open unit disk")
+        c2 = c * c
         if line.orient == "H":
             return CirclePos(1 if upper else -1, 1 - c2, _sign(c), c2)
         return CirclePos(_sign(c), c2, 1 if upper else -1, 1 - c2)
@@ -325,12 +365,12 @@ def cell_arcs(positions, hs, vs) -> dict[CellSignature, list[Arc]]:
     """
     crossings: list[tuple[CirclePos, int, int]] = []
     for c in hs:
-        if c * c < 1:
+        if abs(c.numerator) < c.denominator:
             # ccw through the x > 0 crossing: y increases, so row + 1
             crossings.append((CirclePos.crossing(AxisLine("H", c), True), 1, 0))
             crossings.append((CirclePos.crossing(AxisLine("H", c), False), -1, 0))
     for c in vs:
-        if c * c < 1:
+        if abs(c.numerator) < c.denominator:
             # ccw through the y > 0 crossing: x decreases, so col - 1
             crossings.append((CirclePos.crossing(AxisLine("V", c), True), 0, -1))
             crossings.append((CirclePos.crossing(AxisLine("V", c), False), 0, 1))

@@ -14,6 +14,7 @@ bit-for-bit.  Three document kinds exist:
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 
 from .geometry import BLUE, RED, AxisLine, ColoredPoint, GeneralLine
@@ -28,11 +29,20 @@ def rat_to_str(x) -> str:
         f"{f.numerator}/{f.denominator}"
 
 
+# the whole grammar of a rational: an optional minus, ASCII digits, and
+# optionally a slash and more digits; no sign on the denominator, no
+# spaces, underscores, decimal points or exponents
+_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+
+
 def rat_from_str(s) -> Fraction:
-    if not isinstance(s, str):
+    """The rational a 'num/den' (or 'num') string denotes.  Raises
+    ValueError for anything else, before any number is built."""
+    m = _RATIONAL.fullmatch(s) if isinstance(s, str) else None
+    if m is None:
         raise ValueError(f"rational must be a 'num/den' string, got {s!r}")
     try:
-        return Fraction(s)
+        return Fraction(int(m[1]), int(m[2] or 1))
     except ZeroDivisionError:
         raise ValueError(f"rational {s!r} has a zero denominator") from None
 

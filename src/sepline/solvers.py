@@ -183,12 +183,12 @@ def _cell_center(sig: CellSignature, cm: CellMap) -> tuple[Fraction, Fraction]:
 
 def _stabs_every_switch(cm: CellMap, dec) -> bool:
     """Whether every switch's open interval, in some orientation, holds a
-    line coordinate of that orientation; O(w log L)."""
-    coords = {"H": cm.hs, "V": cm.vs}
+    line coordinate of that orientation; O(w log L) order-key bisections."""
+    keys = {"H": cm.hks, "V": cm.vks}
 
     def stabbed(sw, orient):
-        cs, itv = coords[orient], sw.intervals[orient]
-        return bisect_right(cs, itv.lo) < bisect_left(cs, itv.hi)
+        ks, itv = keys[orient], sw.intervals[orient]
+        return bisect_right(ks, itv.lok) < bisect_left(ks, itv.hik)
 
     return all(stabbed(sw, "H") or stabbed(sw, "V") for sw in dec.switches)
 

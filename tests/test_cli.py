@@ -65,6 +65,12 @@ class TestSerialization:
         with pytest.raises(ValueError):
             rat_from_str(0.5)
 
+    @pytest.mark.parametrize("text", ["0.6", "6e-1", "3_0/5_0", " 3/5 ",
+                                      "+3/5", "3/-5", "", "-", "3/", "٣/5"])
+    def test_rational_grammar_is_strict(self, text):
+        with pytest.raises(ValueError, match="num/den"):
+            rat_from_str(text)
+
     def test_sidecar_round_trip(self):
         norm = normalize(crbds_from_doc(toy_doc()))
         red = reduce_instance(norm)
@@ -344,6 +350,20 @@ class TestCommands:
         sol.write_text(json.dumps(doc))
         capsys.readouterr()
         assert self.run("verify", str(inst), "--lines", str(sol)) == 1
+        assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("x", ["0.6", "6e-1", "3_0/5_0", " 3/5 ", "+3/5"])
+    def test_non_rational_coordinate_exits_1(self, tmp_path, capsys, x):
+        # each form denotes 3/5, and (3/5, 4/5) is on the unit circle
+        bad, good = tmp_path / "bad.json", tmp_path / "good.json"
+        bad.write_text(json.dumps({"kind": "circle", "points": [
+            {"color": "R", "x": x, "y": "4/5"},
+            {"color": "B", "x": "-1", "y": "0"}]}))
+        assert self.run("solve", str(bad)) == 1
+        assert capsys.readouterr().err.startswith("error:")
+        self.run("gen", "4", "--pattern", "alternating", "-o", str(good))
+        capsys.readouterr()
+        assert self.run("verify", str(good), "--lines", f"V:{x}") == 1
         assert capsys.readouterr().err.startswith("error:")
 
     def test_one_process_runs_commands_back_to_back(self, tmp_path, capsys):
