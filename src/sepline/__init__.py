@@ -12,9 +12,9 @@ from .generate import gen_circle
 from .geometry import (BLUE, RED, AxisLine, ColoredPoint, GeneralLine,
                        circle_point_from_parameter, verify_separation)
 from .matching import maximum_matching, minimum_edge_cover
-from .oracles import (CRBDS, colorful_rbds_solve, feasible_pq,
-                      min_axis_separation, min_general_separation_circle)
-from .reduction import (extract, extract_vertices, lift, normalize,
+from .oracles import (colorful_rbds_solve, feasible_pq, min_axis_separation,
+                      min_general_separation_circle)
+from .reduction import (CRBDS, extract, extract_vertices, lift, normalize,
                         reduce_instance)
 from .render import render_svg
 from .solvers import solve_axis, solve_general, wedge_baseline

@@ -17,20 +17,19 @@ import time
 from pathlib import Path
 
 from .decomposition import build_switch_graph, decompose
-from .errors import (BudgetViolation, InvalidDominatingSet, NoSignalLine,
-                     NotSeparating, SeplineError)
+from .errors import BudgetViolation, NoSignalLine, NotSeparating, SeplineError
 from .generate import gen_circle
-from .geometry import AxisLine, verify_separation
+from .geometry import verify_separation
 from .oracles import (feasible_pq, min_axis_separation,
                       min_general_separation_circle)
 from .reduction import (ReducedInstance, extract_vertices, lift, normalize,
                         reduce_instance)
 from .render import render_svg
 from .serialization import (crbds_from_doc, diagnostics_to_doc, dumps,
-                            instance_from_doc, instance_to_doc, line_to_doc,
-                            loads, rat_from_str, sidecar_from_doc,
-                            sidecar_to_doc, solution_from_doc,
-                            solution_to_doc)
+                            instance_from_doc, instance_to_doc,
+                            line_from_doc, line_to_doc, loads,
+                            sidecar_from_doc, sidecar_to_doc,
+                            solution_from_doc, solution_to_doc)
 from .solvers import solve_axis, solve_general
 
 OK, NO, ERR = 0, 2, 1
@@ -58,9 +57,7 @@ def _load_lines(spec: str):
     lines = []
     for tok in spec.split(","):
         orient, _, c = tok.strip().partition(":")
-        if orient not in ("H", "V") or not c:
-            raise ValueError(f"bad line spec {tok!r}; expected H:c or V:c")
-        lines.append(AxisLine(orient, rat_from_str(c)))
+        lines.append(line_from_doc({"orient": orient, "c": c}))
     return lines
 
 
@@ -182,7 +179,7 @@ def cmd_reduce(args) -> int:
     norm = normalize(inst)
     red = reduce_instance(norm)
     _emit_text(dumps(instance_to_doc(red.points, "planar")), args.out)
-    sidecar = dumps(sidecar_to_doc(norm, red))
+    sidecar = dumps(sidecar_to_doc(norm))
     if args.sidecar:
         Path(args.sidecar).write_text(sidecar)
     else:
@@ -304,8 +301,7 @@ def main(argv=None) -> int:
     except (NotSeparating, BudgetViolation, NoSignalLine) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return NO
-    except (SeplineError, InvalidDominatingSet, ValueError, KeyError,
-            OSError) as exc:
+    except (SeplineError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return ERR
 

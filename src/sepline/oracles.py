@@ -14,14 +14,16 @@ checked against; they share one candidate-line discretization:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from .errors import TooLarge
 from .geometry import (BLUE, RED, AxisLine, GeneralLine, arc_interior_point,
                        angular_sort, line_side, line_through)
+
+if TYPE_CHECKING:
+    from .reduction import CRBDS
 
 DEFAULT_AXIS_BOUND = 16
 DEFAULT_GENERAL_BOUND = 10
@@ -237,40 +239,6 @@ def feasible_pq(points, p: int, q: int, bound=120):
     if sol is None:
         return None
     return [cands[i] for i in sorted(sol)]
-
-
-@dataclass
-class CRBDS:
-    """Colorful red-blue dominating set instance.
-
-    Red vertices are partitioned into classes; pick one per class so that
-    every blue vertex has a chosen neighbor.
-    """
-
-    classes: list[list[str]]
-    blues: list[str]
-    edges: set[tuple[str, str]]  # (red, blue)
-    # optional per-blue neighbor ordering; any fixed ordering is legal, and
-    # consumers that care (the geometric reduction) may choose one explicitly
-    order: Optional[dict] = None
-
-    @property
-    def k(self) -> int:
-        return len(self.classes)
-
-    def neighbors_of_blue(self, v: str) -> list[str]:
-        """Fixed ordering: explicit if set, else class-then-position order."""
-        if self.order is not None and v in self.order:
-            return list(self.order[v])
-        out = []
-        for cls in self.classes:
-            for u in cls:
-                if (u, v) in self.edges:
-                    out.append(u)
-        return out
-
-    def degree(self, v: str) -> int:
-        return len(self.neighbors_of_blue(v))
 
 
 def colorful_dominating_sets(inst: CRBDS):

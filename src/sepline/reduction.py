@@ -22,7 +22,6 @@ dominating set.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import permutations, product
@@ -31,7 +30,7 @@ from typing import Optional
 from .errors import (BudgetViolation, DominationFailure, GuaranteeViolated,
                      InvalidDominatingSet, NoSignalLine, NotSeparating)
 from .geometry import BLUE, RED, AxisLine, ColoredPoint, verify_separation
-from .oracles import CRBDS, colorful_dominating_sets
+from .oracles import colorful_dominating_sets
 
 F = Fraction
 U = 4  # grid unit: strip width and height
@@ -41,6 +40,40 @@ def _require(ok: bool, message: str) -> None:
     """A structural guarantee of the reduction; holds under `python -O`."""
     if not ok:
         raise GuaranteeViolated(message)
+
+
+@dataclass
+class CRBDS:
+    """Colorful red-blue dominating set instance.
+
+    Red vertices are partitioned into classes; pick one per class so that
+    every blue vertex has a chosen neighbor.
+    """
+
+    classes: list[list[str]]
+    blues: list[str]
+    edges: set[tuple[str, str]]  # (red, blue)
+    # optional per-blue neighbor ordering; any fixed ordering is legal, and
+    # consumers that care (the geometric reduction) may choose one explicitly
+    order: Optional[dict] = None
+
+    @property
+    def k(self) -> int:
+        return len(self.classes)
+
+    def neighbors_of_blue(self, v: str) -> list[str]:
+        """Fixed ordering: explicit if set, else class-then-position order."""
+        if self.order is not None and v in self.order:
+            return list(self.order[v])
+        out = []
+        for cls in self.classes:
+            for u in cls:
+                if (u, v) in self.edges:
+                    out.append(u)
+        return out
+
+    def degree(self, v: str) -> int:
+        return len(self.neighbors_of_blue(v))
 
 
 @dataclass
@@ -137,13 +170,10 @@ def normalize(inst: CRBDS) -> NormalizedCRBDS:
                            added_degree_class, added_parity_class)
 
 
-ROLE_NAMES = ("selector", "functional", "guard", "enforcer")
-
-
 @dataclass
 class ReductionLayout:
     """Track grid geometry plus the role of every generated point; a role
-    is a tuple led by one of ROLE_NAMES."""
+    is a tuple led by "selector", "functional", "guard" or "enforcer"."""
 
     k: int
     n: int
@@ -364,21 +394,18 @@ def validate_layout(red: ReducedInstance) -> None:
     for i in range(1, k):
         _require(sel[(i, "top")] == sel[(i + 1, "bottom")], "selector chain")
 
-    # no vertical line can separate two functional pairs in one track; only
-    # the midpoints inside a track's x-range can cut one of its spans
+    # no vertical line can separate two functional pairs in one track: span
+    # ends are point x-coordinates, so two open spans share a midpoint of
+    # consecutive coordinates iff they overlap; compared by order key
     fun: dict[int, dict] = {}
     for p in by_role["functional"]:
         _, j, beta, corner, _, _ = lay.roles[p.id]
-        fun.setdefault(j, {}).setdefault(beta, {})[corner] = p.x
-    xs = sorted({p.x for p in pts})
-    mids = [(a + b) / 2 for a, b in zip(xs, xs[1:])]
+        fun.setdefault(j, {}).setdefault(beta, {})[corner] = p.xk
     for track in fun.values():
-        spans = [(pair["BL"], pair["TR"]) for pair in track.values()]
-        first = bisect_right(mids, min(lo for lo, _ in spans))
-        last = bisect_left(mids, max(hi for _, hi in spans))
-        for c in mids[first:last]:
-            cut = sum(1 for lo, hi in spans if lo < c < hi)
-            _require(cut <= 1, "vertical separates two functional pairs")
+        spans = sorted((pair["BL"], pair["TR"]) for pair in track.values()
+                       if pair["BL"] < pair["TR"])
+        _require(all(a[1] <= b[0] for a, b in zip(spans, spans[1:])),
+                 "vertical separates two functional pairs")
 
 
 def lift(norm: NormalizedCRBDS, red: ReducedInstance,
@@ -457,6 +484,8 @@ def lift(norm: NormalizedCRBDS, red: ReducedInstance,
 def extract(red: ReducedInstance, lines: list[AxisLine]) -> list[str]:
     """Reverse direction: read the signal line's strip index in each
     horizontal track and return the corresponding colorful dominating set."""
+    if not all(isinstance(ln, AxisLine) for ln in lines):
+        raise ValueError("extract reads axis-parallel lines only")
     lay = red.layout
     nh = sum(1 for ln in lines if ln.orient == "H")
     nv = len(lines) - nh

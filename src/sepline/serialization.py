@@ -2,13 +2,21 @@
 
 Rationals travel as decimal-free "num/den" strings (plain "num" when the
 denominator is 1), so parse(serialize(x)) reproduces every Fraction
-bit-for-bit.  Three document kinds exist:
+bit-for-bit.  Each document kind states its shape once, and its loader
+checks that shape before any semantic check; a mismatch raises ValueError
+naming the field's path.  Keys outside the shape are ignored.
 
-* instance JSON   — {"kind": "circle"|"planar", "points": [...]}
-* solution JSON   — {"variant", "lines", "size", "kappa", "steps",
-                     "repair_used"}
-* C-RBDS JSON     — {"k", "classes", "blues", "edges"} plus the reduction's
-                     layout sidecar (budgets, grid, role map, normalization)
+* instance JSON   — {"kind": "circle"|"planar",
+                     "points": [{"color": "R"|"B", "x", "y"}]}
+* line records    — {"orient": "H"|"V", "c"} or {"a", "b", "c"}
+* solution JSON   — {"lines": [line], "variant", "size", "kappa", "steps",
+                     "repair_used"}; only "lines" is read back
+* C-RBDS JSON     — {"classes": [[str]], "blues": [str], "edges": [[str]]},
+                     optionally "k" and "order" ({blue: [red]})
+* sidecar JSON    — {"normalized": C-RBDS JSON + {"original_k",
+                     "added_degree_class", "added_parity_class"}}: the
+                     normalized instance, from which the reduction's grid
+                     and budgets follow
 """
 
 from __future__ import annotations
@@ -18,9 +26,36 @@ import re
 from fractions import Fraction
 
 from .geometry import BLUE, RED, AxisLine, ColoredPoint, GeneralLine
-from .oracles import CRBDS
-from .reduction import (ROLE_NAMES, NormalizedCRBDS, ReducedInstance,
-                        ReductionLayout)
+from .reduction import CRBDS, NormalizedCRBDS, ReductionLayout
+
+_NAMES = {str: "a string", int: "an integer", bool: "a boolean",
+          list: "a list", dict: "an object"}
+
+
+def _check(value, shape, path: str) -> None:
+    """Raise ValueError naming `path` unless `value` has `shape`: a type
+    (a bool is no integer), a tuple of allowed literals, [shape] for a list
+    whose items all have that shape, or {key: shape} for an object with
+    (at least) those keys.  Leaf fields are tested in their object's loop,
+    without a call of their own."""
+    if type(value) is shape or type(shape) is tuple and value in shape:
+        return
+    if type(shape) is dict and type(value) is dict:
+        for key, sub in shape.items():
+            if key not in value:
+                raise ValueError(f"{path}.{key} is missing")
+            item = value[key]
+            if type(item) is not sub and not (type(sub) is tuple
+                                              and item in sub):
+                _check(item, sub, f"{path}.{key}")
+    elif type(shape) is list and type(value) is list:
+        for i, item in enumerate(value):
+            _check(item, shape[0], f"{path}[{i}]")
+    else:
+        expected = (f"one of {', '.join(map(repr, shape))}"
+                    if type(shape) is tuple
+                    else _NAMES[shape if type(shape) is type else type(shape)])
+        raise ValueError(f"{path} must be {expected}, got {value!r:.40}")
 
 
 def rat_to_str(x) -> str:
@@ -58,22 +93,18 @@ def instance_to_doc(points, kind: str) -> dict:
                         "y": rat_to_str(p.y)} for p in points]}
 
 
+_INSTANCE = {"kind": ("circle", "planar"), "points": list}
+_POINT = {"color": (RED, BLUE), "x": str, "y": str}
+
+
 def instance_from_doc(doc: dict) -> tuple[str, list[ColoredPoint]]:
-    kind = doc.get("kind")
-    if kind not in ("circle", "planar"):
-        raise ValueError(f"unknown instance kind {kind!r}")
-    recs = doc["points"]
-    if not (isinstance(recs, list) and all(isinstance(r, dict) for r in recs)):
-        raise ValueError("'points' must be a list of objects")
+    _check(doc, _INSTANCE, "instance")
     points = []
-    for i, rec in enumerate(recs):
-        color = rec["color"]
-        if color not in (RED, BLUE):
-            raise ValueError(f"point {i}: color must be 'R' or 'B'")
-        points.append(ColoredPoint(i, color,
-                                   rat_from_str(rec["x"]),
+    for i, rec in enumerate(doc["points"]):
+        _check(rec, _POINT, f"instance.points[{i}]")
+        points.append(ColoredPoint(i, rec["color"], rat_from_str(rec["x"]),
                                    rat_from_str(rec["y"])))
-    return kind, points
+    return doc["kind"], points
 
 
 # --- lines and solutions ----------------------------------------------------
@@ -85,21 +116,23 @@ def line_to_doc(ln) -> dict:
             "c": rat_to_str(ln.c)}
 
 
-def line_from_doc(rec: dict):
-    if not isinstance(rec, dict):
-        raise ValueError(f"a line record must be an object, got {rec!r}")
-    for key in ("orient", "c", "a", "b"):
-        if key in rec and not isinstance(rec[key], str):
-            raise ValueError(f"line field {key!r} must be a string, "
-                             f"got {rec[key]!r}")
-    if "orient" in rec:
-        if rec["orient"] not in ("H", "V"):
-            raise ValueError(f"bad orientation {rec['orient']!r}")
+_AXIS_LINE = {"orient": ("H", "V"), "c": str}
+_GENERAL_LINE = {"a": str, "b": str, "c": str}
+
+
+def _line(rec, path: str):
+    if type(rec) is dict and "orient" in rec:
+        _check(rec, _AXIS_LINE, path)
         return AxisLine(rec["orient"], rat_from_str(rec["c"]))
+    _check(rec, _GENERAL_LINE, path)
     a, b = rat_from_str(rec["a"]), rat_from_str(rec["b"])
     if a == 0 and b == 0:
         raise ValueError("degenerate general line: a = b = 0")
     return GeneralLine(a, b, rat_from_str(rec["c"]))
+
+
+def line_from_doc(rec: dict):
+    return _line(rec, "line")
 
 
 def solution_to_doc(variant: str, lines, *, kappa=None, steps=0,
@@ -113,9 +146,9 @@ def solution_to_doc(variant: str, lines, *, kappa=None, steps=0,
 
 
 def solution_from_doc(doc: dict):
-    if not isinstance(doc.get("lines"), list):
-        raise ValueError("'lines' must be a list of line objects")
-    lines = [line_from_doc(rec) for rec in doc["lines"]]
+    _check(doc, {"lines": list}, "solution")
+    lines = [_line(rec, f"solution.lines[{i}]")
+             for i, rec in enumerate(doc["lines"])]
     return doc.get("variant", "axis"), lines
 
 
@@ -149,85 +182,75 @@ def crbds_to_doc(inst: CRBDS) -> dict:
     return doc
 
 
-def _is_str_list(x) -> bool:
-    return isinstance(x, list) and all(isinstance(s, str) for s in x)
+_CRBDS = {"classes": [[str]], "blues": [str], "edges": [[str]]}
+_SIDECAR = {"normalized": {**_CRBDS, "original_k": int,
+                           "added_degree_class": bool,
+                           "added_parity_class": bool}}
 
 
 def crbds_from_doc(doc: dict) -> CRBDS:
-    if not (isinstance(doc["classes"], list)
-            and all(_is_str_list(c) for c in doc["classes"])):
-        raise ValueError("'classes' must be a list of lists of strings")
-    if not _is_str_list(doc["blues"]):
-        raise ValueError("'blues' must be a list of strings")
-    if not (isinstance(doc["edges"], list)
-            and all(_is_str_list(e) and len(e) == 2 for e in doc["edges"])):
-        raise ValueError("'edges' must be a list of [red, blue] pairs")
+    _check(doc, _CRBDS, "C-RBDS")
+    return _crbds(doc, "C-RBDS")
+
+
+def _crbds(doc: dict, path: str) -> CRBDS:
+    """The instance of a document that has the C-RBDS shape."""
     classes = [list(c) for c in doc["classes"]]
     if "k" in doc and doc["k"] != len(classes):
-        raise ValueError("declared k does not match the class list")
+        raise ValueError(f"{path}.k does not match the class list")
     reds = {u for cls in classes for u in cls}
     blues = list(doc["blues"])
+    blue_set = set(blues)
     edges = set()
-    for u, v in doc["edges"]:
-        if u not in reds or v not in set(blues):
-            raise ValueError(f"edge ({u!r}, {v!r}) references unknown vertex")
-        edges.add((u, v))
+    for i, e in enumerate(doc["edges"]):
+        if len(e) != 2 or e[0] not in reds or e[1] not in blue_set:
+            raise ValueError(f"{path}.edges[{i}] must be a [red, blue] pair "
+                             f"of known vertices, got {e!r:.40}")
+        edges.add((e[0], e[1]))
     order = doc.get("order")
     if order is not None:
-        if not isinstance(order, dict):
-            raise ValueError("'order' must map blue vertices to neighbor lists")
+        _check(order, dict, f"{path}.order")
         nbrs: dict[str, list[str]] = {v: [] for v in blues}
         for u, v in edges:
             nbrs[v].append(u)
         for v, us in order.items():
-            if not (v in nbrs and _is_str_list(us)
-                    and sorted(us) == sorted(nbrs[v])):
-                raise ValueError(
-                    f"order of {v!r} must permute a blue vertex's neighbors")
+            _check(us, [str], f"{path}.order.{v}")
+            if v not in nbrs or sorted(us) != sorted(nbrs[v]):
+                raise ValueError(f"{path}.order.{v} must permute a blue "
+                                 "vertex's neighbors")
         order = {v: list(us) for v, us in order.items()}
     return CRBDS(classes, blues, edges, order)
 
 
-def sidecar_to_doc(norm: NormalizedCRBDS, red: ReducedInstance) -> dict:
-    lay = red.layout
-    return {
-        "budgets": {"p": red.p, "q": red.q},
-        "grid": {"k": lay.k, "n": lay.n, "d": lay.d, "m": lay.m},
-        "roles": {str(pid): list(role) for pid, role in lay.roles.items()},
-        "normalized": {
-            **crbds_to_doc(norm.inst),
-            "d": norm.d, "m": norm.m,
-            "original_k": norm.original_k,
-            "added_degree_class": norm.added_degree_class,
-            "added_parity_class": norm.added_parity_class,
-        },
-    }
+def sidecar_to_doc(norm: NormalizedCRBDS) -> dict:
+    return {"normalized": {**crbds_to_doc(norm.inst),
+                           "original_k": norm.original_k,
+                           "added_degree_class": norm.added_degree_class,
+                           "added_parity_class": norm.added_parity_class}}
 
 
 def sidecar_from_doc(doc: dict) -> tuple[NormalizedCRBDS, ReductionLayout]:
-    for key in ("grid", "budgets", "roles", "normalized"):
-        if not isinstance(doc[key], dict):
-            raise ValueError(f"sidecar field {key!r} must be an object")
-    for key, names in (("grid", "kndm"), ("budgets", "pq")):
-        for name in names:
-            x = doc[key][name]
-            if not (isinstance(x, int) and not isinstance(x, bool) and x >= 1):
-                raise ValueError(f"sidecar {key} {name!r} must be an "
-                                 "integer >= 1")
-    if not all(isinstance(role, list) and role and role[0] in ROLE_NAMES
-               for role in doc["roles"].values()):
-        raise ValueError("sidecar roles must map point ids to lists that "
-                         f"start with one of {', '.join(ROLE_NAMES)}")
-    g = doc["grid"]
-    roles = {int(pid): tuple(role) for pid, role in doc["roles"].items()}
-    lay = ReductionLayout(g["k"], g["n"], g["d"], g["m"], roles)
+    """The normalized instance and the grid it gives.  The instance must
+    have what `normalize` guarantees: one blue degree d, one class size m,
+    and k and d even."""
+    _check(doc, _SIDECAR, "sidecar")
     nd = doc["normalized"]
-    norm = NormalizedCRBDS(crbds_from_doc(nd), nd["d"], nd["m"],
-                           nd["original_k"], nd["added_degree_class"],
-                           nd["added_parity_class"])
-    if (lay.p, lay.q) != (doc["budgets"]["p"], doc["budgets"]["q"]):
-        raise ValueError("sidecar budgets disagree with its grid dimensions")
-    return norm, lay
+    inst = _crbds(nd, "sidecar.normalized")
+    degrees = sorted({inst.degree(v) for v in inst.blues})
+    sizes = sorted({len(cls) for cls in inst.classes})
+    if len(degrees) != 1:
+        raise ValueError("sidecar.normalized: blue degrees must be equal, "
+                         f"got {degrees}")
+    if len(sizes) != 1:
+        raise ValueError("sidecar.normalized: class sizes must be equal, "
+                         f"got {sizes}")
+    (d,), (m,) = degrees, sizes
+    if inst.k % 2 or d % 2:
+        raise ValueError(f"sidecar.normalized: k = {inst.k} and d = {d} "
+                         "must be even")
+    norm = NormalizedCRBDS(inst, d, m, nd["original_k"],
+                           nd["added_degree_class"], nd["added_parity_class"])
+    return norm, ReductionLayout(norm.k, norm.n, d, m)
 
 
 # --- canonical text form ----------------------------------------------------
@@ -238,7 +261,5 @@ def dumps(doc: dict) -> str:
 
 
 def loads(text: str) -> dict:
-    doc = json.loads(text)
-    if not isinstance(doc, dict):
-        raise ValueError("a document must be a JSON object")
-    return doc
+    """The parsed document; its loader checks its shape."""
+    return json.loads(text)

@@ -14,8 +14,7 @@ from sepline.decomposition import decompose
 from sepline.errors import BadPattern
 from sepline.generate import gen_circle
 from sepline.geometry import AxisLine, GeneralLine
-from sepline.oracles import CRBDS
-from sepline.reduction import normalize, reduce_instance
+from sepline.reduction import CRBDS, normalize, reduce_instance
 from sepline.render import render_svg
 from sepline.serialization import (crbds_from_doc, crbds_to_doc, dumps,
                                    instance_from_doc, instance_to_doc, loads,
@@ -72,17 +71,28 @@ class TestSerialization:
             rat_from_str(text)
 
     def test_sidecar_round_trip(self):
-        norm = normalize(crbds_from_doc(toy_doc()))
-        red = reduce_instance(norm)
-        doc = loads(dumps(sidecar_to_doc(norm, red)))
-        norm2, lay2 = sidecar_from_doc(doc)
-        assert (lay2.p, lay2.q) == (red.p, red.q)
-        assert lay2.roles == red.layout.roles
-        assert norm2.inst.edges == norm.inst.edges
-        assert norm2.inst.order == norm.inst.order
-        for v in norm.inst.blues:
-            assert norm2.inst.neighbors_of_blue(v) == \
-                norm.inst.neighbors_of_blue(v)
+        # the sidecar holds only the normalized instance; the grid and
+        # budgets read back are the ones the reduction used
+        skewed = CRBDS([["a", "b", "c"]], ["v", "w"],
+                       {("a", "v"), ("b", "v"), ("c", "w")})
+        for inst in (crbds_from_doc(toy_doc()), unliftable(), skewed):
+            norm = normalize(inst)
+            red = reduce_instance(norm)
+            doc = loads(dumps(sidecar_to_doc(norm)))
+            assert set(doc) == {"normalized"}
+            norm2, lay2 = sidecar_from_doc(doc)
+            assert (lay2.p, lay2.q) == (red.p, red.q)
+            assert (lay2.k, lay2.n, lay2.d, lay2.m) == \
+                (red.layout.k, red.layout.n, red.layout.d, red.layout.m)
+            assert (norm2.d, norm2.m, norm2.original_k,
+                    norm2.added_degree_class, norm2.added_parity_class) == \
+                (norm.d, norm.m, norm.original_k, norm.added_degree_class,
+                 norm.added_parity_class)
+            assert norm2.inst.edges == norm.inst.edges
+            assert norm2.inst.order == norm.inst.order
+            for v in norm.inst.blues:
+                assert norm2.inst.neighbors_of_blue(v) == \
+                    norm.inst.neighbors_of_blue(v)
 
     def test_crbds_round_trip(self):
         inst = crbds_from_doc(toy_doc())
@@ -151,6 +161,13 @@ class TestRender:
         sol = solve_general(diag)
         svg = render_svg(diag, sol.lines)
         assert svg.count('class="sol"') == len(sol.lines)
+
+
+def add_edges(sidecar, *edges):
+    """Add edges to a sidecar's normalized instance, dropping its
+    neighbour order (which names the old neighbours)."""
+    sidecar["normalized"].pop("order", None)
+    sidecar["normalized"]["edges"] += edges
 
 
 class TestCommands:
@@ -275,6 +292,22 @@ class TestCommands:
         assert self.run("extract", "--sidecar", str(side),
                         "--instance", str(inst), "--lines", "H:1,V:1") == 2
 
+    def test_extract_general_line_exits_1(self, tmp_path, capsys):
+        # extract reads signal lines by orientation; a general line used to
+        # end in an AttributeError traceback
+        crbds = tmp_path / "c.json"
+        crbds.write_text(json.dumps(toy_doc()))
+        inst, side = tmp_path / "r.json", tmp_path / "side.json"
+        sol = tmp_path / "s.json"
+        self.run("reduce", str(crbds), "-o", str(inst),
+                 "--sidecar", str(side))
+        sol.write_text(json.dumps({"lines": [{"a": "1", "b": "1", "c": "0"}]}))
+        capsys.readouterr()
+        assert self.run("extract", "--sidecar", str(side), "--instance",
+                        str(inst), "--lines", str(sol)) == 1
+        assert capsys.readouterr().err == \
+            "error: extract reads axis-parallel lines only\n"
+
     def test_render_cells_and_verify_name_the_same_line(self, tmp_path,
                                                         capsys):
         # (1, 0) lies on both lines; the earlier one, x=1, is named
@@ -352,6 +385,58 @@ class TestCommands:
         assert self.run("verify", str(inst), "--lines", str(sol)) == 1
         assert capsys.readouterr().err.startswith("error:")
 
+    @pytest.mark.parametrize("command,doc,expected", [
+        ("solve", [], "instance must be an object, got []"),
+        ("solve", {"points": []}, "instance.kind is missing"),
+        ("solve", {"kind": "disc", "points": []},
+         "instance.kind must be one of 'circle', 'planar', got 'disc'"),
+        ("solve", {"kind": "circle", "points": [{"color": "R", "x": "1"}]},
+         "instance.points[0].y is missing"),
+        ("solve", {"kind": "circle", "points": [
+            {"color": "R", "x": "1", "y": "0"},
+            {"color": "G", "x": "0", "y": "1"}]},
+         "instance.points[1].color must be one of 'R', 'B', got 'G'"),
+        ("verify", {"lines": [{"orient": "H", "c": "1/2"}, {"a": "1"}]},
+         "solution.lines[1].b is missing"),
+        ("verify", {"lines": [{"orient": "H", "c": 5}]},
+         "solution.lines[0].c must be a string, got 5"),
+        ("verify", {"variant": "axis"}, "solution.lines is missing"),
+        ("reduce", {**toy_doc(), "blues": ["v1", True]},
+         "C-RBDS.blues[1] must be a string, got True"),
+        ("reduce", {**toy_doc(), "classes": [["u1", "u2"], "u3"]},
+         "C-RBDS.classes[1] must be a list, got 'u3'"),
+        ("reduce", {**toy_doc(), "order": {"v1": ["u1", 3]}},
+         "C-RBDS.order.v1[1] must be a string, got 3"),
+    ], ids=["instance-not-object", "kind-missing", "kind-unknown",
+            "coordinate-missing", "color-unknown", "general-line-b-missing",
+            "coordinate-not-string", "lines-missing", "blue-bool",
+            "class-not-list", "order-item-int"])
+    def test_shape_errors_name_the_path(self, tmp_path, capsys, command, doc,
+                                        expected):
+        inst, bad = tmp_path / "i.json", tmp_path / "bad.json"
+        self.run("gen", "4", "--pattern", "alternating", "-o", str(inst))
+        bad.write_text(json.dumps(doc))
+        argv = {"solve": ["solve", str(bad)],
+                "verify": ["verify", str(inst), "--lines", str(bad)],
+                "reduce": ["reduce", str(bad), "--sidecar",
+                           str(tmp_path / "side.json")]}[command]
+        capsys.readouterr()
+        assert self.run(*argv) == 1
+        assert capsys.readouterr().err == f"error: {expected}\n"
+
+    @pytest.mark.parametrize("spec,expected", [
+        ("X:1", "line.orient must be one of 'H', 'V', got 'X'"),
+        ("H1/2", "line.orient must be one of 'H', 'V', got 'H1/2'"),
+        ("H:1,V:", "rational must be a 'num/den' string, got ''"),
+    ], ids=["unknown-orientation", "no-colon", "empty-coordinate"])
+    def test_bad_inline_line_spec_exits_1(self, tmp_path, capsys, spec,
+                                          expected):
+        inst = tmp_path / "i.json"
+        self.run("gen", "4", "--pattern", "alternating", "-o", str(inst))
+        capsys.readouterr()
+        assert self.run("verify", str(inst), f"--lines={spec}") == 1
+        assert capsys.readouterr().err == f"error: {expected}\n"
+
     @pytest.mark.parametrize("x", ["0.6", "6e-1", "3_0/5_0", " 3/5 ", "+3/5"])
     def test_non_rational_coordinate_exits_1(self, tmp_path, capsys, x):
         # each form denotes 3/5, and (3/5, 4/5) is on the unit circle
@@ -405,49 +490,97 @@ class TestCommands:
                         str(tmp_path / "side.json")) == 1
         assert capsys.readouterr().err.startswith("error:")
 
-    def lift_with_sidecar_field(self, tmp_path, capsys, key, value):
-        """`lift` on the toy reduction after setting one sidecar field, or,
-        for an object, updating the entries of that field it names."""
+    def lift_with_sidecar(self, tmp_path, capsys, edit=None):
+        """Exit code and output of `lift` of {u1, u3} on the toy reduction,
+        after `edit` changes its sidecar document in place."""
         crbds = tmp_path / "c.json"
         crbds.write_text(json.dumps(toy_doc()))
         inst, side = tmp_path / "r.json", tmp_path / "side.json"
         self.run("reduce", str(crbds), "-o", str(inst),
                  "--sidecar", str(side))
         doc = json.loads(side.read_text())
-        if isinstance(value, dict) and isinstance(doc[key], dict):
-            doc[key].update(value)
-        else:
-            doc[key] = value
+        if edit is not None:
+            edit(doc)
         side.write_text(json.dumps(doc))
         capsys.readouterr()
-        return self.run("lift", "--sidecar", str(side),
+        code = self.run("lift", "--sidecar", str(side),
                         "--instance", str(inst), "--set", "u1,u3")
+        return code, capsys.readouterr()
 
     def test_malformed_sidecar_exits_1(self, tmp_path, capsys):
-        assert self.lift_with_sidecar_field(tmp_path, capsys, "grid", 1) == 1
-        assert capsys.readouterr().err.startswith("error:")
+        code, out = self.lift_with_sidecar(
+            tmp_path, capsys, lambda doc: doc.update(normalized=1))
+        assert code == 1
+        assert out.err == "error: sidecar.normalized must be an object, " \
+            "got 1\n"
 
-    def test_malformed_sidecar_roles_exits_1(self, tmp_path, capsys):
-        assert self.lift_with_sidecar_field(tmp_path, capsys, "roles",
-                                            {"0": 5}) == 1
-        assert capsys.readouterr().err.startswith("error:")
+    @staticmethod
+    def old_sections(doc):
+        """The sections a sidecar held before it stored only the
+        normalized instance, as they were written for the toy reduction."""
+        red = reduce_instance(normalize(crbds_from_doc(toy_doc())))
+        lay = red.layout
+        doc.update(budgets={"p": red.p, "q": red.q},
+                   grid={"k": lay.k, "n": lay.n, "d": lay.d, "m": lay.m},
+                   roles={str(pid): list(role)
+                          for pid, role in lay.roles.items()})
+        doc["normalized"].update(d=lay.d, m=lay.m)
 
     @pytest.mark.parametrize("key,value", [
         ("grid", {"k": "x"}),
         ("grid", {"n": 0}),
+        ("grid", {"n": 5}),
         ("grid", {"d": True}),
         ("grid", {"m": 2.0}),
         ("budgets", {"p": "4"}),
         ("budgets", {"q": -1}),
         ("roles", {"0": []}),
         ("roles", {"0": ["nobody"]}),
-    ], ids=["grid-k-str", "grid-n-zero", "grid-d-bool", "grid-m-float",
-            "budget-p-str", "budget-q-negative", "role-empty",
-            "role-unknown"])
-    def test_malformed_sidecar_numbers_and_roles_exit_1(self, tmp_path,
-                                                        capsys, key, value):
-        assert self.lift_with_sidecar_field(tmp_path, capsys, key, value) == 1
-        name = next(iter(value))
-        expected = ("error: sidecar roles" if key == "roles"
-                    else f"error: sidecar {key} {name!r} must be an integer")
-        assert capsys.readouterr().err.startswith(expected)
+        ("roles", {"0": 5}),
+    ], ids=["grid-k-str", "grid-n-zero", "grid-n-too-large", "grid-d-bool",
+            "grid-m-float", "budget-p-str", "budget-q-negative",
+            "role-empty", "role-unknown", "role-not-list"])
+    def test_old_sidecar_fields_are_ignored(self, tmp_path, capsys, key,
+                                            value):
+        # a sidecar written with grid, budgets and roles still loads, and
+        # those sections are not read, even when they disagree with the
+        # instance (a grid with n = 5 for 2 blues made lift fail with a
+        # KeyError when they were read)
+        fresh = self.lift_with_sidecar(tmp_path, capsys)
+        assert fresh[0] == 0
+
+        def edit(doc):
+            self.old_sections(doc)
+            doc[key].update(value)
+        assert self.lift_with_sidecar(tmp_path, capsys, edit) == fresh
+
+    @pytest.mark.parametrize("edit,expected", [
+        (lambda doc: doc.pop("normalized"),
+         "sidecar.normalized is missing"),
+        (lambda doc: doc["normalized"].pop("edges"),
+         "sidecar.normalized.edges is missing"),
+        (lambda doc: doc["normalized"].update(original_k="2"),
+         "sidecar.normalized.original_k must be an integer, got '2'"),
+        (lambda doc: doc["normalized"].update(added_degree_class=0),
+         "sidecar.normalized.added_degree_class must be a boolean, got 0"),
+        (lambda doc: doc["normalized"]["blues"].__setitem__(0, 5),
+         "sidecar.normalized.blues[0] must be a string, got 5"),
+        (lambda doc: doc["normalized"]["edges"].__setitem__(0, ["u1", "z"]),
+         "sidecar.normalized.edges[0] must be a [red, blue] pair"),
+        (lambda doc: add_edges(doc, ["u2", "v1"]),
+         "sidecar.normalized: blue degrees must be equal, got [2, 3]"),
+        (lambda doc: doc["normalized"]["classes"][0].append("u5"),
+         "sidecar.normalized: class sizes must be equal, got [2, 3]"),
+        (lambda doc: doc["normalized"].update(
+            k=3, classes=doc["normalized"]["classes"] + [["w1", "w2"]]),
+         "sidecar.normalized: k = 3 and d = 2 must be even"),
+        (lambda doc: add_edges(doc, ["u2", "v1"], ["u1", "v2"]),
+         "sidecar.normalized: k = 2 and d = 3 must be even"),
+    ], ids=["normalized-missing", "edges-missing", "original-k-str",
+            "flag-int", "blue-not-string", "edge-unknown-vertex",
+            "blue-degree-differs", "class-size-differs", "k-odd", "d-odd"])
+    def test_malformed_normalized_sidecar_exits_1(self, tmp_path, capsys,
+                                                  edit, expected):
+        code, out = self.lift_with_sidecar(tmp_path, capsys, edit)
+        assert code == 1
+        assert out.err.startswith(f"error: {expected}")

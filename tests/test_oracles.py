@@ -6,10 +6,11 @@ import pytest
 from sepline.errors import TooLarge
 from sepline.geometry import (BLUE, RED, AxisLine, ColoredPoint,
                               circle_point_from_parameter, verify_separation)
-from sepline.oracles import (CRBDS, axis_candidates, colorful_rbds_solve,
+from sepline.oracles import (axis_candidates, colorful_rbds_solve,
                              feasible_pq, full_mask, general_candidates,
                              min_axis_separation,
                              min_general_separation_circle, sep_bitset)
+from sepline.reduction import CRBDS
 
 F = Fraction
 

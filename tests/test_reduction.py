@@ -7,10 +7,10 @@ import pytest
 from sepline.errors import (BudgetViolation, GuaranteeViolated,
                             InvalidDominatingSet, NoSignalLine, NotSeparating)
 from sepline.geometry import AxisLine, verify_separation
-from sepline.oracles import CRBDS, colorful_rbds_solve, feasible_pq
-from sepline.reduction import (ReducedInstance, extract, extract_vertices,
-                               lift, normalize, reduce_instance,
-                               validate_layout)
+from sepline.oracles import colorful_rbds_solve, feasible_pq
+from sepline.reduction import (CRBDS, ReducedInstance, extract,
+                               extract_vertices, lift, normalize,
+                               reduce_instance, validate_layout)
 from sepline.serialization import sidecar_from_doc, sidecar_to_doc
 
 
@@ -120,7 +120,7 @@ class TestLiftExtract:
         # a layout read back from the sidecar is verified like a fresh one
         norm = normalize(unliftable())
         red = reduce_instance(norm)
-        norm2, lay = sidecar_from_doc(sidecar_to_doc(norm, red))
+        norm2, lay = sidecar_from_doc(sidecar_to_doc(norm))
         rebuilt = ReducedInstance(red.points, lay.p, lay.q, lay)
         with pytest.raises(NotSeparating):
             lift(norm2, rebuilt, ["u1_1", "u2_1"])
