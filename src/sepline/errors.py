@@ -45,9 +45,9 @@ class GuaranteeViolated(SeplineError):
 
 
 class RepairExhausted(SeplineError):
-    """The bounded large-cell repair found no separating completion of
-    size <= kappa.  The solve stops here; it never widens to an
-    exponential search."""
+    """The repair of a stuck cell found no separating completion of the
+    kept lines to exactly kappa lines.  The solve stops here; it never
+    widens the search."""
 
 
 class InvalidDominatingSet(SeplineError):

@@ -1,8 +1,8 @@
 """Exact-rational planar primitives.
 
 Points, axis-parallel and general lines, side predicates, cell signatures of
-axis-parallel arrangements, separation verification and circular-arc
-bookkeeping.  Every predicate here is decided with exact rational arithmetic;
+axis-parallel arrangements, the candidate axis lines, separation
+verification and circular-arc bookkeeping.  Every predicate here is decided with exact rational arithmetic;
 there is no floating point anywhere on a computation path.
 
 Order keys.  Sorting, bisecting and comparing coordinates goes through
@@ -196,6 +196,17 @@ def axis_keys(lines) -> tuple[list[tuple], list[tuple]]:
 def axis_coords(lines) -> tuple[list[Fraction], list[Fraction]]:
     hks, vks = axis_keys(lines)
     return [k[1] for k in hks], [k[1] for k in vks]
+
+
+def axis_candidates(points) -> list[AxisLine]:
+    """Lines midway between consecutive distinct point coordinates, the V
+    lines first: every axis-parallel line splits the points like one of
+    these, or splits none."""
+    xs = sorted({p.x for p in points})
+    ys = sorted({p.y for p in points})
+    cands = [AxisLine("V", (a + b) / 2) for a, b in zip(xs, xs[1:])]
+    cands += [AxisLine("H", (a + b) / 2) for a, b in zip(ys, ys[1:])]
+    return cands
 
 
 def point_signature(p: ColoredPoint, hs, vs) -> CellSignature:

@@ -5,9 +5,10 @@ instances, (p, q)-feasibility with per-orientation budgets, and colorful
 red-blue dominating set.  These are the ground truth the fast solvers are
 checked against; they share one candidate-line discretization:
 
-* axis candidates sit midway between consecutive distinct coordinates, so
-  every axis-parallel line is sep-equivalent to a candidate (or separates
-  nothing at all);
+* axis candidates (`geometry.axis_candidates`, which the solver's repair
+  also draws from) sit midway between consecutive distinct coordinates,
+  so every axis-parallel line is sep-equivalent to a candidate (or
+  separates nothing at all);
 * general candidates (circle instances) pass through the midpoints of two
   point-free gaps, one representative per unordered gap pair.
 """
@@ -19,8 +20,8 @@ from itertools import product
 from typing import TYPE_CHECKING, Optional
 
 from .errors import TooLarge
-from .geometry import (BLUE, RED, AxisLine, GeneralLine, arc_interior_point,
-                       angular_sort, line_side, line_through)
+from .geometry import (BLUE, RED, GeneralLine, angular_sort, arc_interior_point,
+                       axis_candidates, line_side, line_through)
 
 if TYPE_CHECKING:
     from .reduction import CRBDS
@@ -54,14 +55,6 @@ def sep_bitset(points, lines) -> int:
 def full_mask(points) -> int:
     reds, blues = pair_index(points)
     return (1 << (len(reds) * len(blues))) - 1
-
-
-def axis_candidates(points) -> list[AxisLine]:
-    xs = sorted({p.x for p in points})
-    ys = sorted({p.y for p in points})
-    cands = [AxisLine("V", (a + b) / 2) for a, b in zip(xs, xs[1:])]
-    cands += [AxisLine("H", (a + b) / 2) for a, b in zip(ys, ys[1:])]
-    return cands
 
 
 def general_candidates(points) -> list[GeneralLine]:

@@ -20,16 +20,17 @@ def _fmt(v) -> str:
 
 
 def _clip_general(ln, x0, y0, x1, y1):
-    """Two endpoints of a*x + b*y = c clipped to the [x0,x1]x[y0,y1] box."""
+    """Two endpoints of a*x + b*y + c = 0 clipped to the [x0,x1]x[y0,y1]
+    box."""
     pts = []
     if ln.b != 0:
         for x in (x0, x1):
-            y = (ln.c - ln.a * Fraction(x)) / ln.b
+            y = (-ln.c - ln.a * Fraction(x)) / ln.b
             if y0 <= y <= y1:
                 pts.append((x, y))
     if ln.a != 0:
         for y in (y0, y1):
-            x = (ln.c - ln.b * Fraction(y)) / ln.a
+            x = (-ln.c - ln.b * Fraction(y)) / ln.a
             if x0 <= x <= x1:
                 pts.append((x, y))
     pts = sorted(set(pts))

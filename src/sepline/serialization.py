@@ -198,9 +198,13 @@ def _crbds(doc: dict, path: str) -> CRBDS:
     classes = [list(c) for c in doc["classes"]]
     if "k" in doc and doc["k"] != len(classes):
         raise ValueError(f"{path}.k does not match the class list")
-    reds = {u for cls in classes for u in cls}
     blues = list(doc["blues"])
     blue_set = set(blues)
+    names = [u for cls in classes for u in cls] + blues
+    if len(set(names)) < len(names):
+        twice = next(u for i, u in enumerate(names) if u in names[:i])
+        raise ValueError(f"{path} lists vertex {twice!r:.40} twice")
+    reds = set(names) - blue_set
     edges = set()
     for i, e in enumerate(doc["edges"]):
         if len(e) != 2 or e[0] not in reds or e[1] not in blue_set:

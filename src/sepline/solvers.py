@@ -6,8 +6,10 @@ seeded line set L0 of size kappa, then walks a sequence of strictly
 dominating solutions until every cell is monochromatic.  Each step makes
 one flip (one boundary line of the priority corrupt cell); solve_axis
 checks that the step strictly dominates and does not grow.  When no flip
-applies, a bounded search replaces the stuck cell's boundary lines, and
-raises RepairExhausted if it finds nothing within kappa lines.
+applies, the repair replaces the stuck cell's boundary lines by the first
+kappa-line completion among the candidates that stab a switch the kept
+lines miss, decided on the cell partition, and raises RepairExhausted if
+there is none.  Nothing here imports the brute-force oracles.
 """
 
 from __future__ import annotations
@@ -15,7 +17,9 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations
+from operator import or_
 from typing import Optional
 
 from .decomposition import (CircleDecomposition, SwitchGraph,
@@ -23,10 +27,9 @@ from .decomposition import (CircleDecomposition, SwitchGraph,
 from .errors import (DominationFailure, GuaranteeViolated, NotSeparating,
                      RepairExhausted)
 from .geometry import (BLUE, RED, Arc, AxisLine, CellMap, CellSignature,
-                       CirclePos, GeneralLine, arc_interior_point, axis_coords,
-                       cell_arcs, cell_map, line_through, pick_coordinate,
-                       verify_separation)
-from .oracles import axis_candidates, full_mask, sep_bitset
+                       CirclePos, GeneralLine, arc_interior_point,
+                       axis_candidates, cell_arcs, cell_map, line_through,
+                       pick_coordinate, verify_separation)
 
 F = Fraction
 
@@ -181,16 +184,15 @@ def _cell_center(sig: CellSignature, cm: CellMap) -> tuple[Fraction, Fraction]:
             (max(ylo, F(-1)) + min(yhi, F(1))) / 2)
 
 
-def _stabs_every_switch(cm: CellMap, dec) -> bool:
-    """Whether every switch's open interval, in some orientation, holds a
+def _unstabbed(cm: CellMap, switches) -> list:
+    """The switches whose open interval holds, in neither orientation, a
     line coordinate of that orientation; O(w log L) order-key bisections."""
-    keys = {"H": cm.hks, "V": cm.vks}
-
-    def stabbed(sw, orient):
-        ks, itv = keys[orient], sw.intervals[orient]
+    def stabbed(sw, ks, orient):
+        itv = sw.intervals[orient]
         return bisect_right(ks, itv.lok) < bisect_left(ks, itv.hik)
 
-    return all(stabbed(sw, "H") or stabbed(sw, "V") for sw in dec.switches)
+    return [sw for sw in switches
+            if not (stabbed(sw, cm.hks, "H") or stabbed(sw, cm.vks, "V"))]
 
 
 def _check_invariants(dec, cm, arcs):
@@ -200,7 +202,7 @@ def _check_invariants(dec, cm, arcs):
         if not ok:
             raise GuaranteeViolated(f"invariant violated: {what}")
 
-    require(_stabs_every_switch(cm, dec), "a switch is not stabbed")
+    require(not _unstabbed(cm, dec.switches), "a switch is not stabbed")
     large = 0
     for sig, arclist in arcs.items():
         require(len(arclist) <= 4, "cell meets the circle in more than 4 arcs")
@@ -255,19 +257,6 @@ def refine_step(points, solution: AxisSolution, dec: CircleDecomposition,
         return (_STUCK, sig)
     return (_IMPROVED, AxisSolution(new_lines, solution.kappa,
                                     solution.steps + 1, solution.repair_used))
-
-
-def _cell_boundary_lines(sig: CellSignature, hs, vs) -> list[AxisLine]:
-    out = []
-    if sig.row > 0:
-        out.append(AxisLine("H", hs[sig.row - 1]))
-    if sig.row < len(hs):
-        out.append(AxisLine("H", hs[sig.row]))
-    if sig.col > 0:
-        out.append(AxisLine("V", vs[sig.col - 1]))
-    if sig.col < len(vs):
-        out.append(AxisLine("V", vs[sig.col]))
-    return out
 
 
 def _try_flip(points, lines, cm, cell_arcs_list, sig, case,
@@ -344,37 +333,46 @@ def _try_flip(points, lines, cm, cell_arcs_list, sig, case,
 # --- large-cell repair -------------------------------------------------------
 
 
-def _bounded_replacement(points, keep: list[AxisLine], budget: int):
-    """Smallest candidate-set completion of `keep` (lexicographic within each
-    size) that fully separates, or None."""
-    cands = axis_candidates(points)
-    target = full_mask(points)
-    base = sep_bitset(points, keep)
-    covers = [sep_bitset(points, [c]) for c in cands]
-    for size in range(0, max(0, budget) + 1):
-        for combo in combinations(range(len(cands)), size):
-            bits = base
-            for i in combo:
-                bits |= covers[i]
-            if bits == target:
-                return keep + [cands[i] for i in combo]
-    return None
+def _cell_boundary_lines(sig: CellSignature, hs, vs) -> list[AxisLine]:
+    """The lines below, above, left and right of cell `sig`."""
+    return ([AxisLine("H", c) for c in hs[max(sig.row - 1, 0):sig.row + 1]]
+            + [AxisLine("V", c) for c in vs[max(sig.col - 1, 0):sig.col + 1]])
 
 
-def _repair_around(points, solution: AxisSolution, kappa: int,
-                   sig: CellSignature) -> AxisSolution:
-    """Replace the boundary lines of corrupt cell `sig` by a separating set
-    of candidate lines, keeping total size <= kappa; raises RepairExhausted
-    if the bounded search finds none."""
-    hs, vs = axis_coords(solution.lines)
-    boundary = set(_cell_boundary_lines(sig, hs, vs))
+def _repair_around(points, solution: AxisSolution, cm: CellMap,
+                   sig: CellSignature, switches) -> AxisSolution:
+    """Replace the boundary lines of corrupt cell `sig` of `cm`, the cell
+    partition of `solution`, by the first combination of axis candidates
+    that completes the kept lines to kappa separating lines; raises
+    RepairExhausted if none does.
+
+    A separating set stabs every switch, so it has at least kappa lines,
+    and each added line of a kappa-line completion stabs a switch that no
+    other line, kept or added, stabs.  So only combinations of
+    kappa - |keep| candidates that each stab a switch the kept lines miss
+    are tried, in candidate order, and only those stabbing every such
+    switch are partitioned: the first separating completion of the
+    size-by-size search over all candidates.  A cell has at most four
+    boundary lines, so at most C(2n, 4) combinations are tried.
+    """
+    boundary = set(_cell_boundary_lines(sig, cm.hs, cm.vs))
     keep = [ln for ln in solution.lines if ln not in boundary]
-    repaired = _bounded_replacement(points, keep, kappa - len(keep))
-    if repaired is None:
-        raise RepairExhausted(
-            f"no completion of the {len(keep)} kept lines to <= {kappa} "
-            "lines separates; this contradicts the upper-bound guarantee")
-    return AxisSolution(repaired, kappa, solution.steps, True)
+    missed = _unstabbed(cell_map((), keep), switches)
+    need = sum(1 << sw.index for sw in missed)
+    pool = []  # (candidate, the missed switches it stabs as a bitmask)
+    for c in axis_candidates(points):
+        hit = need - sum(1 << sw.index
+                         for sw in _unstabbed(cell_map((), [c]), missed))
+        if hit:
+            pool.append((c, hit))
+    for combo in combinations(pool, solution.kappa - len(keep)):
+        lines = keep + [c for c, _ in combo]
+        if (reduce(or_, (hit for _, hit in combo), 0) == need
+                and not cell_map(points, lines).corrupt):
+            return AxisSolution(lines, solution.kappa, solution.steps, True)
+    raise RepairExhausted(
+        f"no completion of the {len(keep)} kept lines to {solution.kappa} "
+        "lines separates; this contradicts the upper-bound guarantee")
 
 
 # --- the full pipeline -------------------------------------------------------
@@ -444,7 +442,7 @@ def solve_axis(points, on_step=None) -> AxisSolution:
                 raise GuaranteeViolated("refinement exceeded the r*b step bound")
             continue
         # _STUCK: payload is the offending cell signature
-        sol = _repair_around(points, sol, graph.kappa, payload)
+        sol = _repair_around(points, sol, cm, payload, dec.switches)
         break
 
     _check_separates(points, sol.lines)

@@ -13,9 +13,9 @@ from sepline.cli import main
 from sepline.decomposition import decompose
 from sepline.errors import BadPattern
 from sepline.generate import gen_circle
-from sepline.geometry import AxisLine, GeneralLine
+from sepline.geometry import AxisLine, GeneralLine, general_line, line_through
 from sepline.reduction import CRBDS, normalize, reduce_instance
-from sepline.render import render_svg
+from sepline.render import _clip_general, render_svg
 from sepline.serialization import (crbds_from_doc, crbds_to_doc, dumps,
                                    instance_from_doc, instance_to_doc, loads,
                                    rat_from_str, rat_to_str, sidecar_from_doc,
@@ -33,6 +33,16 @@ def toy_doc():
             "blues": ["v1", "v2"],
             "edges": [["u1", "v1"], ["u3", "v1"],
                       ["u2", "v2"], ["u3", "v2"]]}
+
+
+# the toy instance with a red listed twice in one class, a red in two
+# classes and a blue listed twice
+REPEATED_NAMES = [
+    pytest.param({**toy_doc(), "classes": [["u1", "u2", "u1"], ["u3", "u4"]]},
+                 id="red-twice-in-class"),
+    pytest.param({**toy_doc(), "classes": [["u1", "u2"], ["u3", "u4", "u1"]]},
+                 id="red-in-two-classes"),
+    pytest.param({**toy_doc(), "blues": ["v1", "v2", "v1"]}, id="blue-twice")]
 
 
 class TestSerialization:
@@ -98,6 +108,15 @@ class TestSerialization:
         inst = crbds_from_doc(toy_doc())
         assert crbds_from_doc(crbds_to_doc(inst)) == inst
 
+    @pytest.mark.parametrize("doc", REPEATED_NAMES)
+    def test_repeated_name_rejected(self, doc):
+        # _emit places each red by its last listing: a repeat would encode
+        # another instance
+        name = "v1" if len(doc["blues"]) > 2 else "u1"
+        with pytest.raises(ValueError,
+                           match=f"^C-RBDS lists vertex '{name}' twice$"):
+            crbds_from_doc(doc)
+
     def test_deterministic_dumps(self):
         a = dumps(instance_to_doc(gen_circle(5, 1, "random"), "circle"))
         b = dumps(instance_to_doc(gen_circle(5, 1, "random"), "circle"))
@@ -161,6 +180,16 @@ class TestRender:
         sol = solve_general(diag)
         svg = render_svg(diag, sol.lines)
         assert svg.count('class="sol"') == len(sol.lines)
+
+    @pytest.mark.parametrize("ln", [
+        general_line(1, 0, F(-1, 2)), general_line(0, 3, 1),
+        line_through(F(3, 5), F(4, 5), F(-1, 3), F(1, 7))], ids=str)
+    def test_clipped_endpoints_lie_on_the_line(self, ln):
+        # a*x + b*y + c = 0: x = 1/2 is drawn at x = 1/2, not at -1/2
+        ends = _clip_general(ln, F(-6, 5), F(-6, 5), F(6, 5), F(6, 5))
+        assert ends is not None and ends[0] != ends[1]
+        for x, y in ends:
+            assert ln.a * x + ln.b * y + ln.c == 0
 
 
 def add_edges(sidecar, *edges):
@@ -481,8 +510,10 @@ class TestCommands:
         {"classes": [["u1"]], "blues": ["v1"], "edges": [5]},
         {**toy_doc(), "order": 5},
         {**toy_doc(), "order": {"v1": ["u2", "u4"]}},
+        *REPEATED_NAMES,
     ], ids=["classes-not-list", "blues-not-list", "edge-not-pair",
-            "order-not-object", "order-not-neighbors"])
+            "order-not-object", "order-not-neighbors", "red-twice-in-class",
+            "red-in-two-classes", "blue-twice"])
     def test_malformed_crbds_exits_1(self, tmp_path, capsys, doc):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(doc))

@@ -3,6 +3,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -13,10 +14,10 @@ from sepline.decomposition import build_switch_graph, decompose, line_stabs_swit
 from sepline.errors import DominationFailure, RepairExhausted
 from sepline.generate import gen_circle
 from sepline.geometry import (BLUE, RED, AxisLine, ColoredPoint,
-                              angular_positions, axis_coords, cell_arcs,
-                              cell_map, circle_point_from_parameter,
-                              verify_separation)
-from sepline.oracles import (axis_candidates, min_axis_separation,
+                              angular_positions, axis_candidates, axis_coords,
+                              cell_arcs, cell_map, circle_parameter,
+                              circle_point_from_parameter, verify_separation)
+from sepline.oracles import (full_mask, min_axis_separation,
                              min_general_separation_circle, sep_bitset)
 from sepline.solvers import (AxisSolution, build_L0, refine_step, solve_axis,
                              solve_general, wedge_baseline)
@@ -244,7 +245,7 @@ def test_broken_invariant_raises_without_asserts():
         "import sepline.solvers as s",
         "from sepline.errors import GuaranteeViolated",
         "from sepline.generate import gen_circle",
-        "s._stabs_every_switch = lambda lines, dec: False",
+        "s._unstabbed = lambda cm, switches: list(switches)",
         "try:",
         "    s.solve_axis(gen_circle(16, 7, 'random'))",
         "except GuaranteeViolated:",
@@ -279,17 +280,17 @@ def test_one_flip_per_step(monkeypatch):
 
 
 def test_failed_repair_raises_without_widening(monkeypatch):
-    # gen_circle(15, 1227) gets stuck and needs repair; a bounded search that
-    # finds nothing ends the solve instead of starting a wider one
+    # gen_circle(15, 1227) gets stuck and needs repair; a repair that finds
+    # no candidate line ends the solve instead of starting a wider search
     calls = []
 
-    def nothing(points, keep, budget):
-        calls.append(budget)
-        return None
-    monkeypatch.setattr(solvers, "_bounded_replacement", nothing)
+    def no_candidates(points):
+        calls.append(len(points))
+        return []
+    monkeypatch.setattr(solvers, "axis_candidates", no_candidates)
     with pytest.raises(RepairExhausted):
         solve_axis(gen_circle(15, 1227, "random"))
-    assert len(calls) == 1
+    assert calls == [15]
 
 
 def test_lost_witness_raises_without_asserts():
@@ -324,27 +325,122 @@ REPAIR_CORPUS = {
 }
 
 
-@pytest.mark.parametrize("cause,n,seed", [
-    (cause, n, seed) for cause, cases in REPAIR_CORPUS.items()
-    for n, seed in cases], ids=str)
-def test_repair_corpus(monkeypatch, cause, n, seed):
-    pts = gen_circle(n, seed, "random")
+def _bitset_replacement(points, keep: list[AxisLine], budget: int):
+    """Smallest candidate-set completion of `keep` (lexicographic within each
+    size) that fully separates, or None: the exponential size-by-size search
+    on pair bitsets that repair ran before, the reference for its
+    kappa-tight completion."""
+    cands = axis_candidates(points)
+    target = full_mask(points)
+    base = sep_bitset(points, keep)
+    covers = [sep_bitset(points, [c]) for c in cands]
+    for size in range(0, max(0, budget) + 1):
+        for combo in combinations(range(len(cands)), size):
+            bits = base
+            for i in combo:
+                bits |= covers[i]
+            if bits == target:
+                return keep + [cands[i] for i in combo]
+    return None
+
+
+def _solve_recording_repair(monkeypatch, pts):
+    """solve_axis(pts), and the (solution, partition, stuck cell) of every
+    repair call."""
     stuck = []
     repair = solvers._repair_around
 
-    def recording(points, sol, kappa, sig):
-        stuck.append((sol.lines, sig))
-        return repair(points, sol, kappa, sig)
+    def recording(points, sol, cm, sig, switches):
+        stuck.append((sol, cm, sig))
+        return repair(points, sol, cm, sig, switches)
     monkeypatch.setattr(solvers, "_repair_around", recording)
-    sol = solve_axis(pts)
+    return solve_axis(pts), stuck
+
+
+def _reference_repair(pts, sol, cm, sig):
+    boundary = set(solvers._cell_boundary_lines(sig, cm.hs, cm.vs))
+    keep = [ln for ln in sol.lines if ln not in boundary]
+    return _bitset_replacement(pts, keep, sol.kappa - len(keep))
+
+
+def pad(points, f):
+    """`points` and, between each two angularly consecutive points of one
+    colour, f - 1 more of that colour at circle-parameter fractions k/f of
+    the way, except between the two whose arc passes (-1, 0).  The chunks
+    grow; the switches stay the same."""
+    ts = sorted((circle_parameter(p.x, p.y), p.color) for p in points)
+    padded = []
+    for (ta, ca), (tb, cb) in zip(ts, ts[1:]):
+        padded.append((ta, ca))
+        if ca == cb:
+            padded += [(ta + (tb - ta) * F(k, f), ca) for k in range(1, f)]
+    padded.append(ts[-1])
+    return [ColoredPoint(i, c, *circle_point_from_parameter(t))
+            for i, (t, c) in enumerate(padded)]
+
+
+REPAIR_CASES = [(cause, n, seed) for cause, cases in REPAIR_CORPUS.items()
+                for n, seed in cases]
+
+
+@pytest.mark.parametrize("cause,n,seed", REPAIR_CASES, ids=str)
+def test_repair_corpus(monkeypatch, cause, n, seed):
+    pts = gen_circle(n, seed, "random")
+    sol, stuck = _solve_recording_repair(monkeypatch, pts)
     assert sol.repair_used and sol.size == sol.kappa
     assert verify_separation(pts, sol.lines) is None
-    [(lines, sig)] = stuck
-    arcs = _arcs(pts, lines)[sig]
+    [(old, cm, sig)] = stuck
+    arcs = _arcs(pts, old.lines)[sig]
     if cause == "other":
         assert len(arcs) == 2
     else:
-        assert len(arcs) >= 3 and cell_map(pts, lines).corrupt == {sig}
+        assert len(arcs) >= 3 and cm.corrupt == {sig}
+    # the first separating completion of the exponential bitset search
+    assert sol.lines == _reference_repair(pts, old, cm, sig)
+
+
+def test_repair_equals_bitset_reference_padded(monkeypatch):
+    pts = pad(gen_circle(34, 14, "random"), 4)
+    sol, [stuck] = _solve_recording_repair(monkeypatch, pts)
+    assert len(pts) == 94 and sol.repair_used
+    assert sol.lines == _reference_repair(pts, *stuck)
+
+
+@pytest.mark.parametrize("n,seed", [(34, 14), (15, 1227), (10, 11)], ids=str)
+def test_padding_keeps_w_and_kappa(n, seed):
+    pts = gen_circle(n, seed, "random")
+    dec = decompose(pts)
+    for f in (2, 5):
+        padded = pad(pts, f)
+        pdec = decompose(padded)
+        assert len(padded) > n and pdec.w == dec.w
+        assert [(s.start.x, s.start.y, s.end.x, s.end.y)
+                for s in pdec.switches] == [
+            (s.start.x, s.start.y, s.end.x, s.end.y) for s in dec.switches]
+        assert (build_switch_graph(pdec).kappa
+                == build_switch_graph(dec).kappa)
+
+
+def test_padded_repair_is_polynomial(monkeypatch):
+    # the size-by-size search took 79 s on this instance padded x16 (n = 334)
+    # and 572 s at n = 623; the kappa-tight completion partitions few
+    # candidate sets
+    pts = pad(gen_circle(34, 14, "random"), 32)
+    partitions = 0
+    partition = solvers.cell_map
+
+    def counting(points, lines):
+        nonlocal partitions
+        partitions += bool(points)
+        return partition(points, lines)
+    monkeypatch.setattr(solvers, "cell_map", counting)
+    sol = solve_axis(pts)
+    assert len(pts) == 654
+    assert (sol.kappa, sol.size, sol.repair_used) == (9, 9, True)
+    assert verify_separation(pts, sol.lines) is None
+    # L0 and each step are partitioned once; the rest are the completions
+    # repair tried, 1,697 of them
+    assert partitions - (sol.steps + 1) <= 2000
 
 
 def _bitset_dominates(pts, old_lines, new_lines):
@@ -409,11 +505,12 @@ def test_bisection_stab_check_equals_line_loop():
         mids = [(a + b) / 2 for a, b in zip(coords, coords[1:])]
         lines = [AxisLine(rng.choice("HV"), rng.choice(coords + mids))
                  for _ in range(rng.randint(0, 6))]
-        want = all(any(line_stabs_switch(ln.orient, ln.c, sw) for ln in lines)
-                   for sw in dec.switches)
+        want = [sw for sw in dec.switches
+                if not any(line_stabs_switch(ln.orient, ln.c, sw)
+                           for ln in lines)]
         # the partition of no points: these lines may pass through points
-        assert solvers._stabs_every_switch(cell_map([], lines), dec) == want
-        results.append(want)
+        assert solvers._unstabbed(cell_map([], lines), dec.switches) == want
+        results.append(not want)
     assert 20 < sum(results) < 380
 
 
@@ -423,18 +520,22 @@ STEP_INSTANCES = {(60, 14): (17, 2), (100, 34): (30, 2),
                   (480, 1): (154, 2), (640, 3): (216, 1)}
 
 
-@pytest.mark.parametrize("n,seed", sorted(STEP_INSTANCES), ids=str)
+@pytest.mark.parametrize("n,seed", sorted(STEP_INSTANCES) + [
+    (n, seed) for _, n, seed in REPAIR_CASES], ids=str)
 def test_steps_never_call_sep_bitset(monkeypatch, n, seed):
-    # the domination check of every step partitions the points into cells;
-    # the O(L*r*b) pair bitset is for repair and the tests only
+    # the domination check of every step and every completion repair tries
+    # partition the points into cells; the O(L*r*b) pair bitset is for the
+    # tests only
     def forbidden(points, lines):
-        raise AssertionError("sep_bitset called outside repair")
-    monkeypatch.setattr(solvers, "sep_bitset", forbidden)
+        raise AssertionError("sep_bitset called by solve_axis")
     monkeypatch.setattr(sepline.oracles, "sep_bitset", forbidden)
     pts = gen_circle(n, seed, "random")
     sol = solve_axis(pts)
-    kappa, steps = STEP_INSTANCES[(n, seed)]
-    assert (sol.kappa, sol.steps, sol.repair_used) == (kappa, steps, False)
+    if (n, seed) in STEP_INSTANCES:
+        kappa, steps = STEP_INSTANCES[(n, seed)]
+        assert (sol.kappa, sol.steps, sol.repair_used) == (kappa, steps, False)
+    else:
+        assert sol.repair_used
     assert sol.size == sol.kappa
     assert verify_separation(pts, sol.lines) is None
 
