@@ -13,9 +13,8 @@ from functools import cached_property
 
 from . import matching
 from .errors import EmptyInstance, PointOffCircle
-from .geometry import (BOTTOM, LEFT, MINUS_ONE, ONE, RIGHT, TOP, CirclePos,
-                       ColoredPoint, angular_positions, arc_contains,
-                       order_key)
+from .geometry import (BOTTOM, LEFT, MINUS_ONE, ONE, RIGHT, TOP, ColoredPoint,
+                       angular_positions, arc_contains, order_key)
 
 
 @dataclass(frozen=True)
@@ -47,8 +46,8 @@ class Switch:
     index: int
     start: ColoredPoint  # last point of chunk index
     end: ColoredPoint    # first point of chunk index + 1 (cyclic)
-    start_pos: CirclePos  # their positions, from the angular sort
-    end_pos: CirclePos
+    start_pos: tuple  # their angular keys, from the angular sort
+    end_pos: tuple
 
     @cached_property
     def intervals(self) -> dict[str, Interval]:
@@ -63,7 +62,7 @@ class CircleDecomposition:
     points: list[ColoredPoint]           # input order, id-indexed
     chunks: list[Chunk]
     switches: list[Switch]
-    positions: list[tuple[CirclePos, ColoredPoint]]  # by ccw angle
+    positions: list[tuple[tuple, ColoredPoint]]  # (angular key, point)
 
     @property
     def w(self) -> int:

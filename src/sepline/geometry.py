@@ -7,12 +7,13 @@ there is no floating point anywhere on a computation path.
 
 Order keys.  Sorting, bisecting and comparing coordinates goes through
 `order_key(v) = (floor(v * 2**64), v)`, computed once where the value is
-created: `ColoredPoint.xk`/`yk`, `CirclePos.key`, the interval keys of
-`decomposition.Interval` and the line-key lists of `CellMap`.  A key tuple
-orders exactly like its rational, because the floor is monotone and values
-with equal floors fall through to the exact `Fraction`; so an integer
-comparison decides all but the comparisons of values within 2**-64 of each
-other, and those are decided in `Fraction` arithmetic as before.
+created: `ColoredPoint.xk`/`yk`, the angular keys of circle positions, the
+interval keys of `decomposition.Interval` and the line-key lists of
+`CellMap`.  A key tuple orders exactly like its rational, because the floor
+is monotone and values with equal floors fall through to the exact
+`Fraction`; so an integer comparison decides all but the comparisons of
+values within 2**-64 of each other, and those are decided in `Fraction`
+arithmetic as before.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import count
 from math import gcd, lcm
 from typing import Iterable, NamedTuple, Optional, Union
 
@@ -253,92 +255,71 @@ def cell_map(points, lines) -> CellMap:
 # --- exact positions on the unit circle ------------------------------------
 #
 # Cell-arc endpoints are circle crossings of axis lines, whose free coordinate
-# is an irrational square root.  Positions are therefore stored as signed
-# squares; all comparisons reduce to rational comparisons.
+# is an irrational square root.  A position is therefore its angular key,
+# built from the sign of x, x squared and the sign of y; all comparisons
+# reduce to rational comparisons.
 
 
-@dataclass(frozen=True)
-class CirclePos:
-    """A point of the unit circle: x = sx*sqrt(x2), y = sy*sqrt(y2), x2+y2=1.
+def _circle_key(sx: int, x2, sy: int) -> tuple:
+    """Angular key of the circle point x = sx*sqrt(x2) whose y has sign sy.
 
-    `key` orders positions by angle in [0, 2*pi), counterclockwise from
-    (1, 0): the quadrant, then the order key of sx*x2, which grows with x,
-    negated in quadrants 0 and 1, where the angle grows as x shrinks.
+    Keys order positions by angle in [0, 2*pi), counterclockwise from
+    (1, 0): the quadrant, then the order key of the signed square sx*x2,
+    which grows with x, negated in quadrants 0 and 1, where the angle grows
+    as x shrinks.
     """
-
-    sx: int
-    x2: Fraction
-    sy: int
-    y2: Fraction
-    key: tuple = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        q = self.quadrant()
-        x = self.x2 if self.sx > 0 else -self.x2
-        object.__setattr__(self, "key", (q, *order_key(-x if q <= 1 else x)))
-
-    @staticmethod
-    def of(x: Fraction, y: Fraction) -> "CirclePos":
-        return CirclePos(_sign(x), x * x, _sign(y), y * y)
-
-    @staticmethod
-    def crossing(line: AxisLine, upper: bool) -> "CirclePos":
-        """Circle crossing of an axis line with |c| < 1.
-
-        For horizontal lines `upper` selects the x > 0 crossing; for vertical
-        lines it selects the y > 0 crossing.  Raises ValueError if |c| >= 1.
-        """
-        c = line.c
-        if abs(c.numerator) >= c.denominator:
-            raise ValueError(f"line {line} does not cross the open unit disk")
-        c2 = c * c
-        if line.orient == "H":
-            return CirclePos(1 if upper else -1, 1 - c2, _sign(c), c2)
-        return CirclePos(_sign(c), c2, 1 if upper else -1, 1 - c2)
-
-    def quadrant(self) -> int:
-        if self.sx > 0 and self.sy >= 0:
-            return 0
-        if self.sx <= 0 and self.sy > 0:
-            return 1
-        if self.sx < 0 and self.sy <= 0:
-            return 2
-        return 3
+    if sx > 0 and sy >= 0:
+        q = 0
+    elif sx <= 0 and sy > 0:
+        q = 1
+    elif sx < 0 and sy <= 0:
+        q = 2
+    else:
+        q = 3
+    x = x2 if sx > 0 else -x2
+    return (q, *order_key(-x if q <= 1 else x))
 
 
-TOP = CirclePos(0, ZERO, 1, ONE)
-BOTTOM = CirclePos(0, ZERO, -1, ONE)
-LEFT = CirclePos(-1, ONE, 0, ZERO)
-RIGHT = CirclePos(1, ONE, 0, ZERO)
+def _point_key(x: Fraction, y: Fraction) -> tuple:
+    return _circle_key(_sign(x), x * x, _sign(y))
 
 
-def arc_contains(pos: CirclePos, start: CirclePos, end: CirclePos) -> bool:
-    """True iff `pos` lies strictly inside the open ccw arc from start to end.
+def _crossing_keys(orient: str, c: Fraction) -> tuple[tuple, tuple]:
+    """Angular keys of the two circle crossings of the axis line with
+    |c| < 1: for "H" (y = c) the x > 0 crossing first, for "V" (x = c) the
+    y > 0 one."""
+    c2, s = c * c, _sign(c)
+    if orient == "H":
+        return _circle_key(1, 1 - c2, s), _circle_key(-1, 1 - c2, s)
+    return _circle_key(s, c2, 1), _circle_key(s, c2, -1)
+
+
+TOP = _circle_key(0, ZERO, 1)
+BOTTOM = _circle_key(0, ZERO, -1)
+LEFT = _circle_key(-1, ONE, 0)
+RIGHT = _circle_key(1, ONE, 0)
+
+
+def arc_contains(pos: tuple, start: tuple, end: tuple) -> bool:
+    """True iff the position `pos` lies strictly inside the open ccw arc
+    from start to end.
 
     Equal endpoints denote the full circle minus that single point.
     """
-    s, p, e = start.key, pos.key, end.key
-    if s < e:
-        return s < p < e
-    return s < p or p < e
+    if start < end:
+        return start < pos < end
+    return start < pos or pos < end
 
 
-def arc_quadrants(start: CirclePos, end: CirclePos) -> list[int]:
+def arc_quadrants(start: tuple, end: tuple) -> list[int]:
     """Quadrants met going ccw from start to end (whole circle if equal)."""
-    if start.key == end.key:
+    if start == end:
         return [0, 1, 2, 3]
-    qs = [start.key[0]]
-    qe = end.key[0]
-    if qs[0] == qe and start.key < end.key:
-        return qs
-    q = qs[0]
-    while True:
-        q = (q + 1) % 4
-        if q not in qs:
-            qs.append(q)
-        if q == qe:
-            break
-    return qs
+    q = start[0]
+    n = (end[0] - q) % 4 + 1
+    if n == 1 and end < start:
+        n = 4  # the arc leaves its quadrant and comes round into it
+    return [(q + i) % 4 for i in range(n)]
 
 
 @dataclass
@@ -346,17 +327,17 @@ class Arc:
     """A maximal circular arc interior to one arrangement cell."""
 
     signature: CellSignature
-    start: CirclePos
-    end: CirclePos
+    start: tuple  # angular keys of its ends
+    end: tuple
     point_ids: list[int]
     colors: set[str] = field(default_factory=set)
     quadrants: list[int] = field(default_factory=list)
 
 
-def angular_positions(points) -> list[tuple[CirclePos, ColoredPoint]]:
-    """(position, point) pairs by ccw angle from the (1, 0) direction."""
-    return sorted(((CirclePos.of(p.x, p.y), p) for p in points),
-                  key=lambda t: t[0].key)
+def angular_positions(points) -> list[tuple[tuple, ColoredPoint]]:
+    """(angular key, point) pairs by ccw angle from the (1, 0) direction."""
+    return sorted(((_point_key(p.x, p.y), p) for p in points),
+                  key=lambda t: t[0])
 
 
 def angular_sort(points: Iterable[ColoredPoint]) -> list[ColoredPoint]:
@@ -374,17 +355,17 @@ def cell_arcs(positions, hs, vs) -> dict[CellSignature, list[Arc]]:
     crossing event; coincident crossings (one horizontal plus one vertical
     line meeting on the circle) are folded into one event.
     """
-    crossings: list[tuple[CirclePos, int, int]] = []
+    crossings: list[tuple[tuple, int, int]] = []
     for c in hs:
         if abs(c.numerator) < c.denominator:
             # ccw through the x > 0 crossing: y increases, so row + 1
-            crossings.append((CirclePos.crossing(AxisLine("H", c), True), 1, 0))
-            crossings.append((CirclePos.crossing(AxisLine("H", c), False), -1, 0))
+            right, left = _crossing_keys("H", c)
+            crossings += [(right, 1, 0), (left, -1, 0)]
     for c in vs:
         if abs(c.numerator) < c.denominator:
             # ccw through the y > 0 crossing: x decreases, so col - 1
-            crossings.append((CirclePos.crossing(AxisLine("V", c), True), 0, -1))
-            crossings.append((CirclePos.crossing(AxisLine("V", c), False), 0, 1))
+            upper, lower = _crossing_keys("V", c)
+            crossings += [(upper, 0, -1), (lower, 0, 1)]
 
     if not positions:
         return {}
@@ -396,10 +377,10 @@ def cell_arcs(positions, hs, vs) -> dict[CellSignature, list[Arc]]:
                   {p.color for _, p in positions}, [0, 1, 2, 3])
         return {ref_sig: [arc]}
 
-    crossings.sort(key=lambda t: t[0].key)
+    crossings.sort(key=lambda t: t[0])
     groups: list[list] = []
     for pos, dr, dc in crossings:
-        if groups and groups[-1][0].key == pos.key:
+        if groups and groups[-1][0] == pos:
             groups[-1][1] += dr
             groups[-1][2] += dc
         else:
@@ -409,17 +390,16 @@ def cell_arcs(positions, hs, vs) -> dict[CellSignature, list[Arc]]:
     # g + 1 (a point on a crossing is in no arc); the points before the
     # first group lie on the arc from the last group, which wraps past 0
     members: list[list[ColoredPoint]] = [[] for _ in groups]
-    keys = [grp[0].key for grp in groups]
+    keys = [grp[0] for grp in groups]
     g = -1
-    for pos, p in positions:
-        k = pos.key
+    for k, p in positions:
         while g + 1 < len(keys) and keys[g + 1] <= k:
             g += 1
         if keys[g] != k:
             members[g].append(p)
 
     # the walk starts at the first crossing after the reference point
-    start = next((g for g, k in enumerate(keys) if ref_pos.key < k), 0)
+    start = next((g for g, k in enumerate(keys) if ref_pos < k), 0)
     row, col = ref_sig
     result: dict[CellSignature, list[Arc]] = {}
     for g in (*range(start, len(groups)), *range(start)):
@@ -439,32 +419,30 @@ def cell_arcs(positions, hs, vs) -> dict[CellSignature, list[Arc]]:
 def arc_interior_point(start: ColoredPoint, end: ColoredPoint,
                        forbidden_x=(), forbidden_y=()) -> tuple[Fraction, Fraction]:
     """A rational circle point strictly inside the open ccw arc start -> end,
-    with both coordinates outside the given forbidden sets."""
+    with both coordinates outside the given forbidden sets.  The candidates
+    are infinitely many distinct circle points and a coordinate value is
+    shared by at most two of them, so finite forbidden sets end the search."""
     fx, fy = set(forbidden_x), set(forbidden_y)
-    for t in _arc_parameter_candidates(start, end):
-        x, y = circle_point_from_parameter(t)
-        if x not in fx and y not in fy:
-            return x, y
-    raise RuntimeError("unreachable: finitely many forbidden coordinates")
+    return next((x, y) for x, y in map(circle_point_from_parameter,
+                                       _arc_parameter_candidates(start, end))
+                if x not in fx and y not in fy)
 
 
 def _arc_parameter_candidates(start, end):
-    a = CirclePos.of(start.x, start.y)
-    b = CirclePos.of(end.x, end.y)
-    a_is_left = a.key == LEFT.key
-    b_is_left = b.key == LEFT.key
-    if a_is_left:
+    a = _point_key(start.x, start.y)
+    b = _point_key(end.x, end.y)
+    if a == LEFT:
         tb = circle_parameter(end.x, end.y)
-        for j in range(10_000):
+        for j in count():
             yield tb - (1 + j if j < 4 else Fraction(1, 2 ** j))
-    elif b_is_left:
+    elif b == LEFT:
         ta = circle_parameter(start.x, start.y)
-        for j in range(10_000):
+        for j in count():
             yield ta + (1 + j if j < 4 else Fraction(1, 2 ** j))
     elif arc_contains(LEFT, a, b):
         ta = circle_parameter(start.x, start.y)
         tb = circle_parameter(end.x, end.y)
-        for j in range(1, 10_000):
+        for j in count(1):
             yield ta + Fraction(1, 2 ** j)
             yield tb - Fraction(1, 2 ** j)
     else:
@@ -476,17 +454,17 @@ def _arc_parameter_candidates(start, end):
 
 
 def _rationals_between(lo: Fraction, hi: Fraction):
-    """lo + (hi - lo) * num/den for den = 2, 3, ... and 0 < num < den."""
+    """lo + (hi - lo) * num/den for den = 2, 3, ... and 0 < num < den:
+    infinitely many distinct rationals in the open interval (lo, hi)."""
     span = hi - lo
-    for den in range(2, 10_000):
+    for den in count(2):
         for num in range(1, den):
             yield lo + span * Fraction(num, den)
 
 
 def pick_coordinate(lo: Fraction, hi: Fraction, forbidden) -> Optional[Fraction]:
-    """A rational in the open interval (lo, hi) that is not in `forbidden`
-    (any container; it is not copied), or None if lo >= hi."""
+    """A rational in the open interval (lo, hi) that is not in the finite
+    `forbidden` (any container; it is not copied), or None if lo >= hi."""
     if lo >= hi:
         return None
-    return next((c for c in _rationals_between(lo, hi) if c not in forbidden),
-                None)
+    return next(c for c in _rationals_between(lo, hi) if c not in forbidden)

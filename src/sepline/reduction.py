@@ -106,6 +106,7 @@ def normalize(inst: CRBDS) -> NormalizedCRBDS:
     classes = [list(cls) for cls in inst.classes]
     blues = list(inst.blues)
     edges = set(inst.edges)
+    order = {v: list(us) for v, us in (inst.order or {}).items()}
     degs = {v: inst.degree(v) for v in inst.blues}
     d = max(2, max(degs.values(), default=0))
     if d % 2:
@@ -130,14 +131,17 @@ def normalize(inst: CRBDS) -> NormalizedCRBDS:
         # every vertical track, which keeps the signal-separated pair of a
         # track strictly between two defender-split pairs.  Remaining
         # degree deficits are filled with extra pendants in the low class.
+        # A given neighbour order keeps the low class first and the high
+        # class last, as the class-then-position order does.
         d += 2
         low = [f"_lo_{v}" for v in inst.blues]
         edges.update((f"_lo_{v}", v) for v in inst.blues)
         for v in inst.blues:
-            for t in range(d - 2 - degs[v]):
-                pend = f"_pend_{v}_{t + 1}"
-                low.append(pend)
-                edges.add((pend, v))
+            pends = [f"_pend_{v}_{t + 1}" for t in range(d - 2 - degs[v])]
+            low += pends
+            edges.update((pend, v) for pend in pends)
+            if v in order:
+                order[v] = [f"_lo_{v}", *pends, *order[v], f"_hi_{v}"]
         low += [f"_leafL{t + 1}" for t in range(d)]
         blues.append("_v0L")
         edges.update((f"_leafL{t + 1}", "_v0L") for t in range(d))
@@ -162,7 +166,7 @@ def normalize(inst: CRBDS) -> NormalizedCRBDS:
         while len(cls) < m:
             cls.append(f"_pad_{ci}_{len(cls) + 1}")
 
-    out = CRBDS(classes, blues, edges)
+    out = CRBDS(classes, blues, edges, order or None)
     _require(out.k % 2 == 0 and d % 2 == 0, "k or d is odd after normalizing")
     _require(all(out.degree(v) == d for v in out.blues),
              "a blue vertex's degree differs from d after normalizing")

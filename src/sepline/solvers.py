@@ -27,9 +27,9 @@ from .decomposition import (CircleDecomposition, SwitchGraph,
 from .errors import (DominationFailure, GuaranteeViolated, NotSeparating,
                      RepairExhausted)
 from .geometry import (BLUE, RED, Arc, AxisLine, CellMap, CellSignature,
-                       CirclePos, GeneralLine, arc_interior_point,
-                       axis_candidates, cell_arcs, cell_map, line_through,
-                       pick_coordinate, verify_separation)
+                       GeneralLine, arc_interior_point, axis_candidates,
+                       axis_keys, cell_arcs, cell_map, line_through,
+                       order_key, pick_coordinate, verify_separation)
 
 F = Fraction
 
@@ -85,7 +85,11 @@ def solve_general(points) -> GeneralSolution:
 
 def wedge_baseline(points) -> AxisSolution:
     """Two axis-parallel lines per blue chunk: the wedge through the inner
-    corner of the rectangle spanned by the chunk's switch anchors."""
+    corner of the rectangle spanned by the chunk's switch anchors p and q.
+
+    On the unit circle the corner (p.x, q.y) lies inside the disk iff
+    q.y^2 < p.y^2, and (q.x, p.y) iff p.y^2 < q.y^2; so q avoids +-p.y
+    and exactly one corner is inner."""
     dec = decompose(points)
     if dec.w == 0:
         return AxisSolution([], kappa=0)
@@ -101,22 +105,9 @@ def wedge_baseline(points) -> AxisSolution:
         prev_sw = dec.switches[(i - 1) % w]
         next_sw = dec.switches[i]
         p = arc_interior_point(prev_sw.start, prev_sw.end, fx | used_x, fy | used_y)
-        corner = None
-        extra_x, extra_y = {p[0]}, {p[1]}
-        for _ in range(64):
-            q = arc_interior_point(next_sw.start, next_sw.end,
-                                   fx | used_x | extra_x, fy | used_y | extra_y)
-            for cx, cy in ((p[0], q[1]), (q[0], p[1])):
-                if cx * cx + cy * cy < 1:
-                    corner = (cx, cy)
-                    break
-            if corner:
-                break
-            # degenerate: both candidate corners on the circle; re-pick q
-            extra_x.add(q[0])
-            extra_y.add(q[1])
-        if corner is None:
-            raise GuaranteeViolated("no inner wedge corner found")
+        q = arc_interior_point(next_sw.start, next_sw.end, fx | used_x | {p[0]},
+                               fy | used_y | {p[1], -p[1]})
+        corner = (p[0], q[1]) if q[1] * q[1] < p[1] * p[1] else (q[0], p[1])
         lines += [AxisLine("V", corner[0]), AxisLine("H", corner[1])]
         used_x.add(corner[0])
         used_y.add(corner[1])
@@ -157,14 +148,17 @@ _IMPROVED = "improved"
 _STUCK = "stuck"
 
 
-def _primary_quadrant(arc: Arc, by_id) -> Optional[int]:
+def _primary_quadrant(arc: Arc, quadrant) -> Optional[int]:
+    """The arc's quadrant, or of a 2-quadrant arc the one holding more of
+    its points (the lower on a tie); `quadrant` maps a point id to its
+    quadrant."""
     if len(arc.quadrants) == 1:
         return arc.quadrants[0]
     if len(arc.quadrants) != 2:
         return None
     counts = {q: 0 for q in arc.quadrants}
     for i in arc.point_ids:
-        q = CirclePos.of(by_id[i].x, by_id[i].y).quadrant()
+        q = quadrant[i]
         if q in counts:
             counts[q] += 1
     qa, qb = sorted(arc.quadrants)
@@ -184,15 +178,16 @@ def _cell_center(sig: CellSignature, cm: CellMap) -> tuple[Fraction, Fraction]:
             (max(ylo, F(-1)) + min(yhi, F(1))) / 2)
 
 
-def _unstabbed(cm: CellMap, switches) -> list:
+def _unstabbed(hks, vks, switches) -> list:
     """The switches whose open interval holds, in neither orientation, a
-    line coordinate of that orientation; O(w log L) order-key bisections."""
+    line coordinate of that orientation; `hks` and `vks` are the sorted
+    order keys of the H and V line coordinates.  O(w log L) bisections."""
     def stabbed(sw, ks, orient):
         itv = sw.intervals[orient]
         return bisect_right(ks, itv.lok) < bisect_left(ks, itv.hik)
 
     return [sw for sw in switches
-            if not (stabbed(sw, cm.hks, "H") or stabbed(sw, cm.vks, "V"))]
+            if not (stabbed(sw, hks, "H") or stabbed(sw, vks, "V"))]
 
 
 def _check_invariants(dec, cm, arcs):
@@ -202,7 +197,8 @@ def _check_invariants(dec, cm, arcs):
         if not ok:
             raise GuaranteeViolated(f"invariant violated: {what}")
 
-    require(not _unstabbed(cm, dec.switches), "a switch is not stabbed")
+    require(not _unstabbed(cm.hks, cm.vks, dec.switches),
+            "a switch is not stabbed")
     large = 0
     for sig, arclist in arcs.items():
         require(len(arclist) <= 4, "cell meets the circle in more than 4 arcs")
@@ -238,9 +234,10 @@ def refine_step(points, solution: AxisSolution, dec: CircleDecomposition,
     # classify 2-arc corrupt cells; the paper's priority cell is the
     # horizontal-flip cell farthest from the x-axis, else the vertical-flip
     # cell farthest from the y-axis (ties by signature)
+    quadrant = {p.id: k[0] for k, p in dec.positions}
     horiz, vert, other = [], [], []
     for sig in small:
-        qs = {_primary_quadrant(a, by_id) for a in arcs[sig]}
+        qs = {_primary_quadrant(a, quadrant) for a in arcs[sig]}
         cx, cy = _cell_center(sig, cm)
         if qs in ({0, 1}, {2, 3}):
             horiz.append((-abs(cy), sig, 1 if cy > 0 else 2))
@@ -357,12 +354,13 @@ def _repair_around(points, solution: AxisSolution, cm: CellMap,
     """
     boundary = set(_cell_boundary_lines(sig, cm.hs, cm.vs))
     keep = [ln for ln in solution.lines if ln not in boundary]
-    missed = _unstabbed(cell_map((), keep), switches)
+    missed = _unstabbed(*axis_keys(keep), switches)
     need = sum(1 << sw.index for sw in missed)
     pool = []  # (candidate, the missed switches it stabs as a bitmask)
     for c in axis_candidates(points):
-        hit = need - sum(1 << sw.index
-                         for sw in _unstabbed(cell_map((), [c]), missed))
+        k = order_key(c.c)
+        itvs = ((sw.index, sw.intervals[c.orient]) for sw in missed)
+        hit = sum(1 << i for i, itv in itvs if itv.lok < k < itv.hik)
         if hit:
             pool.append((c, hit))
     for combo in combinations(pool, solution.kappa - len(keep)):

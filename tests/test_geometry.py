@@ -7,7 +7,7 @@ import pytest
 import sepline.geometry as geometry
 from sepline.errors import PointOnLine
 from sepline.geometry import (BLUE, RED, Arc, AxisLine, CellSignature,
-                              CirclePos, ColoredPoint, GeneralLine,
+                              ColoredPoint, GeneralLine,
                               angular_positions, angular_sort, arc_contains,
                               arc_interior_point, arc_quadrants, axis_coords,
                               cell_arcs, cell_map,
@@ -287,88 +287,158 @@ def test_angular_sort(pts4):
     assert [p.id for p in angular_sort(pts4)] == [0, 1, 2, 3]
 
 
-def _pos(p):
-    return CirclePos.of(p.x, p.y)
+# The references below place a circle point by the sign of x, the square of
+# x and the sign of y, taken from its coordinates (x, y) or, for a crossing
+# of the axis line y = c or x = c, from (orient, c); they never read the
+# library's angular keys.
+
+def _ref_pos(x, y):
+    return (_sgn(x), x * x, _sgn(y))
+
+
+def _ref_crossing(orient, c, upper):
+    """The x > 0 crossing of y = c, or the y > 0 crossing of x = c, if
+    `upper`; else the other one."""
+    s = 1 if upper else -1
+    return (s, 1 - c * c, _sgn(c)) if orient == "H" else (_sgn(c), c * c, s)
+
+
+def _sgn(v):
+    return (v > 0) - (v < 0)
+
+
+# the quadrant [q*pi/2, (q+1)*pi/2) of each (sign of x, sign of y)
+_REF_QUADRANT = {(1, 0): 0, (1, 1): 0, (0, 1): 1, (-1, 1): 1,
+                 (-1, 0): 2, (-1, -1): 2, (0, -1): 3, (1, -1): 3}
+
+
+def _ref_quadrant(a):
+    return _REF_QUADRANT[a[0], a[2]]
 
 
 def _ref_cmp(a, b):
-    """Angular comparison by quadrant, then x; the reference for
-    CirclePos.key."""
-    qa, qb = a.quadrant(), b.quadrant()
+    """Angular comparison by quadrant, then x; the reference for the
+    angular keys."""
+    qa, qb = _ref_quadrant(a), _ref_quadrant(b)
     if qa != qb:
         return 1 if qa > qb else -1
-    if a.sx != b.sx:
-        c = 1 if a.sx > b.sx else -1
-    elif a.sx == 0 or a.x2 == b.x2:
+    if a[0] != b[0]:
+        c = 1 if a[0] > b[0] else -1
+    elif a[0] == 0 or a[1] == b[1]:
         c = 0
     else:
-        c = 1 if (a.x2 > b.x2) == (a.sx > 0) else -1
+        c = 1 if (a[1] > b[1]) == (a[0] > 0) else -1
     # in quadrants 0 and 1 the angle grows as x shrinks
     return -c if qa <= 1 else c
 
 
-def test_angular_key_matches_reference_order():
+def _ref_inside(pos, start, end):
+    """`pos` strictly inside the open ccw arc start -> end."""
+    def lt(a, b):
+        return _ref_cmp(a, b) < 0
+    if lt(start, end):
+        return lt(start, pos) and lt(pos, end)
+    return lt(start, pos) or lt(pos, end)
+
+
+def _ref_quadrants(start, end):
+    if _ref_cmp(start, end) == 0:
+        return [0, 1, 2, 3]
+    q, qe = _ref_quadrant(start), _ref_quadrant(end)
+    qs = [q]
+    if q == qe and _ref_cmp(start, end) < 0:
+        return qs
+    while True:
+        q = (q + 1) % 4
+        if q not in qs:
+            qs.append(q)
+        if q == qe:
+            return qs
+
+
+def _key_corpus():
+    """(library key, reference position) of the four turning points, 150
+    circle points and 150 axis-line crossings."""
     rng = random.Random(5)
-    positions = [geometry.TOP, geometry.BOTTOM, geometry.LEFT, geometry.RIGHT]
+    positions = [(geometry.TOP, (0, 0, 1)), (geometry.BOTTOM, (0, 0, -1)),
+                 (geometry.LEFT, (-1, 1, 0)), (geometry.RIGHT, (1, 1, 0))]
     for _ in range(150):
         x, y = circle_point_from_parameter(
             F(rng.randint(-30, 30), rng.randint(1, 30)))
-        positions.append(CirclePos.of(x, y))
+        positions.append((geometry._point_key(x, y), _ref_pos(x, y)))
         c = F(rng.randint(-29, 29), 30)
-        positions.append(CirclePos.crossing(AxisLine(rng.choice("HV"), c),
-                                            rng.random() < 0.5))
-    for a in positions:
-        for b in positions[::7]:
+        orient, upper = rng.choice("HV"), rng.random() < 0.5
+        positions.append((geometry._crossing_keys(orient, c)[not upper],
+                          _ref_crossing(orient, c, upper)))
+    return positions
+
+
+def test_angular_key_matches_reference_order():
+    positions = _key_corpus()
+    for ka, a in positions:
+        assert ka[0] == _ref_quadrant(a)
+        for kb, b in positions[::7]:
             ref = _ref_cmp(a, b)
-            assert (a.key < b.key) == (ref < 0)
-            assert (a.key == b.key) == (ref == 0)
+            assert (ka < kb) == (ref < 0)
+            assert (ka == kb) == (ref == 0)
+
+
+def test_arc_predicates_match_reference():
+    positions = _key_corpus()
+    for ks, s in positions[::5]:
+        for ke, e in positions[1::9]:
+            assert arc_quadrants(ks, ke) == _ref_quadrants(s, e)
+            for kp, p in positions[2::13]:
+                assert arc_contains(kp, ks, ke) == _ref_inside(p, s, e)
 
 
 def _per_arc_scan(points, lines):
-    """Reference for cell_arcs: every arc tests every point with
-    arc_contains."""
+    """Reference for cell_arcs: every arc tests every point, all on the
+    reference positions; the arcs' ends are the library keys of the
+    crossings the reference chose."""
     hs, vs = axis_coords(lines)
-    events = []
+    events = []  # (reference position, library key, row step, col step)
     for orient, coords, up, down in (("H", hs, (1, 0), (-1, 0)),
                                      ("V", vs, (0, -1), (0, 1))):
         for c in coords:
             if c * c < 1:
-                events.append((CirclePos.crossing(AxisLine(orient, c), True),
-                               *up))
-                events.append((CirclePos.crossing(AxisLine(orient, c), False),
-                               *down))
-    pts = sorted(points, key=cmp_to_key(lambda p, q: _ref_cmp(_pos(p),
-                                                              _pos(q))))
+                upper, lower = geometry._crossing_keys(orient, c)
+                events.append((_ref_crossing(orient, c, True), upper, *up))
+                events.append((_ref_crossing(orient, c, False), lower, *down))
+    pts = sorted(points, key=cmp_to_key(
+        lambda p, q: _ref_cmp(_ref_pos(p.x, p.y), _ref_pos(q.x, q.y))))
     if not pts:
         return {}
-    ref_pos = _pos(pts[0])
+    ref_pos = _ref_pos(pts[0].x, pts[0].y)
+    ref_key = geometry._point_key(pts[0].x, pts[0].y)
     ref_sig = CellSignature(sum(1 for c in hs if c < pts[0].y),
                             sum(1 for c in vs if c < pts[0].x))
     if not events:
-        return {ref_sig: [Arc(ref_sig, ref_pos, ref_pos, [p.id for p in pts],
+        return {ref_sig: [Arc(ref_sig, ref_key, ref_key, [p.id for p in pts],
                               {p.color for p in pts}, [0, 1, 2, 3])]}
     events.sort(key=cmp_to_key(lambda a, b: _ref_cmp(a[0], b[0])))
     groups = []
-    for pos, dr, dc in events:
+    for pos, key, dr, dc in events:
         if groups and _ref_cmp(groups[-1][0], pos) == 0:
-            groups[-1][1] += dr
-            groups[-1][2] += dc
+            groups[-1][2] += dr
+            groups[-1][3] += dc
         else:
-            groups.append([pos, dr, dc])
+            groups.append([pos, key, dr, dc])
     start = next((g for g, grp in enumerate(groups)
                   if _ref_cmp(ref_pos, grp[0]) < 0), 0)
     groups = groups[start:] + groups[:start]
     row, col = ref_sig.row, ref_sig.col
     out = {}
-    for g, (pos, dr, dc) in enumerate(groups):
+    for g, (pos, key, dr, dc) in enumerate(groups):
         row += dr
         col += dc
-        nxt = groups[(g + 1) % len(groups)][0]
-        members = [p for p in pts if arc_contains(_pos(p), pos, nxt)]
+        nxt, nxt_key = groups[(g + 1) % len(groups)][:2]
+        members = [p for p in pts
+                   if _ref_inside(_ref_pos(p.x, p.y), pos, nxt)]
         sig = CellSignature(row, col)
         out.setdefault(sig, []).append(
-            Arc(sig, pos, nxt, [p.id for p in members],
-                {p.color for p in members}, arc_quadrants(pos, nxt)))
+            Arc(sig, key, nxt_key, [p.id for p in members],
+                {p.color for p in members}, _ref_quadrants(pos, nxt)))
     return out
 
 

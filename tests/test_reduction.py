@@ -71,6 +71,31 @@ class TestNormalize:
         with pytest.raises(ValueError):
             normalize(CRBDS([["a"]], [], set()))
 
+    def test_given_order_kept(self):
+        norm = normalize(replace(toy(), order={"v1": ["u3", "u1"]}))
+        assert norm.inst.neighbors_of_blue("v1") == ["u3", "u1"]
+        assert norm.inst.neighbors_of_blue("v2") == ["u2", "u3"]
+
+    def test_given_order_kept_inside_degree_classes(self):
+        # v2 has degree 1, so the low and high classes are added: the
+        # given order sits between the low-class and the high-class
+        # neighbours, as the class-then-position order puts them
+        inst = CRBDS(classes=[["u1", "u2"], ["u3", "u4"]],
+                     blues=["v1", "v2"],
+                     edges={("u1", "v1"), ("u3", "v1"), ("u2", "v2")},
+                     order={"v1": ["u3", "u1"], "v2": ["u2"]})
+        norm = normalize(inst)
+        assert norm.added_degree_class
+        assert norm.inst.neighbors_of_blue("v1") == [
+            "_lo_v1", "u3", "u1", "_hi_v1"]
+        assert norm.inst.neighbors_of_blue("v2") == [
+            "_lo_v2", "_pend_v2_1", "u2", "_hi_v2"]
+        assert normalize(replace(inst, order=None)).inst.neighbors_of_blue(
+            "v1") == ["_lo_v1", "u1", "u3", "_hi_v1"]
+        # the sidecar loader accepts it: each order permutes the neighbours
+        loaded, _ = sidecar_from_doc(sidecar_to_doc(norm))
+        assert loaded.inst.order == norm.inst.order
+
 
 class TestReduce:
     def test_toy_counts(self):

@@ -15,7 +15,7 @@ from sepline.errors import DominationFailure, RepairExhausted
 from sepline.generate import gen_circle
 from sepline.geometry import (BLUE, RED, AxisLine, ColoredPoint,
                               angular_positions, axis_candidates, axis_coords,
-                              cell_arcs, cell_map, circle_parameter,
+                              axis_keys, cell_arcs, cell_map, circle_parameter,
                               circle_point_from_parameter, verify_separation)
 from sepline.oracles import (full_mask, min_axis_separation,
                              min_general_separation_circle, sep_bitset)
@@ -104,6 +104,26 @@ class TestWedgeBaseline:
             if dec.w:
                 g = build_switch_graph(dec)
                 assert g.kappa <= sol.size <= 2 * g.kappa
+
+    def test_antipodal_anchor_is_skipped(self, monkeypatch):
+        # the blue chunk's switches are the arcs of parameters (1/3, 1) and
+        # (-2, -1), whose first candidates 2/3 and -3/2 are antipodes: both
+        # corners of that rectangle lie on the circle, so q avoids -p.y and
+        # takes the next candidate, -5/3
+        pts = [ColoredPoint(i, c, *circle_point_from_parameter(t))
+               for i, (t, c) in enumerate([(F(1, 3), RED), (1, BLUE),
+                                           (-2, BLUE), (-1, RED)])]
+        picks = []
+        pick = solvers.arc_interior_point
+
+        def recording(*args):
+            picks.append(pick(*args))
+            return picks[-1]
+        monkeypatch.setattr(solvers, "arc_interior_point", recording)
+        sol = wedge_baseline(pts)
+        assert picks == [(F(5, 13), F(12, 13)), (F(-8, 17), F(-15, 17))]
+        assert sol.lines == [AxisLine("V", F(5, 13)), AxisLine("H", F(-15, 17))]
+        assert verify_separation(pts, sol.lines) is None
 
 
 class TestBuildL0:
@@ -245,7 +265,7 @@ def test_broken_invariant_raises_without_asserts():
         "import sepline.solvers as s",
         "from sepline.errors import GuaranteeViolated",
         "from sepline.generate import gen_circle",
-        "s._unstabbed = lambda cm, switches: list(switches)",
+        "s._unstabbed = lambda hks, vks, switches: list(switches)",
         "try:",
         "    s.solve_axis(gen_circle(16, 7, 'random'))",
         "except GuaranteeViolated:",
@@ -508,8 +528,8 @@ def test_bisection_stab_check_equals_line_loop():
         want = [sw for sw in dec.switches
                 if not any(line_stabs_switch(ln.orient, ln.c, sw)
                            for ln in lines)]
-        # the partition of no points: these lines may pass through points
-        assert solvers._unstabbed(cell_map([], lines), dec.switches) == want
+        # keys only: these lines may pass through points
+        assert solvers._unstabbed(*axis_keys(lines), dec.switches) == want
         results.append(not want)
     assert 20 < sum(results) < 380
 
@@ -543,8 +563,9 @@ def test_steps_never_call_sep_bitset(monkeypatch, n, seed):
 @pytest.mark.parametrize("n,seed", [(60, 14), (100, 34)], ids=str)
 def test_one_partition_per_arrangement(monkeypatch, n, seed):
     # L0 and each step's arrangement are partitioned once, and the points
-    # are sorted by angle once, in decompose
-    calls = {"cell_map": 0, "angular_positions": 0}
+    # are sorted by angle once, in decompose, which keys each point once:
+    # the steps read each point's quadrant from those keys
+    calls = {"cell_map": 0, "angular_positions": 0, "_point_key": 0}
 
     def counting(mod, name):
         fn = getattr(mod, name)
@@ -556,6 +577,8 @@ def test_one_partition_per_arrangement(monkeypatch, n, seed):
     counting(solvers, "cell_map")
     counting(sepline.geometry, "angular_positions")
     counting(sepline.decomposition, "angular_positions")
+    counting(sepline.geometry, "_point_key")
     sol = solve_axis(gen_circle(n, seed, "random"))
     assert sol.steps == 2
-    assert calls == {"cell_map": sol.steps + 1, "angular_positions": 1}
+    assert calls == {"cell_map": sol.steps + 1, "angular_positions": 1,
+                     "_point_key": n}
