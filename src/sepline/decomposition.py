@@ -124,11 +124,6 @@ def projection_interval(switch: Switch, axis: str) -> Interval:
                     ONE if top_in else max(ka, kb)[1])
 
 
-def line_stabs_switch(orient: str, c: Fraction, switch: Switch) -> bool:
-    itv = switch.intervals[orient]
-    return itv.lo < c < itv.hi
-
-
 def faces(a: Switch, b: Switch) -> dict[str, Interval]:
     """Feasible stabbing orientations for a pair of switches, each with the
     overlap of their projection intervals.  A nonempty overlap has lo < hi,

@@ -330,8 +330,7 @@ class Arc:
     start: tuple  # angular keys of its ends
     end: tuple
     point_ids: list[int]
-    colors: set[str] = field(default_factory=set)
-    quadrants: list[int] = field(default_factory=list)
+    colors: set[str]
 
 
 def angular_positions(points) -> list[tuple[tuple, ColoredPoint]]:
@@ -374,7 +373,7 @@ def cell_arcs(positions, hs, vs) -> dict[CellSignature, list[Arc]]:
 
     if not crossings:
         arc = Arc(ref_sig, ref_pos, ref_pos, [p.id for _, p in positions],
-                  {p.color for _, p in positions}, [0, 1, 2, 3])
+                  {p.color for _, p in positions})
         return {ref_sig: [arc]}
 
     crossings.sort(key=lambda t: t[0])
@@ -409,7 +408,7 @@ def cell_arcs(positions, hs, vs) -> dict[CellSignature, list[Arc]]:
         nxt = groups[(g + 1) % len(groups)][0]
         sig = CellSignature(row, col)
         arc = Arc(sig, pos, nxt, [p.id for p in members[g]],
-                  {p.color for p in members[g]}, arc_quadrants(pos, nxt))
+                  {p.color for p in members[g]})
         result.setdefault(sig, []).append(arc)
     if (row, col) != ref_sig:
         raise GuaranteeViolated("circle walk did not close")

@@ -14,9 +14,10 @@ and n blue vertices maps to a planar point set on a (k+2) x (n+1) track grid:
 * three enforcer pairs (6 points) force the two horizontal and one vertical
   "fence" lines walling off the selector column and the guard row.
 
-Budgets are p = k+2 horizontal and q = (d-1)n + 1 vertical lines; the point
-set is separable within those budgets iff the instance has a colorful
-dominating set.
+Budgets are p = k+2 horizontal and q = (d-1)n + 1 vertical lines.  A
+separation within those budgets decodes to a colorful dominating set
+(`extract`); the converse is not guaranteed: some colorful dominating sets
+have no separating lift (`lift` raises NotSeparating).
 """
 
 from __future__ import annotations
@@ -412,14 +413,25 @@ def validate_layout(red: ReducedInstance) -> None:
                  "vertical separates two functional pairs")
 
 
+# the pick of each class `normalize` adds: a leaf of the star on its new
+# blue vertex (_v0L, _v0H, _w0), whose only neighbours are that class
+_FORCED_PICKS = ("_leafL1", "_leafH1", "_par1")
+
+
 def lift(norm: NormalizedCRBDS, red: ReducedInstance,
          chosen: list[str]) -> list[AxisLine]:
     """Forward direction: a colorful dominating set yields a separating set
     of exactly p horizontal and q vertical lines (fence + signals + defenders).
-    Raises NotSeparating if no defender assignment verifies.
+    `chosen` may name vertices of the input instance only: each class that
+    `normalize` added and `chosen` misses gets its forced pick.  Raises
+    NotSeparating if no defender assignment verifies.
     """
     layout = red.layout
     inst, k, n, d = norm.inst, layout.k, layout.n, layout.d
+    chosen = list(chosen)
+    for cls in inst.classes:
+        if not any(u in chosen for u in cls):
+            chosen += [u for u in cls if u in _FORCED_PICKS]
     if len(chosen) != k:
         raise InvalidDominatingSet(f"expected {k} vertices, got {len(chosen)}")
     f = {}

@@ -5,11 +5,13 @@ adjacent switches (w/2 lines, optimal).  solve_axis builds the edge-cover
 seeded line set L0 of size kappa, then walks a sequence of strictly
 dominating solutions until every cell is monochromatic.  Each step makes
 one flip (one boundary line of the priority corrupt cell); solve_axis
-checks that the step strictly dominates and does not grow.  When no flip
-applies, the repair replaces the stuck cell's boundary lines by the first
-kappa-line completion among the candidates that stab a switch the kept
-lines miss, decided on the cell partition, and raises RepairExhausted if
-there is none.  Nothing here imports the brute-force oracles.
+checks that the step strictly dominates and does not grow, and a flip
+whose precondition fails raises GuaranteeViolated.  When the loop is
+stuck (a large cell is the only corrupt cell, or no 2-arc corrupt cell
+allows a flip), the repair replaces the stuck cell's boundary lines by the
+first kappa-line completion among the candidates that stab a switch the
+kept lines miss, decided on the cell partition, and raises RepairExhausted
+if there is none.  Nothing here imports the brute-force oracles.
 """
 
 from __future__ import annotations
@@ -27,9 +29,10 @@ from .decomposition import (CircleDecomposition, SwitchGraph,
 from .errors import (DominationFailure, GuaranteeViolated, NotSeparating,
                      RepairExhausted)
 from .geometry import (BLUE, RED, Arc, AxisLine, CellMap, CellSignature,
-                       GeneralLine, arc_interior_point, axis_candidates,
-                       axis_keys, cell_arcs, cell_map, line_through,
-                       order_key, pick_coordinate, verify_separation)
+                       GeneralLine, arc_interior_point, arc_quadrants,
+                       axis_candidates, axis_keys, cell_arcs, cell_map,
+                       line_through, order_key, pick_coordinate,
+                       verify_separation)
 
 F = Fraction
 
@@ -152,19 +155,10 @@ def _primary_quadrant(arc: Arc, quadrant) -> Optional[int]:
     """The arc's quadrant, or of a 2-quadrant arc the one holding more of
     its points (the lower on a tie); `quadrant` maps a point id to its
     quadrant."""
-    if len(arc.quadrants) == 1:
-        return arc.quadrants[0]
-    if len(arc.quadrants) != 2:
+    qs = arc_quadrants(arc.start, arc.end)
+    if len(qs) > 2:
         return None
-    counts = {q: 0 for q in arc.quadrants}
-    for i in arc.point_ids:
-        q = quadrant[i]
-        if q in counts:
-            counts[q] += 1
-    qa, qb = sorted(arc.quadrants)
-    if counts[qa] >= counts[qb]:
-        return qa
-    return qb
+    return max(sorted(qs), key=[quadrant[i] for i in arc.point_ids].count)
 
 
 def _cell_center(sig: CellSignature, cm: CellMap) -> tuple[Fraction, Fraction]:
@@ -216,115 +210,84 @@ def refine_step(points, solution: AxisSolution, dec: CircleDecomposition,
     """One strict-domination step, after checking the invariants of the
     arrangement whose cell partition is `cm`.
 
-    Returns (_DONE, solution), (_IMPROVED, new_solution) or, when no flip
-    applies, (_STUCK, corrupt_sig).
+    Returns (_DONE, solution), (_IMPROVED, new_solution) or, when the only
+    corrupt cells are a large cell or 2-arc cells with neither flip,
+    (_STUCK, corrupt_sig).
     """
     arcs = cell_arcs(dec.positions, cm.hs, cm.vs)
     _check_invariants(dec, cm, arcs)
     if not cm.corrupt:
         return (_DONE, solution)
-    by_id = {p.id: p for p in points}
-
-    small, large = [], []
-    for sig in cm.corrupt:
-        (large if len(arcs[sig]) >= 3 else small).append(sig)
+    small = [sig for sig in cm.corrupt if len(arcs[sig]) == 2]
     if not small:
-        return (_STUCK, sorted(large)[0])
+        return (_STUCK, min(cm.corrupt))
 
     # classify 2-arc corrupt cells; the paper's priority cell is the
     # horizontal-flip cell farthest from the x-axis, else the vertical-flip
     # cell farthest from the y-axis (ties by signature)
     quadrant = {p.id: k[0] for k, p in dec.positions}
-    horiz, vert, other = [], [], []
+    flips = []
     for sig in small:
         qs = {_primary_quadrant(a, quadrant) for a in arcs[sig]}
         cx, cy = _cell_center(sig, cm)
         if qs in ({0, 1}, {2, 3}):
-            horiz.append((-abs(cy), sig, 1 if cy > 0 else 2))
+            flips.append((0, -abs(cy), sig, "H", 1 if cy > 0 else -1))
         elif qs in ({0, 3}, {1, 2}):
-            vert.append((-abs(cx), sig, 4 if cx > 0 else 3))
-        else:
-            other.append(sig)
-    if not (horiz or vert):
-        return (_STUCK, min(other))
-    _, sig, case = min(horiz or vert)
-    new_lines = _try_flip(points, solution.lines, cm, arcs[sig], sig, case,
-                          by_id)
-    if new_lines is None:
-        return (_STUCK, sig)
-    return (_IMPROVED, AxisSolution(new_lines, solution.kappa,
+            flips.append((1, -abs(cx), sig, "V", 1 if cx > 0 else -1))
+    if not flips:
+        return (_STUCK, min(small))
+    _, _, sig, orient, step = min(flips)
+    lines = _flip(points, solution.lines, cm, arcs[sig], sig, orient, step)
+    return (_IMPROVED, AxisSolution(lines, solution.kappa,
                                     solution.steps + 1, solution.repair_used))
 
 
-def _try_flip(points, lines, cm, cell_arcs_list, sig, case,
-              by_id) -> Optional[list[AxisLine]]:
-    """Flip the outward boundary line of a 2-arc corrupt cell.
+def _flip(points, lines, cm, arc_pair, sig, orient, step) -> list[AxisLine]:
+    """Flip a boundary line of the 2-arc corrupt cell `sig`: for orient "H"
+    the horizontal line above it (step +1) or below it (step -1), for "V"
+    the vertical line right (+1) or left (-1) of it.
 
-    The removed line merges the cell with its outward neighbor; the added
-    perpendicular line, placed strictly between the protected arc's points
-    and the exposed side's points, shields the protected arc.  Returns None
-    if the flip's geometry fails.  solve_axis checks that the new lines
-    strictly dominate `lines`, and the next refine_step that they stab
-    every switch.
+    Removing the line merges the cell with its neighbour across it; the
+    added perpendicular line, strictly between the protected arc's points
+    and the exposed side's points (the other arc, of the neighbour's
+    colour, and the neighbour), shields the protected arc.  Raises
+    GuaranteeViolated if the boundary line is missing, the neighbour does
+    not hold exactly one colour or no cut fits.  solve_axis checks that the
+    new lines strictly dominate `lines`, and the next refine_step that they
+    stab every switch.
     """
-    hs, vs = cm.hs, cm.vs
-    if case == 1:
-        if sig.row >= len(hs):
-            return None
-        boundary = AxisLine("H", hs[sig.row])
-        neighbor = CellSignature(sig.row + 1, sig.col)
-        flip_orient, perp = "V", (lambda p: p.x)
-    elif case == 2:
-        if sig.row == 0:
-            return None
-        boundary = AxisLine("H", hs[sig.row - 1])
-        neighbor = CellSignature(sig.row - 1, sig.col)
-        flip_orient, perp = "V", (lambda p: p.x)
-    elif case == 3:
-        if sig.col == 0:
-            return None
-        boundary = AxisLine("V", vs[sig.col - 1])
-        neighbor = CellSignature(sig.row, sig.col - 1)
-        flip_orient, perp = "H", (lambda p: p.y)
+    def require(ok, what):
+        if not ok:
+            raise GuaranteeViolated(f"flip of cell {tuple(sig)}: {what}")
+
+    if orient == "H":
+        coords, idx, cut_orient, perp = cm.hs, sig.row, "V", (lambda p: p.x)
+        neighbor = CellSignature(sig.row + step, sig.col)
     else:
-        if sig.col >= len(vs):
-            return None
-        boundary = AxisLine("V", vs[sig.col])
-        neighbor = CellSignature(sig.row, sig.col + 1)
-        flip_orient, perp = "H", (lambda p: p.y)
+        coords, idx, cut_orient, perp = cm.vs, sig.col, "H", (lambda p: p.y)
+        neighbor = CellSignature(sig.row, sig.col + step)
+    b = idx if step > 0 else idx - 1
+    require(0 <= b < len(coords), "no boundary line")
+    ncolors = cm.colors.get(neighbor, {})
+    require(len(ncolors) == 1, "the neighbour is not of one colour")
 
     # the cell holds both colours and _check_invariants made each arc
     # monochromatic, so each arc holds the points of one colour
-    arc_a, arc_b = cell_arcs_list
-    ncolors = cm.colors.get(neighbor, {})
-    if len(ncolors) > 1:
-        return None
-
-    if ncolors:
-        exposed = arc_a if ncolors.keys() == arc_a.colors else arc_b
-    else:
-        # empty neighbor matches either color: prefer the lower-coordinate arc
-        lo_a = min(perp(by_id[i]) for i in arc_a.point_ids)
-        lo_b = min(perp(by_id[i]) for i in arc_b.point_ids)
-        exposed = arc_a if lo_a <= lo_b else arc_b
-    protected = arc_b if exposed is arc_a else arc_a
-
-    exposed_coords = [perp(by_id[i]) for i in exposed.point_ids]
-    exposed_coords += [perp(by_id[i]) for i in cm.cells.get(neighbor, [])]
-    prot_coords = [perp(by_id[i]) for i in protected.point_ids]
-    if min(exposed_coords) > max(prot_coords):
-        lo, hi = max(prot_coords), min(exposed_coords)
-    elif max(exposed_coords) < min(prot_coords):
-        lo, hi = max(exposed_coords), min(prot_coords)
-    else:
-        return None
-
+    arc_a, arc_b = arc_pair
+    exposed, protected = ((arc_a, arc_b) if ncolors.keys() == arc_a.colors
+                          else (arc_b, arc_a))
+    by_id = {p.id: p for p in points}
+    exp = [perp(by_id[i]) for i in (*exposed.point_ids, *cm.cells[neighbor])]
+    prot = [perp(by_id[i]) for i in protected.point_ids]
+    lo, hi = ((max(prot), min(exp)) if max(prot) < min(exp)
+              else (max(exp), min(prot)))
+    require(lo < hi, "no cut fits between the arcs")
+    # (lo, hi) lies inside the cell's column (for "H"; row for "V"), which
+    # no line of the cut's orientation crosses: the cut is a new line
     forbidden = {perp(p) for p in points}
-    cut = pick_coordinate(lo, hi, forbidden)
-    new_lines = [ln for ln in lines if ln != boundary]
-    if AxisLine(flip_orient, cut) not in new_lines:
-        new_lines.append(AxisLine(flip_orient, cut))
-    return new_lines
+    cut = AxisLine(cut_orient, pick_coordinate(lo, hi, forbidden))
+    boundary = AxisLine(orient, coords[b])
+    return [ln for ln in lines if ln != boundary] + [cut]
 
 
 # --- large-cell repair -------------------------------------------------------

@@ -22,6 +22,14 @@ def pt(i, color, x, y):
     return ColoredPoint(i, color, F(x), F(y))
 
 
+def line_stabs_switch(orient: str, c, switch) -> bool:
+    """Whether the axis line of orientation `orient` at `c` crosses the
+    open switch arc: `c` lies inside its open projection interval.  The
+    reference for the solver's bisection stab check."""
+    itv = switch.intervals[orient]
+    return itv.lo < c < itv.hi
+
+
 @pytest.fixture
 def pts4():
     """Alternating 4-point instance at the axis extremes."""

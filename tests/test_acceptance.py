@@ -6,13 +6,14 @@ survives pytest capture) and fails the suite on any violation.
 
 import random
 import sys
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
-from sepline.decomposition import (build_switch_graph, decompose,
-                                   line_stabs_switch)
+from sepline import solvers
+from sepline.decomposition import build_switch_graph, decompose
 from sepline.errors import GuaranteeViolated
 from sepline.generate import gen_circle
 from sepline.geometry import (BLUE, RED, ColoredPoint, angular_positions,
@@ -26,7 +27,9 @@ from sepline.reduction import (extract_vertices, lift, normalize,
                                reduce_instance, validate_layout)
 from sepline.solvers import solve_axis, solve_general, wedge_baseline
 
+from conftest import line_stabs_switch
 from test_reduction import _small_instances, toy
+from test_solvers import FLIP_DIRECTIONS
 
 F = Fraction
 
@@ -65,13 +68,29 @@ def _corpus(count, max_n, seed0):
 @pytest.fixture(scope="module")
 def axis_runs():
     """Shared corpus for criteria 2, 4 and 5: 500 solved axis instances,
-    each with every arrangement its refinement loop examined."""
+    each with every arrangement its refinement loop examined and the
+    rare-path events of its solve: the direction of each flip, and the
+    cause ("large" or "other") of each stuck cell sent to repair."""
     runs = []
+    flip, repair = solvers._flip, solvers._repair_around
     for pts in _corpus(500, 12, 20_000):
-        arrangements = []
-        sol = solve_axis(pts, arrangements.append)
+        arrangements, events = [], []
+
+        def flipping(points, lines, cm, arcs, sig, orient, step):
+            events.append(FLIP_DIRECTIONS[(orient, step)])
+            return flip(points, lines, cm, arcs, sig, orient, step)
+
+        def repairing(points, sol, cm, sig, switches):
+            stuck = _arcs(points, sol.lines)[sig]
+            events.append("other" if len(stuck) == 2 else "large")
+            return repair(points, sol, cm, sig, switches)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(solvers, "_flip", flipping)
+            mp.setattr(solvers, "_repair_around", repairing)
+            sol = solve_axis(pts, arrangements.append)
         dec = decompose(pts)
-        runs.append((pts, dec, sol, arrangements))
+        runs.append((pts, dec, sol, arrangements, events))
     return runs
 
 
@@ -90,7 +109,7 @@ def test_criterion_1_general_optimality():
 
 def test_criterion_2_axis_optimality(axis_runs):
     bad = 0
-    for pts, dec, sol, _ in axis_runs:
+    for pts, dec, sol, *_ in axis_runs:
         k_opt, _ = min_axis_separation(pts)
         kappa = build_switch_graph(dec).kappa if dec.w else 0
         if not (sol.size == kappa == k_opt
@@ -119,9 +138,11 @@ def test_criterion_3_named_instances(pts4, diag):
 
 def test_criterion_4_refinement_invariants(axis_runs):
     violations = steps = repairs = 0
-    for pts, dec, sol, arrangements in axis_runs:
+    events = Counter()
+    for pts, dec, sol, arrangements, run_events in axis_runs:
         steps += sol.steps
         repairs += sol.repair_used
+        events.update(run_events)
         r = sum(1 for p in pts if p.color == RED)
         b = len(pts) - r
         if sol.steps > r * b:
@@ -137,16 +158,19 @@ def test_criterion_4_refinement_invariants(axis_runs):
             if not any(line_stabs_switch(ln.orient, ln.c, sw)
                        for ln in sol.lines):
                 violations += 1
+    flips = ", ".join(f"{d} {events[d]}"
+                      for d in ("up", "down", "left", "right"))
     _report(violations == 0, "criterion 4 (refinement invariants)",
             "arcs<=4 per cell, <=1 large cell, steps<=r*b, all switches "
             f"stabbed, RepairExhausted never fired; {violations} violations; "
-            f"{steps} accepted steps, {repairs} solves used repair over "
-            f"{len(axis_runs)} instances")
+            f"{steps} accepted steps (flips {flips}), {repairs} solves used "
+            f"repair (stuck on large {events['large']}, other "
+            f"{events['other']}) over {len(axis_runs)} instances")
 
 
 def test_criterion_5_wedge_baseline(axis_runs):
     bad = 0
-    for pts, dec, sol, _ in axis_runs:
+    for pts, dec, sol, *_ in axis_runs:
         wb = wedge_baseline(pts)
         kappa = sol.size
         if not (wb.size == dec.w

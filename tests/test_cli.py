@@ -293,6 +293,43 @@ class TestCommands:
             assert json.loads(capsys.readouterr().out)["vertices"] == \
                 s.split(",")
 
+    @pytest.mark.parametrize("doc,chosen,added,size", [
+        # both blues adjacent to u1 and u3: normalize adds the low and high
+        # classes, whose forced picks are _leafL1 and _leafH1
+        ({"classes": [["u1", "u2"], ["u3", "u4"]], "blues": ["v1", "v2"],
+          "edges": [["u1", "v1"], ["u3", "v1"], ["u1", "v2"],
+                    ["u3", "v2"]]}, "u1,u3", ["_leafL1", "u1", "u3", "_leafH1"],
+         19),
+        # three classes: normalize adds the parity class, forced pick _par1
+        ({"classes": [["a"], ["b"], ["c"]], "blues": ["v1", "v2"],
+          "edges": [["a", "v1"], ["b", "v1"], ["b", "v2"], ["c", "v2"]]},
+         "a,b,c", ["a", "b", "c", "_par1"], 10),
+    ], ids=["degree", "parity"])
+    def test_lift_completes_input_set(self, tmp_path, capsys, doc, chosen,
+                                      added, size):
+        # --set names vertices of the input instance; lift adds the forced
+        # pick of each class that normalize added
+        crbds = tmp_path / "c.json"
+        crbds.write_text(json.dumps(doc))
+        inst, side = tmp_path / "r.json", tmp_path / "side.json"
+        sol = tmp_path / "lift.json"
+        assert self.run("reduce", str(crbds), "-o", str(inst),
+                        "--sidecar", str(side)) == 0
+        assert self.run("lift", "--sidecar", str(side), "--instance",
+                        str(inst), "--set", chosen, "-o", str(sol)) == 0
+        assert len(json.loads(sol.read_text())["lines"]) == size
+        assert self.run("verify", str(inst), "--lines", str(sol)) == 0
+        capsys.readouterr()
+        assert self.run("extract", "--sidecar", str(side), "--instance",
+                        str(inst), "--lines", str(sol)) == 0
+        assert json.loads(capsys.readouterr().out)["vertices"] == added
+        # naming the forced picks as well lifts to the same lines
+        full = tmp_path / "full.json"
+        assert self.run("lift", "--sidecar", str(side), "--instance",
+                        str(inst), "--set", ",".join(added),
+                        "-o", str(full)) == 0
+        assert full.read_bytes() == sol.read_bytes()
+
     def test_lift_bad_set_exits_1(self, tmp_path):
         crbds = tmp_path / "c.json"
         crbds.write_text(json.dumps(toy_doc()))

@@ -5,13 +5,14 @@ import pytest
 
 from sepline import decomposition
 from sepline.decomposition import (Interval, build_switch_graph, decompose,
-                                   faces, line_stabs_switch,
-                                   projection_interval)
+                                   faces, projection_interval)
 from sepline.errors import EmptyInstance, PointOffCircle
 from sepline.generate import gen_circle
 from sepline.geometry import (BLUE, RED, ColoredPoint,
                               circle_point_from_parameter, pick_coordinate)
 from sepline.solvers import solve_axis
+
+from conftest import line_stabs_switch
 
 F = Fraction
 

@@ -415,7 +415,7 @@ def _per_arc_scan(points, lines):
                             sum(1 for c in vs if c < pts[0].x))
     if not events:
         return {ref_sig: [Arc(ref_sig, ref_key, ref_key, [p.id for p in pts],
-                              {p.color for p in pts}, [0, 1, 2, 3])]}
+                              {p.color for p in pts})]}
     events.sort(key=cmp_to_key(lambda a, b: _ref_cmp(a[0], b[0])))
     groups = []
     for pos, key, dr, dc in events:
@@ -438,7 +438,7 @@ def _per_arc_scan(points, lines):
         sig = CellSignature(row, col)
         out.setdefault(sig, []).append(
             Arc(sig, key, nxt_key, [p.id for p in members],
-                {p.color for p in members}, _ref_quadrants(pos, nxt)))
+                {p.color for p in members}))
     return out
 
 

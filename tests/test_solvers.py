@@ -10,7 +10,7 @@ import pytest
 
 import sepline
 from sepline import solvers
-from sepline.decomposition import build_switch_graph, decompose, line_stabs_switch
+from sepline.decomposition import build_switch_graph, decompose
 from sepline.errors import DominationFailure, RepairExhausted
 from sepline.generate import gen_circle
 from sepline.geometry import (BLUE, RED, AxisLine, ColoredPoint,
@@ -21,6 +21,8 @@ from sepline.oracles import (full_mask, min_axis_separation,
                              min_general_separation_circle, sep_bitset)
 from sepline.solvers import (AxisSolution, build_L0, refine_step, solve_axis,
                              solve_general, wedge_baseline)
+
+from conftest import line_stabs_switch
 
 F = Fraction
 
@@ -284,19 +286,75 @@ def test_non_dominating_step_raises(monkeypatch):
 
 
 def test_one_flip_per_step(monkeypatch):
-    # a step tries the priority cell only; a failed flip is a stuck outcome
+    # a step flips the priority cell only
     pts = gen_circle(60, 14, "random")
     dec = decompose(pts)
     sol = build_L0(dec, build_switch_graph(dec))
     calls = []
+    flip = solvers._flip
 
-    def no_flip(points, lines, cm, arcs, sig, *rest):
+    def recording(points, lines, cm, arcs, sig, orient, step):
         calls.append(sig)
-        return None
-    monkeypatch.setattr(solvers, "_try_flip", no_flip)
+        return flip(points, lines, cm, arcs, sig, orient, step)
+    monkeypatch.setattr(solvers, "_flip", recording)
     outcome, payload = refine_step(pts, sol, dec, cell_map(pts, sol.lines))
     assert len(calls) == 1
-    assert (outcome, payload) == ("stuck", calls[0])
+    assert outcome == "improved"
+    assert (payload.steps, payload.size) == (1, sol.size)
+
+
+# a flip's (orient, step) as the direction of the boundary line it removes
+FLIP_DIRECTIONS = {("H", 1): "up", ("H", -1): "down",
+                   ("V", -1): "left", ("V", 1): "right"}
+
+# direction -> a gen_circle instance whose one refinement step flips that
+# way, and the digest of its `solve --variant axis` output, recorded while
+# each direction was still a case of its own
+FLIP_CORPUS = {
+    "up": ("random/5/173", "75ccbcc4870e1913"),
+    "down": ("random/7/149", "54ba58a326ce58eb"),
+    "left": ("random/5/57", "b5bae2546023cf7c"),
+    "right": ("random/5/146", "1124e098496537cf"),
+}
+
+
+@pytest.mark.parametrize("direction", sorted(FLIP_CORPUS))
+def test_flip_corpus(monkeypatch, tmp_path, direction):
+    from test_golden import _cli, _write_instance
+    name, digest = FLIP_CORPUS[direction]
+    taken = []
+    flip = solvers._flip
+
+    def recording(points, lines, cm, arcs, sig, orient, step):
+        taken.append(FLIP_DIRECTIONS[(orient, step)])
+        return flip(points, lines, cm, arcs, sig, orient, step)
+    monkeypatch.setattr(solvers, "_flip", recording)
+    inst = _write_instance(tmp_path, name)
+    assert _cli(tmp_path, "solve", inst, "--variant", "axis") == digest
+    assert taken == [direction]
+
+
+def test_failed_flip_precondition_raises_without_asserts():
+    # a flip whose neighbour cell is not of one colour must raise
+    # GuaranteeViolated under python -O too, not fall back to repair:
+    # the partition here reports every monochromatic cell as empty
+    _run_optimized("\n".join([
+        "import sepline.solvers as s",
+        "from sepline.errors import GuaranteeViolated",
+        "from sepline.generate import gen_circle",
+        "partition = s.cell_map",
+        "def uncoloured(points, lines):",
+        "    cm = partition(points, lines)",
+        "    cm.colors = {sig: cm.colors[sig] for sig in cm.corrupt}",
+        "    return cm",
+        "s.cell_map = uncoloured",
+        "s._repair_around = None",
+        "try:",
+        "    s.solve_axis(gen_circle(60, 14, 'random'))",
+        "except GuaranteeViolated as e:",
+        "    raise SystemExit(0 if 'not of one colour' in str(e) else str(e))",
+        "raise SystemExit('a failed flip precondition went unnoticed')",
+    ]))
 
 
 def test_failed_repair_raises_without_widening(monkeypatch):
