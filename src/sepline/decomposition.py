@@ -17,20 +17,41 @@ from .geometry import (BOTTOM, LEFT, MINUS_ONE, ONE, RIGHT, TOP, ColoredPoint,
                        angular_positions, arc_contains, order_key)
 
 
-@dataclass(frozen=True)
 class Interval:
-    """The open rational interval (lo, hi), with the order keys of its
-    ends.  Whether an end at +-1 is attained never matters: every line
-    built here has |c| < 1."""
+    """The open rational interval (lo, hi), held as the order keys `lok`,
+    `hik` of its ends: `Interval(lo, hi)` builds them, `Interval.of_keys`
+    takes keys already built.  Whether an end at +-1 is attained never
+    matters: every line built here has |c| < 1."""
 
-    lo: Fraction
-    hi: Fraction
-    lok: tuple = field(init=False, repr=False, compare=False)
-    hik: tuple = field(init=False, repr=False, compare=False)
+    __slots__ = ("lok", "hik")
 
-    def __post_init__(self):
-        object.__setattr__(self, "lok", order_key(self.lo))
-        object.__setattr__(self, "hik", order_key(self.hi))
+    def __init__(self, lo, hi):
+        self.lok, self.hik = order_key(lo), order_key(hi)
+
+    @classmethod
+    def of_keys(cls, lok: tuple, hik: tuple) -> Interval:
+        itv = object.__new__(cls)
+        itv.lok, itv.hik = lok, hik
+        return itv
+
+    @property
+    def lo(self) -> Fraction:
+        return self.lok[1]
+
+    @property
+    def hi(self) -> Fraction:
+        return self.hik[1]
+
+    def __eq__(self, other):
+        return self.lok == other.lok and self.hik == other.hik
+
+    def __repr__(self):
+        return f"Interval({self.lo!r}, {self.hi!r})"
+
+
+# the keys of the ends -1 and 1 that a switch arc through a turning point
+# widens its projection to
+_LOW, _HIGH = order_key(MINUS_ONE), order_key(ONE)
 
 
 @dataclass
@@ -120,8 +141,8 @@ def projection_interval(switch: Switch, axis: str) -> Interval:
         ka, kb = switch.start.xk, switch.end.xk
         top_in = arc_contains(RIGHT, a, b)
         bot_in = arc_contains(LEFT, a, b)
-    return Interval(MINUS_ONE if bot_in else min(ka, kb)[1],
-                    ONE if top_in else max(ka, kb)[1])
+    return Interval.of_keys(_LOW if bot_in else min(ka, kb),
+                            _HIGH if top_in else max(ka, kb))
 
 
 def faces(a: Switch, b: Switch) -> dict[str, Interval]:
@@ -133,7 +154,7 @@ def faces(a: Switch, b: Switch) -> dict[str, Interval]:
         ia, ib = a.intervals[orient], b.intervals[orient]
         lok, hik = max(ia.lok, ib.lok), min(ia.hik, ib.hik)
         if lok < hik:
-            out[orient] = Interval(lok[1], hik[1])
+            out[orient] = Interval.of_keys(lok, hik)
     return out
 
 

@@ -7,13 +7,21 @@ there is no floating point anywhere on a computation path.
 
 Order keys.  Sorting, bisecting and comparing coordinates goes through
 `order_key(v) = (floor(v * 2**64), v)`, computed once where the value is
-created: `ColoredPoint.xk`/`yk`, the angular keys of circle positions, the
-interval keys of `decomposition.Interval` and the line-key lists of
-`CellMap`.  A key tuple orders exactly like its rational, because the floor
-is monotone and values with equal floors fall through to the exact
+created: `ColoredPoint.xk`/`yk` and the line-key lists of `CellMap`; the
+interval keys of `decomposition.Interval` are those of the points' and of
++-1, reused.  A key tuple orders exactly like its rational, because the
+floor is monotone and values with equal floors fall through to the exact
 `Fraction`; so an integer comparison decides all but the comparisons of
 values within 2**-64 of each other, and those are decided in `Fraction`
 arithmetic as before.
+
+The angular key of a circle position is built from integers alone: a point
+x = xn/xd gives x^2 = xn^2/xd^2 and a crossing of the axis line at c = cn/cd
+gives (cd^2 - cn^2)/cd^2 or cn^2/cd^2, each already in lowest terms.  The
+key holds the floor of the signed x^2 times 2**64 and, as the exact
+tie-break, that ratio compared by cross multiplication (`_Ratio`): no
+`Fraction` is built or hashed per point or per crossing.  Coordinate sets
+on the solve path (`CoordinateSet`) hold (numerator, denominator) pairs.
 """
 
 from __future__ import annotations
@@ -30,7 +38,6 @@ from .errors import GuaranteeViolated, PointOnLine
 RED = "R"
 BLUE = "B"
 
-ZERO = Fraction(0)
 ONE = Fraction(1)
 MINUS_ONE = Fraction(-1)
 
@@ -204,8 +211,8 @@ def axis_candidates(points) -> list[AxisLine]:
     """Lines midway between consecutive distinct point coordinates, the V
     lines first: every axis-parallel line splits the points like one of
     these, or splits none."""
-    xs = sorted({p.x for p in points})
-    ys = sorted({p.y for p in points})
+    xs = [k[1] for k in _sorted_keys(p.x for p in points)]
+    ys = [k[1] for k in _sorted_keys(p.y for p in points)]
     cands = [AxisLine("V", (a + b) / 2) for a, b in zip(xs, xs[1:])]
     cands += [AxisLine("H", (a + b) / 2) for a, b in zip(ys, ys[1:])]
     return cands
@@ -260,13 +267,45 @@ def cell_map(points, lines) -> CellMap:
 # reduce to rational comparisons.
 
 
-def _circle_key(sx: int, x2, sy: int) -> tuple:
-    """Angular key of the circle point x = sx*sqrt(x2) whose y has sign sy.
+class _Ratio:
+    """The rational n/d, d > 0 and in lowest terms, as the exact tie-break of
+    an angular key: built without `Fraction`'s gcd, compared by cross
+    multiplication, and reached only when two keys share their quadrant and
+    64-bit floor.  Keys are compared only with keys, and never hashed."""
+
+    __slots__ = ("n", "d")
+
+    def __init__(self, n: int, d: int):
+        self.n = n
+        self.d = d
+
+    def __eq__(self, other):
+        return self.n == other.n and self.d == other.d
+
+    def __lt__(self, other):
+        return self.n * other.d < other.n * self.d
+
+    def __le__(self, other):
+        return self.n * other.d <= other.n * self.d
+
+    def __gt__(self, other):
+        return self.n * other.d > other.n * self.d
+
+    def __ge__(self, other):
+        return self.n * other.d >= other.n * self.d
+
+    def __repr__(self):
+        return f"{self.n}/{self.d}"
+
+
+def _circle_key(sx: int, n2: int, d2: int, sy: int) -> tuple:
+    """Angular key of the circle point x = sx*sqrt(n2/d2) whose y has sign
+    sy, where n2/d2 >= 0 is in lowest terms.
 
     Keys order positions by angle in [0, 2*pi), counterclockwise from
-    (1, 0): the quadrant, then the order key of the signed square sx*x2,
-    which grows with x, negated in quadrants 0 and 1, where the angle grows
-    as x shrinks.
+    (1, 0): the quadrant, then the floor of v * 2**64 and the exact v, for
+    the signed square v = sx*n2/d2, which grows with x, negated in
+    quadrants 0 and 1, where the angle grows as x shrinks.
     """
     if sx > 0 and sy >= 0:
         q = 0
@@ -276,28 +315,34 @@ def _circle_key(sx: int, x2, sy: int) -> tuple:
         q = 2
     else:
         q = 3
-    x = x2 if sx > 0 else -x2
-    return (q, *order_key(-x if q <= 1 else x))
+    v = n2 if (sx > 0) == (q >= 2) else -n2
+    return (q, (v << 64) // d2, _Ratio(v, d2))
 
 
 def _point_key(x: Fraction, y: Fraction) -> tuple:
-    return _circle_key(_sign(x), x * x, _sign(y))
+    """x^2 = xn^2/xd^2 is in lowest terms because x is."""
+    xn, yn = x.numerator, y.numerator
+    return _circle_key((xn > 0) - (xn < 0), xn * xn, x.denominator ** 2,
+                       (yn > 0) - (yn < 0))
 
 
 def _crossing_keys(orient: str, c: Fraction) -> tuple[tuple, tuple]:
     """Angular keys of the two circle crossings of the axis line with
     |c| < 1: for "H" (y = c) the x > 0 crossing first, for "V" (x = c) the
-    y > 0 one."""
-    c2, s = c * c, _sign(c)
+    y > 0 one.  With c = cn/cd, x^2 is (cd^2 - cn^2)/cd^2 or cn^2/cd^2, both
+    in lowest terms: a prime dividing cd^2 divides neither cn^2 nor
+    cd^2 - cn^2."""
+    cn, cd = c.numerator, c.denominator
+    c2, d2, s = cn * cn, cd * cd, (cn > 0) - (cn < 0)
     if orient == "H":
-        return _circle_key(1, 1 - c2, s), _circle_key(-1, 1 - c2, s)
-    return _circle_key(s, c2, 1), _circle_key(s, c2, -1)
+        return _circle_key(1, d2 - c2, d2, s), _circle_key(-1, d2 - c2, d2, s)
+    return _circle_key(s, c2, d2, 1), _circle_key(s, c2, d2, -1)
 
 
-TOP = _circle_key(0, ZERO, 1)
-BOTTOM = _circle_key(0, ZERO, -1)
-LEFT = _circle_key(-1, ONE, 0)
-RIGHT = _circle_key(1, ONE, 0)
+TOP = _circle_key(0, 0, 1, 1)
+BOTTOM = _circle_key(0, 0, 1, -1)
+LEFT = _circle_key(-1, 1, 1, 0)
+RIGHT = _circle_key(1, 1, 1, 0)
 
 
 def arc_contains(pos: tuple, start: tuple, end: tuple) -> bool:
@@ -418,13 +463,13 @@ def cell_arcs(positions, hs, vs) -> dict[CellSignature, list[Arc]]:
 def arc_interior_point(start: ColoredPoint, end: ColoredPoint,
                        forbidden_x=(), forbidden_y=()) -> tuple[Fraction, Fraction]:
     """A rational circle point strictly inside the open ccw arc start -> end,
-    with both coordinates outside the given forbidden sets.  The candidates
-    are infinitely many distinct circle points and a coordinate value is
-    shared by at most two of them, so finite forbidden sets end the search."""
-    fx, fy = set(forbidden_x), set(forbidden_y)
+    with both coordinates outside the given forbidden containers (tested
+    for membership, not copied).  The candidates are infinitely many
+    distinct circle points and a coordinate value is shared by at most two
+    of them, so finite forbidden sets end the search."""
     return next((x, y) for x, y in map(circle_point_from_parameter,
                                        _arc_parameter_candidates(start, end))
-                if x not in fx and y not in fy)
+                if x not in forbidden_x and y not in forbidden_y)
 
 
 def _arc_parameter_candidates(start, end):
@@ -454,11 +499,31 @@ def _arc_parameter_candidates(start, end):
 
 def _rationals_between(lo: Fraction, hi: Fraction):
     """lo + (hi - lo) * num/den for den = 2, 3, ... and 0 < num < den:
-    infinitely many distinct rationals in the open interval (lo, hi)."""
-    span = hi - lo
+    infinitely many distinct rationals in the open interval (lo, hi).  With
+    lo = a/b and hi = c/e that is (a*e*den + (c*b - a*e)*num) / (b*e*den),
+    one `Fraction` per candidate."""
+    a, b, c, e = lo.numerator, lo.denominator, hi.numerator, hi.denominator
+    base, span, d = a * e, c * b - a * e, b * e
     for den in count(2):
         for num in range(1, den):
-            yield lo + span * Fraction(num, den)
+            yield Fraction(base * den + span * num, d * den)
+
+
+class CoordinateSet:
+    """A set of rationals held as (numerator, denominator) pairs: adding a
+    value or testing one hashes two ints, not a `Fraction` (whose hash
+    takes a modular inverse)."""
+
+    __slots__ = ("pairs",)
+
+    def __init__(self, values=()):
+        self.pairs = {(v.numerator, v.denominator) for v in values}
+
+    def __contains__(self, v) -> bool:
+        return (v.numerator, v.denominator) in self.pairs
+
+    def add(self, v) -> None:
+        self.pairs.add((v.numerator, v.denominator))
 
 
 def pick_coordinate(lo: Fraction, hi: Fraction, forbidden) -> Optional[Fraction]:

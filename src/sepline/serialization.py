@@ -189,7 +189,17 @@ _SIDECAR = {"normalized": {**_CRBDS, "original_k": int,
 
 
 def crbds_from_doc(doc: dict) -> CRBDS:
+    """An input instance.  Its vertex names must not start with "_", the
+    prefix of the vertices `normalize` adds (the sidecar's normalized
+    instance holds those, and is loaded by `sidecar_from_doc`)."""
     _check(doc, _CRBDS, "C-RBDS")
+    lists = [(f"classes[{i}]", cls) for i, cls in enumerate(doc["classes"])]
+    for where, names in lists + [("blues", doc["blues"])]:
+        for j, name in enumerate(names):
+            if name.startswith("_"):
+                raise ValueError(f"C-RBDS.{where}[{j}] must not start with "
+                                 "'_', which names the vertices normalize "
+                                 f"adds, got {name!r:.40}")
     return _crbds(doc, "C-RBDS")
 
 

@@ -29,9 +29,9 @@ from .decomposition import (CircleDecomposition, SwitchGraph,
 from .errors import (DominationFailure, GuaranteeViolated, NotSeparating,
                      RepairExhausted)
 from .geometry import (BLUE, RED, Arc, AxisLine, CellMap, CellSignature,
-                       GeneralLine, arc_interior_point, arc_quadrants,
-                       axis_candidates, axis_keys, cell_arcs, cell_map,
-                       line_through, order_key, pick_coordinate,
+                       CoordinateSet, GeneralLine, arc_interior_point,
+                       arc_quadrants, axis_candidates, axis_keys, cell_arcs,
+                       cell_map, line_through, order_key, pick_coordinate,
                        verify_separation)
 
 F = Fraction
@@ -97,32 +97,45 @@ def wedge_baseline(points) -> AxisSolution:
     if dec.w == 0:
         return AxisSolution([], kappa=0)
     w = len(dec.switches)
-    fx = {p.x for p in points}
-    fy = {p.y for p in points}
-    used_x: set = set()
-    used_y: set = set()
+    # the point coordinates, then also every corner placed so far; they
+    # grow in place, O(n + w) in all
+    fx = CoordinateSet(p.x for p in points)
+    fy = CoordinateSet(p.y for p in points)
     lines = []
     for i, chunk in enumerate(dec.chunks):
         if chunk.color != BLUE:
             continue
         prev_sw = dec.switches[(i - 1) % w]
         next_sw = dec.switches[i]
-        p = arc_interior_point(prev_sw.start, prev_sw.end, fx | used_x, fy | used_y)
-        q = arc_interior_point(next_sw.start, next_sw.end, fx | used_x | {p[0]},
-                               fy | used_y | {p[1], -p[1]})
+        p = arc_interior_point(prev_sw.start, prev_sw.end, fx, fy)
+        # q also avoids p's x and +-p's y, for this chunk only
+        q = arc_interior_point(next_sw.start, next_sw.end,
+                               _Either(fx, (p[0],)), _Either(fy, (p[1], -p[1])))
         corner = (p[0], q[1]) if q[1] * q[1] < p[1] * p[1] else (q[0], p[1])
         lines += [AxisLine("V", corner[0]), AxisLine("H", corner[1])]
-        used_x.add(corner[0])
-        used_y.add(corner[1])
+        fx.add(corner[0])
+        fy.add(corner[1])
     return AxisSolution(lines)
+
+
+class _Either:
+    """Membership in a container or in a few extra values, without a copy."""
+
+    __slots__ = ("base", "extra")
+
+    def __init__(self, base, extra):
+        self.base, self.extra = base, extra
+
+    def __contains__(self, v) -> bool:
+        return v in self.extra or v in self.base
 
 
 def build_L0(dec: CircleDecomposition, graph: SwitchGraph) -> AxisSolution:
     """One line per edge-cover edge plus one per isolated switch; kappa lines
     in total, stabbing every switch."""
     # the point coordinates, then also every line placed so far
-    forbidden = {"H": {p.y for p in dec.points},
-                 "V": {p.x for p in dec.points}}
+    forbidden = {"H": CoordinateSet(p.y for p in dec.points),
+                 "V": CoordinateSet(p.x for p in dec.points)}
     lines = []
 
     def place(orient, interval):
@@ -138,10 +151,17 @@ def build_L0(dec: CircleDecomposition, graph: SwitchGraph) -> AxisSolution:
         place(orient, ann[orient])
     for r in graph.isolated:
         itv = dec.switches[r].intervals
-        h, v = itv["H"], itv["V"]
-        orient = "H" if h.hi - h.lo >= v.hi - v.lo else "V"
+        (hn, hd), (vn, vd) = _width(itv["H"]), _width(itv["V"])
+        orient = "H" if hn * vd >= vn * hd else "V"
         place(orient, itv[orient])
     return AxisSolution(lines, kappa=graph.kappa)
+
+
+def _width(itv) -> tuple[int, int]:
+    """hi - lo of an interval as (numerator, positive denominator)."""
+    lo, hi = itv.lo, itv.hi
+    return (hi.numerator * lo.denominator - lo.numerator * hi.denominator,
+            hi.denominator * lo.denominator)
 
 
 # --- the refinement loop -----------------------------------------------------
@@ -284,7 +304,7 @@ def _flip(points, lines, cm, arc_pair, sig, orient, step) -> list[AxisLine]:
     require(lo < hi, "no cut fits between the arcs")
     # (lo, hi) lies inside the cell's column (for "H"; row for "V"), which
     # no line of the cut's orientation crosses: the cut is a new line
-    forbidden = {perp(p) for p in points}
+    forbidden = CoordinateSet(map(perp, points))
     cut = AxisLine(cut_orient, pick_coordinate(lo, hi, forbidden))
     boundary = AxisLine(orient, coords[b])
     return [ln for ln in lines if ln != boundary] + [cut]
@@ -315,7 +335,7 @@ def _repair_around(points, solution: AxisSolution, cm: CellMap,
     size-by-size search over all candidates.  A cell has at most four
     boundary lines, so at most C(2n, 4) combinations are tried.
     """
-    boundary = set(_cell_boundary_lines(sig, cm.hs, cm.vs))
+    boundary = _cell_boundary_lines(sig, cm.hs, cm.vs)
     keep = [ln for ln in solution.lines if ln not in boundary]
     missed = _unstabbed(*axis_keys(keep), switches)
     need = sum(1 << sw.index for sw in missed)

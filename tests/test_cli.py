@@ -117,6 +117,12 @@ class TestSerialization:
                            match=f"^C-RBDS lists vertex '{name}' twice$"):
             crbds_from_doc(doc)
 
+    def test_reserved_blue_name_rejected(self):
+        doc = {"classes": [["a"], ["b"]], "blues": ["v1", "_w0"],
+               "edges": [["a", "v1"], ["b", "_w0"]]}
+        with pytest.raises(ValueError, match=r"^C-RBDS\.blues\[1\] must not"):
+            crbds_from_doc(doc)
+
     def test_deterministic_dumps(self):
         a = dumps(instance_to_doc(gen_circle(5, 1, "random"), "circle"))
         b = dumps(instance_to_doc(gen_circle(5, 1, "random"), "circle"))
@@ -338,6 +344,22 @@ class TestCommands:
                  "--sidecar", str(side))
         assert self.run("lift", "--sidecar", str(side),
                         "--instance", str(inst), "--set", "u2,u4") == 1
+
+    def test_reserved_vertex_name_exits_1(self, tmp_path, capsys):
+        # names starting with "_" would clash with the vertices normalize
+        # adds (here its parity class, whose forced pick is _par1)
+        crbds = tmp_path / "c.json"
+        crbds.write_text(json.dumps(
+            {"classes": [["_par1"], ["b"], ["c"]], "blues": ["v1", "v2"],
+             "edges": [["_par1", "v1"], ["b", "v1"], ["b", "v2"],
+                       ["c", "v2"]]}))
+        capsys.readouterr()
+        assert self.run("reduce", str(crbds), "-o", str(tmp_path / "r.json"),
+                        "--sidecar", str(tmp_path / "side.json")) == 1
+        assert capsys.readouterr().err == (
+            "error: C-RBDS.classes[0][0] must not start with '_', which "
+            "names the vertices normalize adds, got '_par1'\n")
+        assert not (tmp_path / "r.json").exists()
 
     def test_lift_not_separating_exits_2(self, tmp_path):
         crbds = tmp_path / "c.json"

@@ -2,7 +2,9 @@
 where the integer part of the key cannot tell two values apart, and the
 solve path keyed by it decides the same cells as plain `Fraction`
 comparisons on a near-tie corpus whose coordinates share their first 64
-bits."""
+bits.  The angular keys, built from integers, order like the reference
+positions of `test_geometry` on circle points and crossings whose signed
+x^2 share their first 64 bits."""
 
 import random
 from bisect import bisect_left, bisect_right
@@ -12,7 +14,8 @@ import pytest
 
 from sepline.decomposition import build_switch_graph, decompose
 from sepline.errors import PointOnLine
-from sepline.geometry import (BLUE, RED, AxisLine, ColoredPoint, axis_coords,
+from sepline.geometry import (BLUE, RED, AxisLine, ColoredPoint,
+                              _crossing_keys, _point_key, axis_coords,
                               cell_map, circle_point_from_parameter,
                               order_key, verify_separation)
 from sepline.oracles import min_axis_separation
@@ -200,3 +203,47 @@ def test_near_tie_lines_on_points_are_found():
         with pytest.raises(PointOnLine) as err:
             cell_map(pts, lines)
         assert (err.value.point_id, err.value.line) == (on[0][0].id, on[0][1])
+
+
+def _near_tie_positions():
+    """(angular key, reference position, kind) of the points of a few
+    near-tie instances and of the crossings of axis lines through each
+    point's coordinates and 2**-81 to either side of them."""
+    from test_geometry import _ref_crossing, _ref_pos
+    out = []
+    for pairs, seed in NEAR_TIE[:8]:
+        for p in near_tie_instance(pairs, seed):
+            out.append((_point_key(p.x, p.y), _ref_pos(p.x, p.y), "point"))
+            for orient, v in (("V", p.x), ("H", p.y)):
+                for c in (v - EPS / 2, v, v + EPS / 2):
+                    if abs(c) < 1:
+                        upper, lower = _crossing_keys(orient, c)
+                        out.append((upper, _ref_crossing(orient, c, True),
+                                    "crossing"))
+                        out.append((lower, _ref_crossing(orient, c, False),
+                                    "crossing"))
+    return out
+
+
+def test_circle_key_near_ties():
+    from test_geometry import _ref_cmp, _ref_quadrant
+    positions = _near_tie_positions()
+    ties = {("point", "point"): 0, ("crossing", "point"): 0}
+    equal = 0
+    for ka, a, kind_a in positions:
+        assert ka[0] == _ref_quadrant(a)
+        for kb, b, kind_b in positions:
+            ref = _ref_cmp(a, b)
+            assert (ka < kb) == (ref < 0)
+            assert (ka == kb) == (ref == 0)
+            assert (ka > kb) == (ref > 0)
+            if ka[:2] == kb[:2]:
+                # the floors tie: the exact ratio decides
+                kinds = tuple(sorted((kind_a, kind_b)))
+                if ref and kinds in ties:
+                    ties[kinds] += 1
+                equal += not ref
+    # point pairs and point/crossing pairs whose signed x^2 share their
+    # floor occur, and so do crossings exactly at a point
+    assert min(ties.values()) > 0
+    assert equal > len(positions)

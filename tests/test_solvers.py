@@ -14,8 +14,9 @@ from sepline.decomposition import build_switch_graph, decompose
 from sepline.errors import DominationFailure, RepairExhausted
 from sepline.generate import gen_circle
 from sepline.geometry import (BLUE, RED, AxisLine, ColoredPoint,
-                              angular_positions, axis_candidates, axis_coords,
-                              axis_keys, cell_arcs, cell_map, circle_parameter,
+                              angular_positions, arc_interior_point,
+                              axis_candidates, axis_coords, axis_keys,
+                              cell_arcs, cell_map, circle_parameter,
                               circle_point_from_parameter, verify_separation)
 from sepline.oracles import (full_mask, min_axis_separation,
                              min_general_separation_circle, sep_bitset)
@@ -23,6 +24,7 @@ from sepline.solvers import (AxisSolution, build_L0, refine_step, solve_axis,
                              solve_general, wedge_baseline)
 
 from conftest import line_stabs_switch
+from test_golden import _mirror
 
 F = Fraction
 
@@ -126,6 +128,61 @@ class TestWedgeBaseline:
         assert picks == [(F(5, 13), F(12, 13)), (F(-8, 17), F(-15, 17))]
         assert sol.lines == [AxisLine("V", F(5, 13)), AxisLine("H", F(-15, 17))]
         assert verify_separation(pts, sol.lines) is None
+
+    def test_matches_the_copying_reference(self):
+        # the forbidden containers grow in place and are tested without a
+        # copy; the lines are those of the per-chunk unions
+        rng = random.Random(1811)
+        sweep = [gen_circle(n, seed, pattern) for pattern in
+                 ("random", "alternating") for n in (2, 5, 9, 16, 33, 64)
+                 for seed in range(6)]
+        sweep += [_mirror(n, seed) for n in (4, 8, 16, 40) for seed in range(6)]
+        sweep += [_small_denominator_instance(rng) for _ in range(60)]
+        chunks = 0
+        for pts in sweep:
+            lines = wedge_baseline(pts).lines
+            assert lines == _wedge_reference(pts)
+            chunks += len(lines) // 2
+        assert chunks > 800
+
+
+def _wedge_reference(points) -> list[AxisLine]:
+    """wedge_baseline's lines as it built them before: fresh unions of the
+    point coordinates and the corners placed so far, for every blue chunk,
+    copied again by each pick."""
+    dec = decompose(points)
+    if dec.w == 0:
+        return []
+    w = len(dec.switches)
+    fx, fy = {p.x for p in points}, {p.y for p in points}
+    used_x, used_y = set(), set()
+    lines = []
+    for i, chunk in enumerate(dec.chunks):
+        if chunk.color != BLUE:
+            continue
+        prev_sw, next_sw = dec.switches[(i - 1) % w], dec.switches[i]
+        p = arc_interior_point(prev_sw.start, prev_sw.end,
+                               set(fx | used_x), set(fy | used_y))
+        q = arc_interior_point(next_sw.start, next_sw.end,
+                               set(fx | used_x | {p[0]}),
+                               set(fy | used_y | {p[1], -p[1]}))
+        corner = (p[0], q[1]) if q[1] * q[1] < p[1] * p[1] else (q[0], p[1])
+        lines += [AxisLine("V", corner[0]), AxisLine("H", corner[1])]
+        used_x.add(corner[0])
+        used_y.add(corner[1])
+    return lines
+
+
+def _small_denominator_instance(rng):
+    """Points at circle parameters a/b with |a|, b <= 12: coordinates with
+    small denominators, often shared, and the turning points."""
+    n = rng.randint(2, 31)
+    ts = set()
+    while len(ts) < n:
+        ts.add(F(rng.randint(-12, 12), rng.randint(1, 12)))
+    return [ColoredPoint(i, rng.choice([RED, BLUE]),
+                         *circle_point_from_parameter(t))
+            for i, t in enumerate(sorted(ts))]
 
 
 class TestBuildL0:
@@ -332,6 +389,30 @@ def test_flip_corpus(monkeypatch, tmp_path, direction):
     inst = _write_instance(tmp_path, name)
     assert _cli(tmp_path, "solve", inst, "--variant", "axis") == digest
     assert taken == [direction]
+
+
+@pytest.mark.parametrize("name", ["alternating/400/1", FLIP_CORPUS["up"][0],
+                                  "random/15/1227"])
+def test_solve_axis_hashes_no_fraction(monkeypatch, name):
+    # angular and interval keys are built from integers and the forbidden
+    # coordinates are (numerator, denominator) pairs, so solve_axis (here
+    # without a step, with one flip and with repair) never hashes a
+    # Fraction, whose hash takes a modular inverse
+    pattern, n, seed = name.split("/")
+    pts = gen_circle(int(n), int(seed), pattern)
+    hashed = []
+    fraction_hash = Fraction.__hash__
+
+    def counting(self):
+        hashed.append(self)
+        return fraction_hash(self)
+    monkeypatch.setattr(Fraction, "__hash__", counting)
+    sol = solve_axis(pts)
+    monkeypatch.undo()
+    assert (sol.steps, sol.repair_used) == {
+        "alternating/400/1": (0, False), FLIP_CORPUS["up"][0]: (1, False),
+        "random/15/1227": (0, True)}[name]
+    assert hashed == []
 
 
 def test_failed_flip_precondition_raises_without_asserts():

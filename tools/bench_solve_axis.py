@@ -41,10 +41,11 @@ import time
 from pathlib import Path
 
 # (n, seed, pattern): the two-step and one-step instances, then no-step
-# instances up to n = 10**4
+# instances up to n = 10**5
 CORPUS = [(320, 2, "random"), (480, 1, "random"), (640, 3, "random"),
           (1280, 1, "random"), (5120, 1, "random"), (10_000, 1, "random"),
-          (10_000, 1, "alternating")]
+          (10_000, 1, "alternating"), (10**5, 1, "random"),
+          (10**5, 1, "alternating")]
 
 LAYERS = ("decompose", "switch_graph", "edge_cover", "L0", "refine_step",
           "partition", "domination", "repair", "final_verify", "total")
