@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from typing import NamedTuple
 
 from . import matching
 from .errors import EmptyInstance, PointOffCircle
@@ -17,22 +18,13 @@ from .geometry import (BOTTOM, LEFT, MINUS_ONE, ONE, RIGHT, TOP, ColoredPoint,
                        angular_positions, arc_contains, order_key)
 
 
-class Interval:
+class Interval(NamedTuple):
     """The open rational interval (lo, hi), held as the order keys `lok`,
-    `hik` of its ends: `Interval(lo, hi)` builds them, `Interval.of_keys`
-    takes keys already built.  Whether an end at +-1 is attained never
-    matters: every line built here has |c| < 1."""
+    `hik` of its ends.  Whether an end at +-1 is attained never matters:
+    every line built here has |c| < 1."""
 
-    __slots__ = ("lok", "hik")
-
-    def __init__(self, lo, hi):
-        self.lok, self.hik = order_key(lo), order_key(hi)
-
-    @classmethod
-    def of_keys(cls, lok: tuple, hik: tuple) -> Interval:
-        itv = object.__new__(cls)
-        itv.lok, itv.hik = lok, hik
-        return itv
+    lok: tuple
+    hik: tuple
 
     @property
     def lo(self) -> Fraction:
@@ -41,12 +33,6 @@ class Interval:
     @property
     def hi(self) -> Fraction:
         return self.hik[1]
-
-    def __eq__(self, other):
-        return self.lok == other.lok and self.hik == other.hik
-
-    def __repr__(self):
-        return f"Interval({self.lo!r}, {self.hi!r})"
 
 
 # the keys of the ends -1 and 1 that a switch arc through a turning point
@@ -141,20 +127,21 @@ def projection_interval(switch: Switch, axis: str) -> Interval:
         ka, kb = switch.start.xk, switch.end.xk
         top_in = arc_contains(RIGHT, a, b)
         bot_in = arc_contains(LEFT, a, b)
-    return Interval.of_keys(_LOW if bot_in else min(ka, kb),
-                            _HIGH if top_in else max(ka, kb))
+    return Interval(_LOW if bot_in else min(ka, kb),
+                    _HIGH if top_in else max(ka, kb))
 
 
 def faces(a: Switch, b: Switch) -> dict[str, Interval]:
     """Feasible stabbing orientations for a pair of switches, each with the
     overlap of their projection intervals.  A nonempty overlap has lo < hi,
-    so it holds a coordinate avoiding every input-point coordinate."""
+    so it holds a coordinate avoiding every input-point coordinate.  The
+    pairwise reference for the sweep in `build_switch_graph`."""
     out: dict[str, Interval] = {}
     for orient in ("H", "V"):
         ia, ib = a.intervals[orient], b.intervals[orient]
         lok, hik = max(ia.lok, ib.lok), min(ia.hik, ib.hik)
         if lok < hik:
-            out[orient] = Interval.of_keys(lok, hik)
+            out[orient] = Interval(lok, hik)
     return out
 
 
@@ -176,11 +163,13 @@ def build_switch_graph(dec: CircleDecomposition) -> SwitchGraph:
 
     A sweep per orientation over the switches sorted by interval start
     pairs each switch with the later-starting ones that start before it
-    ends: a superset of the overlapping pairs, found in O(w log w + E).
-    `faces` then decides each candidate, in sorted (i, j) order."""
+    ends, in O(w log w + E).  Every projection interval is nonempty, so
+    these are exactly the facing pairs, and each overlap runs from the
+    later start to the earlier end: the edges `faces` would give, sorted
+    by (i, j), H before V in each."""
     sw = dec.switches
     n = len(sw)
-    candidates = set()
+    edges: dict[tuple[int, int], dict[str, Interval]] = {}
     for orient in ("H", "V"):
         itvs = [s.intervals[orient] for s in sw]
         order = sorted(range(n), key=lambda i: itvs[i].lok)
@@ -189,13 +178,11 @@ def build_switch_graph(dec: CircleDecomposition) -> SwitchGraph:
             b = a + 1
             while b < n and itvs[order[b]].lok < hik:
                 j = order[b]
-                candidates.add((i, j) if i < j else (j, i))
+                pair = (i, j) if i < j else (j, i)
+                edges.setdefault(pair, {})[orient] = Interval(
+                    itvs[j].lok, min(hik, itvs[j].hik))
                 b += 1
-    edges: dict[tuple[int, int], dict[str, Interval]] = {}
-    for (i, j) in sorted(candidates):
-        ann = faces(sw[i], sw[j])
-        if ann:
-            edges[(i, j)] = ann
+    edges = dict(sorted(edges.items()))
     touched = {v for e in edges for v in e}
     isolated = [i for i in range(n) if i not in touched]
     covered = sorted(touched)

@@ -157,19 +157,24 @@ def verify_separation(points, lines) -> Optional[tuple[int, int]]:
     sign of A*xn*yd + B*yn*xd + C*xd*yd.
     """
     if all(isinstance(ln, AxisLine) for ln in lines):
-        cells = cell_map(points, lines).colors
-    else:
-        forms = [_integer_form(ln) for ln in lines]
-        cells = {}
-        for p in points:
-            xn, xd = p.x.numerator, p.x.denominator
-            yn, yd = p.y.numerator, p.y.denominator
-            u, v, w = xn * yd, yn * xd, xd * yd
-            sides = [a * u + b * v + c * w for a, b, c in forms]
-            if 0 in sides:
-                raise PointOnLine(p.id, lines[sides.index(0)])
-            cells.setdefault(tuple([s > 0 for s in sides]), {}).setdefault(
-                p.color, p.id)
+        return cell_map(points, lines).witness()
+    forms = [_integer_form(ln) for ln in lines]
+    cells = {}
+    for p in points:
+        xn, xd = p.x.numerator, p.x.denominator
+        yn, yd = p.y.numerator, p.y.denominator
+        u, v, w = xn * yd, yn * xd, xd * yd
+        sides = [a * u + b * v + c * w for a, b, c in forms]
+        if 0 in sides:
+            raise PointOnLine(p.id, lines[sides.index(0)])
+        cells.setdefault(tuple([s > 0 for s in sides]), {}).setdefault(
+            p.color, p.id)
+    return _first_mixed(cells)
+
+
+def _first_mixed(cells) -> Optional[tuple[int, int]]:
+    """`verify_separation`'s witness, from each cell's colours mapped to
+    their first ids, cells in the order of their first point."""
     return next(((c[RED], c[BLUE]) for c in cells.values()
                  if RED in c and BLUE in c), None)
 
@@ -202,11 +207,6 @@ def axis_keys(lines) -> tuple[list[tuple], list[tuple]]:
             _sorted_keys(ln.c for ln in lines if ln.orient == "V"))
 
 
-def axis_coords(lines) -> tuple[list[Fraction], list[Fraction]]:
-    hks, vks = axis_keys(lines)
-    return [k[1] for k in hks], [k[1] for k in vks]
-
-
 def axis_candidates(points) -> list[AxisLine]:
     """Lines midway between consecutive distinct point coordinates, the V
     lines first: every axis-parallel line splits the points like one of
@@ -232,6 +232,11 @@ class CellMap:
     cells: dict[CellSignature, list[int]]  # ids in input order
     corrupt: set[CellSignature]
     colors: dict[CellSignature, dict[str, int]]  # colour -> its first id
+
+    def witness(self) -> Optional[tuple[int, int]]:
+        """`verify_separation`'s witness for these lines: None if no cell
+        is mixed."""
+        return _first_mixed(self.colors)
 
 
 def cell_map(points, lines) -> CellMap:

@@ -59,12 +59,6 @@ class AxisSolution:
         return len(self.lines)
 
 
-def _check_separates(points, lines) -> None:
-    witness = verify_separation(points, lines)
-    if witness is not None:
-        raise NotSeparating(f"pair {witness} is not separated")
-
-
 def solve_general(points) -> GeneralSolution:
     """One line per blue chunk, anchored inside its two adjacent switches.
     Raises NotSeparating if the lines do not verify."""
@@ -82,7 +76,9 @@ def solve_general(points) -> GeneralSolution:
         q = arc_interior_point(next_sw.start, next_sw.end)
         lines.append(line_through(p[0], p[1], q[0], q[1]))
         anchors.append((i, p, q))
-    _check_separates(dec.points, lines)
+    witness = verify_separation(dec.points, lines)
+    if witness is not None:
+        raise NotSeparating(f"pair {witness} is not separated")
     return GeneralSolution(lines, anchors)
 
 
@@ -320,11 +316,12 @@ def _cell_boundary_lines(sig: CellSignature, hs, vs) -> list[AxisLine]:
 
 
 def _repair_around(points, solution: AxisSolution, cm: CellMap,
-                   sig: CellSignature, switches) -> AxisSolution:
+                   sig: CellSignature,
+                   switches) -> tuple[AxisSolution, CellMap]:
     """Replace the boundary lines of corrupt cell `sig` of `cm`, the cell
     partition of `solution`, by the first combination of axis candidates
-    that completes the kept lines to kappa separating lines; raises
-    RepairExhausted if none does.
+    that completes the kept lines to kappa separating lines; returns it
+    with its cell partition, or raises RepairExhausted if none separates.
 
     A separating set stabs every switch, so it has at least kappa lines,
     and each added line of a kappa-line completion stabs a switch that no
@@ -349,8 +346,9 @@ def _repair_around(points, solution: AxisSolution, cm: CellMap,
     for combo in combinations(pool, solution.kappa - len(keep)):
         lines = keep + [c for c, _ in combo]
         if (reduce(or_, (hit for _, hit in combo), 0) == need
-                and not cell_map(points, lines).corrupt):
-            return AxisSolution(lines, solution.kappa, solution.steps, True)
+                and not (new_cm := cell_map(points, lines)).corrupt):
+            return (AxisSolution(lines, solution.kappa, solution.steps, True),
+                    new_cm)
     raise RepairExhausted(
         f"no completion of the {len(keep)} kept lines to {solution.kappa} "
         "lines separates; this contradicts the upper-bound guarantee")
@@ -392,10 +390,10 @@ def solve_axis(points, on_step=None) -> AxisSolution:
 
     decompose -> switch graph -> minimum edge cover -> L0 -> strictly
     dominating refinements -> (rarely) large-cell repair.  The result has
-    exactly kappa lines and passes verification, or a SeplineError is raised
-    (also under `python -O`).  `on_step`, if given, is called with every
-    arrangement the loop examines: L0 first, then each accepted refinement
-    step.
+    exactly kappa lines and separates, as the cell partition the loop ends
+    on shows; otherwise a SeplineError is raised (also under `python -O`).
+    `on_step`, if given, is called with every arrangement the loop
+    examines: L0 first, then each accepted refinement step.
     """
     points = list(points)
     dec = decompose(points)
@@ -423,10 +421,13 @@ def solve_axis(points, on_step=None) -> AxisSolution:
                 raise GuaranteeViolated("refinement exceeded the r*b step bound")
             continue
         # _STUCK: payload is the offending cell signature
-        sol = _repair_around(points, sol, cm, payload, dec.switches)
+        sol, cm = _repair_around(points, sol, cm, payload, dec.switches)
         break
 
-    _check_separates(points, sol.lines)
+    # cm is the partition of sol.lines: the loop's last, or repair's
+    witness = cm.witness()
+    if witness is not None:
+        raise NotSeparating(f"pair {witness} is not separated")
     if sol.size != graph.kappa:
         raise GuaranteeViolated(f"solution size {sol.size} != kappa {graph.kappa}")
     return sol

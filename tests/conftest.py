@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from sepline.geometry import BLUE, RED, ColoredPoint
+from sepline.geometry import BLUE, RED, ColoredPoint, axis_keys
 
 F = Fraction
 
@@ -28,6 +28,12 @@ def line_stabs_switch(orient: str, c, switch) -> bool:
     reference for the solver's bisection stab check."""
     itv = switch.intervals[orient]
     return itv.lo < c < itv.hi
+
+
+def axis_coords(lines):
+    """The sorted, deduplicated H and V line coordinates."""
+    hks, vks = axis_keys(lines)
+    return [k[1] for k in hks], [k[1] for k in vks]
 
 
 @pytest.fixture

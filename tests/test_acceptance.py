@@ -17,8 +17,8 @@ from sepline.decomposition import build_switch_graph, decompose
 from sepline.errors import GuaranteeViolated
 from sepline.generate import gen_circle
 from sepline.geometry import (BLUE, RED, ColoredPoint, angular_positions,
-                              axis_coords, cell_arcs,
-                              circle_point_from_parameter, verify_separation)
+                              cell_arcs, circle_point_from_parameter,
+                              verify_separation)
 from sepline.matching import maximum_matching, minimum_edge_cover
 from sepline.oracles import (colorful_rbds_solve, feasible_pq,
                              min_axis_separation,
@@ -27,7 +27,7 @@ from sepline.reduction import (extract_vertices, lift, normalize,
                                reduce_instance, validate_layout)
 from sepline.solvers import solve_axis, solve_general, wedge_baseline
 
-from conftest import line_stabs_switch
+from conftest import axis_coords, line_stabs_switch
 from test_reduction import _small_instances, toy
 from test_solvers import FLIP_DIRECTIONS
 

@@ -4,8 +4,8 @@ from fractions import Fraction
 import pytest
 
 from sepline import decomposition
-from sepline.decomposition import (Interval, build_switch_graph, decompose,
-                                   faces, projection_interval)
+from sepline.decomposition import (build_switch_graph, decompose, faces,
+                                   projection_interval)
 from sepline.errors import EmptyInstance, PointOffCircle
 from sepline.generate import gen_circle
 from sepline.geometry import (BLUE, RED, ColoredPoint,
@@ -72,13 +72,16 @@ class TestProjectionInterval:
     def test_first_quadrant_switch(self, pts4):
         dec = decompose(pts4)
         s1 = dec.switches[0]  # open arc (1,0) -> (0,1)
-        assert projection_interval(s1, "Y") == Interval(F(0), F(1))
-        assert projection_interval(s1, "X") == Interval(F(0), F(1))
+        itv = projection_interval(s1, "Y")
+        assert (itv.lo, itv.hi) == (F(0), F(1))
+        itv = projection_interval(s1, "X")
+        assert (itv.lo, itv.hi) == (F(0), F(1))
 
     def test_third_quadrant_switch(self, pts4):
         dec = decompose(pts4)
         s3 = dec.switches[2]  # open arc (-1,0) -> (0,-1)
-        assert projection_interval(s3, "X") == Interval(F(-1), F(0))
+        itv = projection_interval(s3, "X")
+        assert (itv.lo, itv.hi) == (F(-1), F(0))
 
     def test_turning_point_closes_endpoint(self):
         # arc from (3/5,4/5) to (-3/5,4/5) passes through (0,1), which
@@ -87,7 +90,8 @@ class TestProjectionInterval:
         b = pt(1, BLUE, F(-3, 5), F(4, 5))
         s = decompose([a, b]).switches[0]
         assert (s.start, s.end) == (a, b)
-        assert projection_interval(s, "Y") == Interval(F(4, 5), F(1))
+        itv = projection_interval(s, "Y")
+        assert (itv.lo, itv.hi) == (F(4, 5), F(1))
 
     def test_stab(self, pts4):
         dec = decompose(pts4)
@@ -297,9 +301,19 @@ def _sweep_corpus():
 
 @pytest.mark.parametrize("name,pts", list(_sweep_corpus()),
                          ids=[name for name, _ in _sweep_corpus()])
-def test_sweep_edges_equal_all_pairs(name, pts):
+def test_sweep_edges_equal_all_pairs(monkeypatch, name, pts):
+    # the sweep decides each pair itself: it calls `faces` on none
+    calls = []
+    pairwise = decomposition.faces
+
+    def counting(a, b):
+        calls.append((a.index, b.index))
+        return pairwise(a, b)
+    monkeypatch.setattr(decomposition, "faces", counting)
     dec = decompose(pts)
     edges = build_switch_graph(dec).edges
+    monkeypatch.undo()
+    assert calls == []
     expected = _all_pairs_edges(dec)
     assert list(edges) == list(expected)
     assert edges == expected

@@ -9,11 +9,13 @@ from sepline.errors import PointOnLine
 from sepline.geometry import (BLUE, RED, Arc, AxisLine, CellSignature,
                               ColoredPoint, GeneralLine,
                               angular_positions, angular_sort, arc_contains,
-                              arc_interior_point, arc_quadrants, axis_coords,
+                              arc_interior_point, arc_quadrants,
                               cell_arcs, cell_map,
                               circle_point_from_parameter, general_line,
                               line_side, line_through, pick_coordinate,
                               point_signature, verify_separation)
+
+from conftest import axis_coords
 
 F = Fraction
 

@@ -15,11 +15,13 @@ import pytest
 from sepline.decomposition import build_switch_graph, decompose
 from sepline.errors import PointOnLine
 from sepline.geometry import (BLUE, RED, AxisLine, ColoredPoint,
-                              _crossing_keys, _point_key, axis_coords,
-                              cell_map, circle_point_from_parameter,
-                              order_key, verify_separation)
+                              _crossing_keys, _point_key, cell_map,
+                              circle_point_from_parameter, order_key,
+                              verify_separation)
 from sepline.oracles import min_axis_separation
 from sepline.solvers import build_L0, solve_axis
+
+from conftest import axis_coords
 
 F = Fraction
 

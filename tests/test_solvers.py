@@ -15,7 +15,7 @@ from sepline.errors import DominationFailure, RepairExhausted
 from sepline.generate import gen_circle
 from sepline.geometry import (BLUE, RED, AxisLine, ColoredPoint,
                               angular_positions, arc_interior_point,
-                              axis_candidates, axis_coords, axis_keys,
+                              axis_candidates, axis_keys,
                               cell_arcs, cell_map, circle_parameter,
                               circle_point_from_parameter, verify_separation)
 from sepline.oracles import (full_mask, min_axis_separation,
@@ -23,7 +23,7 @@ from sepline.oracles import (full_mask, min_axis_separation,
 from sepline.solvers import (AxisSolution, build_L0, refine_step, solve_axis,
                              solve_general, wedge_baseline)
 
-from conftest import line_stabs_switch
+from conftest import axis_coords, line_stabs_switch
 from test_golden import _mirror
 
 F = Fraction
@@ -302,16 +302,29 @@ def _run_optimized(script):
     assert proc.returncode == 0, proc.stderr
 
 
-@pytest.mark.parametrize("solver", ["solve_axis", "solve_general"])
+# solver -> a stub that lets lines through unverified, and an instance on
+# which they do not separate.  solve_axis checks the partition its loop
+# ends on: a loop stopped at L0 of gen_circle(60, 14), which has 2 corrupt
+# cells, must not return it
+UNVERIFIED = {
+    "solve_axis": ("s.refine_step = lambda pts, sol, dec, cm: (s._DONE, sol)",
+                   "gen_circle(60, 14, 'random')"),
+    "solve_general": ("s.verify_separation = lambda points, lines: (0, 1)",
+                      "gen_circle(16, 7, 'random')"),
+}
+
+
+@pytest.mark.parametrize("solver", sorted(UNVERIFIED))
 def test_unverified_lines_raise_without_asserts(solver):
     # a verification that fails must raise NotSeparating under python -O too
+    stub, instance = UNVERIFIED[solver]
     _run_optimized("\n".join([
         "import sepline.solvers as s",
         "from sepline.errors import NotSeparating",
         "from sepline.generate import gen_circle",
-        "s.verify_separation = lambda points, lines: (0, 1)",
+        stub,
         "try:",
-        f"    s.{solver}(gen_circle(16, 7, 'random'))",
+        f"    s.{solver}({instance})",
         "except NotSeparating:",
         "    raise SystemExit(0)",
         "raise SystemExit('returned unverified lines')",
@@ -699,11 +712,16 @@ def test_steps_never_call_sep_bitset(monkeypatch, n, seed):
     assert verify_separation(pts, sol.lines) is None
 
 
-@pytest.mark.parametrize("n,seed", [(60, 14), (100, 34)], ids=str)
-def test_one_partition_per_arrangement(monkeypatch, n, seed):
-    # L0 and each step's arrangement are partitioned once, and the points
-    # are sorted by angle once, in decompose, which keys each point once:
-    # the steps read each point's quadrant from those keys
+@pytest.mark.parametrize("pattern,n,seed,steps",
+                         [("random", 60, 14, 2), ("random", 100, 34, 2),
+                          ("alternating", 400, 1, 0)],
+                         ids=["60-14", "100-34", "alternating-400-1"])
+def test_one_partition_per_arrangement(monkeypatch, pattern, n, seed, steps):
+    # L0 and each step's arrangement are partitioned once, through solvers
+    # or through geometry (verify_separation), and the final arrangement is
+    # checked on the loop's partition; the points are sorted by angle once,
+    # in decompose, which keys each point once: the steps read each
+    # point's quadrant from those keys
     calls = {"cell_map": 0, "angular_positions": 0, "_point_key": 0}
 
     def counting(mod, name):
@@ -714,10 +732,11 @@ def test_one_partition_per_arrangement(monkeypatch, n, seed):
             return fn(*args)
         monkeypatch.setattr(mod, name, wrapped)
     counting(solvers, "cell_map")
+    counting(sepline.geometry, "cell_map")
     counting(sepline.geometry, "angular_positions")
     counting(sepline.decomposition, "angular_positions")
     counting(sepline.geometry, "_point_key")
-    sol = solve_axis(gen_circle(n, seed, "random"))
-    assert sol.steps == 2
+    sol = solve_axis(gen_circle(n, seed, pattern))
+    assert sol.steps == steps
     assert calls == {"cell_map": sol.steps + 1, "angular_positions": 1,
                      "_point_key": n}

@@ -21,17 +21,24 @@ wrapping the names `solve_axis` calls through its module:
 * ``domination``     -- `_strictly_dominates`, the strict-domination check
                         of every accepted step
 * ``repair``         -- `_repair_around` (see ``repair_used``)
-* ``final_verify``   -- `_check_separates`
 * ``total``          -- the whole `solve_axis` call
 
-Times are the median over ``--repeat`` runs (one run for n > 1280), in
-seconds, on the host the script runs on.  ``--max-n`` skips larger
-instances, for trees whose quadratic layers would take minutes there.
+There is no final-verification layer: `solve_axis` checks the cell
+partition its loop ends on and partitions no arrangement twice, so that
+check is part of ``partition``.  Older rows under other labels may hold a
+``final_verify`` column, the separate `verify_separation` call a tree of
+that time made.
+
+Times are the median over ``--repeat`` runs at every n, each run after a
+`gc.collect()`, in seconds, on the host the script runs on.  ``--max-n``
+skips larger instances, for trees whose quadratic layers would take
+minutes there.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import platform
@@ -48,7 +55,7 @@ CORPUS = [(320, 2, "random"), (480, 1, "random"), (640, 3, "random"),
           (10**5, 1, "alternating")]
 
 LAYERS = ("decompose", "switch_graph", "edge_cover", "L0", "refine_step",
-          "partition", "domination", "repair", "final_verify", "total")
+          "partition", "domination", "repair", "total")
 
 
 def _install(solvers, matching, spent):
@@ -74,7 +81,6 @@ def _install(solvers, matching, spent):
     wrap(solvers, "cell_map", "partition")
     wrap(solvers, "_strictly_dominates", "domination")
     wrap(solvers, "_repair_around", "repair")
-    wrap(solvers, "_check_separates", "final_verify")
 
 
 def run_once(solvers, matching, points):
@@ -82,6 +88,7 @@ def run_once(solvers, matching, points):
     spent = dict.fromkeys(LAYERS, 0.0)
     saved = (dict(vars(solvers)), dict(vars(matching)))
     _install(solvers, matching, spent)
+    gc.collect()
     try:
         t0 = time.perf_counter()
         sol = solvers.solve_axis(points)
@@ -125,8 +132,8 @@ def main(argv=None) -> int:
             continue
         name = f"{pattern}/{n}/{seed}"
         points = gen_circle(n, seed, pattern)
-        reps = args.repeat if n <= 1280 else 1
-        runs = [run_once(solvers, matching, points) for _ in range(reps)]
+        runs = [run_once(solvers, matching, points)
+                for _ in range(args.repeat)]
         layers = {k: round(statistics.median(r[0][k] for r in runs), 6)
                   for k in LAYERS}
         results.setdefault(name, {})[args.label] = {**runs[0][1], **layers}
