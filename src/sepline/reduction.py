@@ -23,6 +23,7 @@ have no separating lift (`lift` raises NotSeparating).
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import permutations, product
@@ -30,7 +31,8 @@ from typing import Optional
 
 from .errors import (BudgetViolation, DominationFailure, GuaranteeViolated,
                      InvalidDominatingSet, NoSignalLine, NotSeparating)
-from .geometry import BLUE, RED, AxisLine, ColoredPoint, verify_separation
+from .geometry import (BLUE, RED, AxisLine, ColoredPoint, axis_keys,
+                       order_key, verify_separation)
 from .oracles import colorful_dominating_sets
 
 F = Fraction
@@ -253,8 +255,10 @@ def _emit(norm: NormalizedCRBDS) -> ReducedInstance:
     pts: list[ColoredPoint] = []
 
     def add(color, x, y, role):
+        """x is an int; y is an int or a Fraction."""
         pid = len(pts)
-        pts.append(ColoredPoint(pid, color, F(x), F(y)))
+        pts.append(ColoredPoint(pid, color, F(x),
+                                y if type(y) is F else F(y)))
         lay.roles[pid] = role
 
     # selectors: red-blue pair in the buffer zones of each H_i, shared x
@@ -268,8 +272,10 @@ def _emit(norm: NormalizedCRBDS) -> ReducedInstance:
     # row i / position alpha, occupies box Z_ij[alpha, 2*beta].  The BL
     # corner point must stay strictly below the strip midline and TR
     # strictly above it, so the track's signal line always splits the pair;
-    # each pair gets its own fractional inset delta in (0, 1) so that no two
-    # opposite-color functional points ever share an exact coordinate.
+    # each pair gets its own fractional inset delta = num/den in (0, 1) so
+    # that no two opposite-color functional points ever share an exact
+    # coordinate.  ylo + delta is built from integers as one Fraction.
+    den = d * n + 1
     pos = {}
     for ci, cls in enumerate(inst.classes, start=1):
         for ai, u in enumerate(cls, start=1):
@@ -279,10 +285,10 @@ def _emit(norm: NormalizedCRBDS) -> ReducedInstance:
             i, alpha = pos[u]
             xlo, ylo, xhi, yhi = lay.z_box(i, j, alpha, 2 * beta)
             left_c, right_c = (BLUE, RED) if beta % 2 == 1 else (RED, BLUE)
-            delta = F((j - 1) * d + beta, d * n + 1)
-            add(left_c, xlo + 1, ylo + delta,
+            num = (j - 1) * d + beta
+            add(left_c, xlo + 1, F(ylo * den + num, den),
                 ("functional", j, beta, "BL", i, alpha))
-            add(right_c, xhi - 1, yhi - delta,
+            add(right_c, xhi - 1, F(yhi * den - num, den),
                 ("functional", j, beta, "TR", i, alpha))
 
     # guards: one shared y, middle of every even vertical strip, colors
@@ -374,14 +380,23 @@ def validate_layout(red: ReducedInstance) -> None:
     _require(len(by_role["guard"]) == d * n, "guard count is not dn")
     _require(len(by_role["enforcer"]) == 6, "enforcer count is not 6")
 
-    _require(len({p.x for p in by_role["selector"]}) == 1, "selectors share x")
-    _require(len({p.y for p in by_role["guard"]}) == 1, "guards share y")
+    # coordinates are compared as (numerator, denominator) pairs, which are
+    # equal iff the rationals are, without hashing a Fraction
+    def x_pair(p):
+        return p.x.numerator, p.x.denominator
+
+    def y_pair(p):
+        return p.y.numerator, p.y.denominator
+
+    _require(len(set(map(x_pair, by_role["selector"]))) == 1,
+             "selectors share x")
+    _require(len(set(map(y_pair, by_role["guard"]))) == 1, "guards share y")
 
     # selector, guard and enforcer pairs share coordinates on purpose (they
     # are the forced separation demands); the functional points must not add
     # accidental demands: among them, equal coordinate implies equal color,
     # and they share no coordinate with any other role
-    for axis in (lambda p: p.x, lambda p: p.y):
+    for axis in (x_pair, y_pair):
         fun_coord: dict = {}
         for p in by_role["functional"]:
             c = axis(p)
@@ -424,7 +439,14 @@ def lift(norm: NormalizedCRBDS, red: ReducedInstance,
     of exactly p horizontal and q vertical lines (fence + signals + defenders).
     `chosen` may name vertices of the input instance only: each class that
     `normalize` added and `chosen` misses gets its forced pick.  Raises
-    NotSeparating if no defender assignment verifies.
+    NotSeparating if no defender assignment separates.
+
+    The fence and the signals are the same for every assignment, so each
+    point's row among them is found once per call; each assignment then
+    only places its defenders and is dropped at its first cell with two
+    colours.  The lines are those the first assignment that
+    `verify_separation` passes would give, and a point on a line of the
+    assignment tried raises what `verify_separation` raises for it.
     """
     layout = red.layout
     inst, k, n, d = norm.inst, layout.k, layout.n, layout.d
@@ -469,23 +491,56 @@ def lift(norm: NormalizedCRBDS, red: ReducedInstance,
     # signal-separated pair g and left of the guard after it.  Any index in
     # hits[j] yields a valid guard cover, but which pairs end up sharing a
     # cell depends on the choice, so search the (small) product of options
-    # and return the first assignment that verifies.
+    # and return the first assignment that separates.
 
-    def defenders(assign):
+    def defenders(j, gj):
+        """x = xlo + 5/2 or xlo + 3/2, built as (2*xlo + 5)/2 or
+        (2*xlo + 3)/2, in lowest terms."""
         out = []
-        for j in range(1, n + 1):
-            gj = assign[j - 1]
-            for r in range(1, d + 1):
-                if r == gj:
-                    continue
-                xlo, _ = layout.v_strip(j, 2 * r)
-                off = F(5, 2) if r < gj else F(3, 2)
-                out.append(AxisLine("V", xlo + off))
+        for r in range(1, d + 1):
+            if r == gj:
+                continue
+            xlo, _ = layout.v_strip(j, 2 * r)
+            out.append(AxisLine("V", F(2 * xlo + (5 if r < gj else 3), 2)))
         return out
 
-    for assign in product(*(hits[j] for j in range(1, n + 1))):
-        lines = fixed + defenders(assign)
-        if verify_separation(red.points, lines) is None:
+    # A vertical meets a point iff its coordinate is one of the points' x
+    # (as (numerator, denominator) pairs); then, as for a point on a fixed
+    # line, `verify_separation` raises PointOnLine, and is called to raise
+    # it.  The fixed lines are the same for every assignment: each point's
+    # row is found once, and only the columns change with the defenders.
+    points = red.points
+    xs = {(p.x.numerator, p.x.denominator) for p in points}
+
+    def meets_a_point(verticals):
+        return any((ln.c.numerator, ln.c.denominator) in xs
+                   for ln in verticals)
+
+    hks, fixed_vks = axis_keys(fixed)
+    rows = [bisect_left(hks, p.yk) for p in points]
+    fixed_meets = (meets_a_point(ln for ln in fixed if ln.orient == "V")
+                   or any(row < len(hks) and hks[row] == p.yk
+                          for p, row in zip(points, rows)))
+    # per track, per candidate index: (its defenders, their keys, whether
+    # one meets a point), in the order of hits[j]
+    options = []
+    for j in range(1, n + 1):
+        opts = []
+        for gj in hits[j]:
+            lines = defenders(j, gj)
+            opts.append((lines, [order_key(ln.c) for ln in lines],
+                         meets_a_point(lines)))
+        options.append(opts)
+
+    for assign in product(*options):
+        lines = fixed + [ln for defs, _, _ in assign for ln in defs]
+        if fixed_meets or any(meets for _, _, meets in assign):
+            # a point lies on one of these lines: this raises PointOnLine
+            if verify_separation(points, lines) is None:
+                break
+            continue
+        vks = sorted(fixed_vks + [k for _, keys, _ in assign for k in keys])
+        if _monochromatic(points, rows, vks):
             break
     else:
         raise NotSeparating(
@@ -495,6 +550,18 @@ def lift(norm: NormalizedCRBDS, red: ReducedInstance,
     _require(sum(1 for ln in lines if ln.orient == "V") == layout.q,
              "lift's vertical line count is not q")
     return lines
+
+
+def _monochromatic(points, rows, vks) -> bool:
+    """Whether every cell holds one colour, for points off all lines in
+    their given `rows` and the columns that the sorted vertical-line keys
+    `vks` give; stops at the first cell that gets a second colour."""
+    seen = {}
+    for p, row in zip(points, rows):
+        color = p.color
+        if seen.setdefault((row, bisect_left(vks, p.xk)), color) != color:
+            return False
+    return True
 
 
 def extract(red: ReducedInstance, lines: list[AxisLine]) -> list[str]:

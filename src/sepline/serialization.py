@@ -36,8 +36,8 @@ def _check(value, shape, path: str) -> None:
     """Raise ValueError naming `path` unless `value` has `shape`: a type
     (a bool is no integer), a tuple of allowed literals, [shape] for a list
     whose items all have that shape, or {key: shape} for an object with
-    (at least) those keys.  Leaf fields are tested in their object's loop,
-    without a call of their own."""
+    (at least) those keys.  Leaf fields and leaf list items are tested in
+    their container's loop, without a call of their own."""
     if type(value) is shape or type(shape) is tuple and value in shape:
         return
     if type(shape) is dict and type(value) is dict:
@@ -49,8 +49,11 @@ def _check(value, shape, path: str) -> None:
                                               and item in sub):
                 _check(item, sub, f"{path}.{key}")
     elif type(shape) is list and type(value) is list:
+        sub = shape[0]
         for i, item in enumerate(value):
-            _check(item, shape[0], f"{path}[{i}]")
+            if type(item) is not sub and not (type(sub) is tuple
+                                              and item in sub):
+                _check(item, sub, f"{path}[{i}]")
     else:
         expected = (f"one of {', '.join(map(repr, shape))}"
                     if type(shape) is tuple
@@ -59,9 +62,9 @@ def _check(value, shape, path: str) -> None:
 
 
 def rat_to_str(x) -> str:
-    f = Fraction(x)
-    return str(f.numerator) if f.denominator == 1 else \
-        f"{f.numerator}/{f.denominator}"
+    """'num/den', or 'num' for an integer; `x` is a Fraction or an int."""
+    num, den = x.numerator, x.denominator
+    return str(num) if den == 1 else f"{num}/{den}"
 
 
 # the whole grammar of a rational: an optional minus, ASCII digits, and
@@ -76,8 +79,10 @@ def rat_from_str(s) -> Fraction:
     m = _RATIONAL.fullmatch(s) if isinstance(s, str) else None
     if m is None:
         raise ValueError(f"rational must be a 'num/den' string, got {s!r}")
+    if m[2] is None:
+        return Fraction(int(m[1]))
     try:
-        return Fraction(int(m[1]), int(m[2] or 1))
+        return Fraction(int(m[1]), int(m[2]))
     except ZeroDivisionError:
         raise ValueError(f"rational {s!r} has a zero denominator") from None
 
@@ -94,14 +99,19 @@ def instance_to_doc(points, kind: str) -> dict:
 
 
 _INSTANCE = {"kind": ("circle", "planar"), "points": list}
-_POINT = {"color": (RED, BLUE), "x": str, "y": str}
+_COLORS = (RED, BLUE)
+_POINT = {"color": _COLORS, "x": str, "y": str}
 
 
 def instance_from_doc(doc: dict) -> tuple[str, list[ColoredPoint]]:
     _check(doc, _INSTANCE, "instance")
     points = []
     for i, rec in enumerate(doc["points"]):
-        _check(rec, _POINT, f"instance.points[{i}]")
+        # the shape of _POINT, tested inline; `_check` names the fault
+        if (type(rec) is not dict or rec.get("color") not in _COLORS
+                or type(rec.get("x")) is not str
+                or type(rec.get("y")) is not str):
+            _check(rec, _POINT, f"instance.points[{i}]")
         points.append(ColoredPoint(i, rec["color"], rat_from_str(rec["x"]),
                                    rat_from_str(rec["y"])))
     return doc["kind"], points
@@ -269,9 +279,76 @@ def sidecar_from_doc(doc: dict) -> tuple[NormalizedCRBDS, ReductionLayout]:
 
 # --- canonical text form ----------------------------------------------------
 
+class _Unwritable(Exception):
+    """A value `_write` leaves to `json.dumps`."""
+
+
+_ENCODE_STR = json.encoder.encode_basestring_ascii
+_LITERALS = {True: "true", False: "false", None: "null"}
+
+
+def _write(value, indent: str, out) -> None:
+    """Pass the text of `value` to `out` as `json.dumps(indent=2,
+    sort_keys=True)` writes it at the depth whose line break and indent is
+    `indent`.  Raises _Unwritable for a value of any other type than dict
+    (with str keys), list, str, int, bool, None or float."""
+    t = type(value)
+    if t is dict:
+        if not value:
+            out("{}")
+            return
+        inner = indent + "  "
+        sep = "{" + inner
+        for key in sorted(value):
+            if type(key) is not str:
+                raise _Unwritable
+            item = value[key]
+            if type(item) is str:
+                out(f"{sep}{_ENCODE_STR(key)}: {_ENCODE_STR(item)}")
+            else:
+                out(f"{sep}{_ENCODE_STR(key)}: ")
+                _write(item, inner, out)
+            sep = "," + inner
+        out(indent + "}")
+    elif t is list:
+        if not value:
+            out("[]")
+            return
+        inner = indent + "  "
+        sep = "[" + inner
+        for item in value:
+            if type(item) is str:
+                out(sep + _ENCODE_STR(item))
+            else:
+                out(sep)
+                _write(item, inner, out)
+            sep = "," + inner
+        out(indent + "]")
+    elif t is str:
+        out(_ENCODE_STR(value))
+    elif t is int:
+        out(int.__repr__(value))
+    elif t is bool or value is None:
+        out(_LITERALS[value])
+    elif t is float:
+        out(json.dumps(value))
+    else:
+        raise _Unwritable
+
+
 def dumps(doc: dict) -> str:
-    """Canonical deterministic text: sorted keys, fixed separators."""
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    """Canonical deterministic text, the same bytes as
+    `json.dumps(doc, indent=2, sort_keys=True) + "\\n"`: sorted keys, two
+    spaces of indent, ASCII escapes, and `{}`/`[]` for empty containers.
+    Written directly, because `json.dumps` with an indent never uses the C
+    encoder; a document holding any other type goes to `json.dumps`."""
+    out: list[str] = []
+    try:
+        _write(doc, "\n", out.append)
+    except _Unwritable:
+        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    out.append("\n")
+    return "".join(out)
 
 
 def loads(text: str) -> dict:

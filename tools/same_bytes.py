@@ -1,4 +1,4 @@
-"""One SHA-256 digest per instance family of the axis solver's outputs.
+"""One SHA-256 digest per instance family of sepline's outputs.
 
 Run from the repository root, once per source tree to compare:
 
@@ -6,7 +6,7 @@ Run from the repository root, once per source tree to compare:
     python3 tools/same_bytes.py --src src
 
 Two trees that print the same lines give the same answers on every
-instance of the sweep below.  For each instance the digest takes in
+instance of the sweep below.  For each circle instance the digest takes in
 
 * `solve_axis`: its lines in order, kappa, steps and `repair_used`;
 * `build_switch_graph`: every edge (i, j) with each orientation and the
@@ -22,7 +22,18 @@ circle parameters (with the four axis points in half of them) and
 instances with 60-digit coordinates.  After each digest the script prints
 how many instances the family holds and how many refinement steps and
 repairs `solve_axis` made on them, so a sweep that stops reaching those
-paths shows.  The sweep takes about 30 s on one core.
+paths shows.
+
+The `reduction` family is seeded C-RBDS instances with k in {2, 4}, class
+size m in {2, 3} and blue degree d in {2, 4}, each with a planted colorful
+dominating set.  Its digest takes in, per instance, the text of the planar
+and the sidecar documents `sepline reduce` writes, then for each colorful
+dominating set the solution document of `lift` and the `{"vertices"}`
+document of `extract`, each on the documents read back as the CLI reads
+them, or the name of the `SeplineError` raised.  After it the script
+prints how many lifts there were and how many raised, so a sweep that
+stops reaching `NotSeparating` shows.  The whole sweep takes about 30 s on
+one core.
 """
 
 from __future__ import annotations
@@ -32,6 +43,7 @@ import hashlib
 import random
 import sys
 from fractions import Fraction
+from itertools import product
 from pathlib import Path
 
 NS = range(4, 65)
@@ -88,6 +100,27 @@ def _families():
     }
 
 
+def _crbds_instances():
+    """C-RBDS instances, each blue vertex with d distinct red neighbours
+    (all reds when there are fewer), one of them in the planted set."""
+    from sepline.reduction import CRBDS
+
+    for k, m, d, seed in product((2, 4), (2, 3), (2, 4), range(20)):
+        rng = random.Random(f"{k} {m} {d} {seed}")
+        classes = [[f"u{c}_{a}" for a in range(1, m + 1)]
+                   for c in range(1, k + 1)]
+        reds = [u for cls in classes for u in cls]
+        planted = [rng.choice(cls) for cls in classes]
+        blues = [f"v{j}" for j in range(1, rng.randint(1, 4) + 1)]
+        edges = set()
+        for v in blues:
+            nbrs = rng.sample(reds, min(d, len(reds)))
+            if not set(nbrs) & set(planted):
+                nbrs[0] = rng.choice(planted)
+            edges.update((u, v) for u in nbrs)
+        yield CRBDS(classes, blues, edges)
+
+
 def _lines(lines) -> str:
     return ",".join(f"{ln.orient}:{ln.c}" for ln in lines)
 
@@ -130,6 +163,47 @@ def main(argv=None) -> int:
                 digest.update(f"{record}\n".encode())
         counts = " ".join(f"{v:5} {k}" for k, v in tally.items())
         print(f"{family:18} {digest.hexdigest()} {counts}", flush=True)
+
+    from sepline import oracles, reduction, serialization as ser
+
+    def round_trip(inst):
+        """The texts `reduce`, `lift` and `extract` write for `inst`."""
+        norm = reduction.normalize(inst)
+        red = reduction.reduce_instance(norm)
+        planar = ser.dumps(ser.instance_to_doc(red.points, "planar"))
+        sidecar = ser.dumps(ser.sidecar_to_doc(norm))
+        yield planar + sidecar
+        norm, lay = ser.sidecar_from_doc(ser.loads(sidecar))
+        _, points = ser.instance_from_doc(ser.loads(planar))
+        red = reduction.ReducedInstance(points, lay.p, lay.q, lay)
+        for chosen in oracles.colorful_dominating_sets(inst):
+            tally["lifts"] += 1
+            try:
+                lines = reduction.lift(norm, red, chosen)
+            except SeplineError as exc:
+                tally["failed"] += 1
+                yield type(exc).__name__
+                continue
+            solution = ser.dumps(ser.solution_to_doc("axis", lines))
+            yield solution
+            try:
+                lines = ser.solution_from_doc(ser.loads(solution))[1]
+                yield ser.dumps({"vertices": reduction.extract_vertices(
+                    norm, red, lines)})
+            except SeplineError as exc:
+                yield type(exc).__name__
+
+    digest = hashlib.sha256()
+    tally = {"instances": 0, "lifts": 0, "failed": 0}
+    for inst in _crbds_instances():
+        tally["instances"] += 1
+        try:
+            for record in round_trip(inst):
+                digest.update(f"{record}\n".encode())
+        except SeplineError as exc:
+            digest.update(f"{type(exc).__name__}\n".encode())
+    counts = " ".join(f"{v:5} {k}" for k, v in tally.items())
+    print(f"{'reduction':18} {digest.hexdigest()} {counts}", flush=True)
     return 0
 
 
