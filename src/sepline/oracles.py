@@ -2,8 +2,10 @@
 
 Minimum axis-parallel separation, minimum general-line separation for circle
 instances, (p, q)-feasibility with per-orientation budgets, and colorful
-red-blue dominating set.  These are the ground truth the fast solvers are
-checked against; they share one candidate-line discretization:
+red-blue dominating set (whose enumerator `colorful_dominating_sets` sits
+next to `CRBDS` in `reduction`).  These are the ground truth the fast
+solvers are checked against; the separation oracles share one
+candidate-line discretization:
 
 * axis candidates (`geometry.axis_candidates`, which the solver's repair
   also draws from) sit midway between consecutive distinct coordinates,
@@ -15,16 +17,12 @@ checked against; they share one candidate-line discretization:
 
 from __future__ import annotations
 
-from fractions import Fraction
-from itertools import product
-from typing import TYPE_CHECKING, Optional
+from typing import Optional
 
 from .errors import TooLarge
 from .geometry import (BLUE, RED, GeneralLine, angular_sort, arc_interior_point,
                        axis_candidates, line_side, line_through)
-
-if TYPE_CHECKING:
-    from .reduction import CRBDS
+from .reduction import CRBDS, colorful_dominating_sets
 
 DEFAULT_AXIS_BOUND = 16
 DEFAULT_GENERAL_BOUND = 10
@@ -232,14 +230,6 @@ def feasible_pq(points, p: int, q: int, bound=120):
     if sol is None:
         return None
     return [cands[i] for i in sorted(sol)]
-
-
-def colorful_dominating_sets(inst: CRBDS):
-    """Every colorful dominating set, in lexicographic selection order."""
-    for pick in product(*inst.classes):
-        chosen = set(pick)
-        if all(any((u, v) in inst.edges for u in chosen) for v in inst.blues):
-            yield list(pick)
 
 
 def colorful_rbds_solve(inst: CRBDS, bound=10_000) -> Optional[list[str]]:

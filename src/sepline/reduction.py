@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import permutations, product
 from typing import Optional
@@ -33,7 +33,6 @@ from .errors import (BudgetViolation, DominationFailure, GuaranteeViolated,
                      InvalidDominatingSet, NoSignalLine, NotSeparating)
 from .geometry import (BLUE, RED, AxisLine, ColoredPoint, axis_keys,
                        order_key, verify_separation)
-from .oracles import colorful_dominating_sets
 
 F = Fraction
 U = 4  # grid unit: strip width and height
@@ -50,7 +49,10 @@ class CRBDS:
     """Colorful red-blue dominating set instance.
 
     Red vertices are partitioned into classes; pick one per class so that
-    every blue vertex has a chosen neighbor.
+    every blue vertex has a chosen neighbor.  An instance is a value: each
+    blue vertex's neighbour list is built once, at construction, and no
+    code changes an instance afterwards (`dataclasses.replace` makes a new
+    one, with its own lists).
     """
 
     classes: list[list[str]]
@@ -59,24 +61,36 @@ class CRBDS:
     # optional per-blue neighbor ordering; any fixed ordering is legal, and
     # consumers that care (the geometric reduction) may choose one explicitly
     order: Optional[dict] = None
+    # each blue's neighbours: explicit if ordered, else class-then-position
+    _neighbors: dict[str, list[str]] = field(init=False, repr=False,
+                                             compare=False)
+
+    def __post_init__(self):
+        order = self.order or {}
+        reds = [u for cls in self.classes for u in cls]
+        self._neighbors = {
+            v: list(order[v]) if v in order
+            else [u for u in reds if (u, v) in self.edges]
+            for v in self.blues}
 
     @property
     def k(self) -> int:
         return len(self.classes)
 
     def neighbors_of_blue(self, v: str) -> list[str]:
-        """Fixed ordering: explicit if set, else class-then-position order."""
-        if self.order is not None and v in self.order:
-            return list(self.order[v])
-        out = []
-        for cls in self.classes:
-            for u in cls:
-                if (u, v) in self.edges:
-                    out.append(u)
-        return out
+        """The stored list, which callers do not change."""
+        return self._neighbors[v]
 
     def degree(self, v: str) -> int:
-        return len(self.neighbors_of_blue(v))
+        return len(self._neighbors[v])
+
+
+def colorful_dominating_sets(inst: CRBDS):
+    """Every colorful dominating set, in lexicographic selection order."""
+    for pick in product(*inst.classes):
+        chosen = set(pick)
+        if all(any((u, v) in inst.edges for u in chosen) for v in inst.blues):
+            yield list(pick)
 
 
 @dataclass
@@ -120,8 +134,7 @@ def normalize(inst: CRBDS) -> NormalizedCRBDS:
     # signal line per class row cannot serve; the bookend pendants below
     # make all neighborhoods distinct, so that configuration is rebuilt
     # with interior dominator slots.
-    nbhds = [frozenset(u for u in sum(classes, []) if (u, v) in edges)
-             for v in blues]
+    nbhds = [frozenset(inst.neighbors_of_blue(v)) for v in blues]
     added_degree_class = (any(deg != d for deg in degs.values())
                           or len(set(nbhds)) < len(nbhds))
     if added_degree_class:
@@ -321,6 +334,10 @@ _ORDER_SEARCH_SPACE = 720  # max neighbor-ordering combinations to try
 
 
 def reduce_instance(norm: NormalizedCRBDS) -> ReducedInstance:
+    """The planar instance of `norm`.  Sets `norm.inst` to the instance
+    whose neighbour ordering the search below chose (a new `CRBDS`, or the
+    same one); no `CRBDS` is changed."""
+    inst = norm.inst
     red = _emit(norm)
     # Which dominating sets admit a canonical separating family depends on
     # the per-blue neighbor ordering: it fixes which box column (and hence
@@ -328,40 +345,40 @@ def reduce_instance(norm: NormalizedCRBDS) -> ReducedInstance:
     # search the orderings for one under which every colorful dominating set
     # lifts; otherwise keep the one that serves the most sets.  Instances
     # whose search space exceeds the caps keep the default ordering.
-    if math.prod(len(cls) for cls in norm.inst.classes) > _ORDER_SEARCH_SETS:
+    if math.prod(len(cls) for cls in inst.classes) > _ORDER_SEARCH_SETS:
         return red
-    sets = list(colorful_dominating_sets(norm.inst))
+    sets = list(colorful_dominating_sets(inst))
     if not sets:
         return red
     space = 1
-    for v in norm.inst.blues:
-        space *= math.factorial(norm.inst.degree(v))
+    for v in inst.blues:
+        space *= math.factorial(inst.degree(v))
         if space > _ORDER_SEARCH_SPACE:
             return red
 
-    def score(r):
+    def score(cand, r):
         total = 0
         for s in sets:
             try:
-                lift(norm, r, s)
+                lift(cand, r, s)
             except (InvalidDominatingSet, NotSeparating):
                 continue
             total += 1
         return total
 
-    best, best_order, best_score = red, norm.inst.order, score(red)
+    best, best_inst, best_score = red, inst, score(norm, red)
     if best_score < len(sets):
-        base = {v: norm.inst.neighbors_of_blue(v) for v in norm.inst.blues}
-        for pick in product(*(permutations(base[v]) for v in norm.inst.blues)):
-            norm.inst.order = {v: list(p)
-                               for v, p in zip(norm.inst.blues, pick)}
-            cand = _emit(norm)
-            sc = score(cand)
+        for pick in product(*(permutations(inst.neighbors_of_blue(v))
+                              for v in inst.blues)):
+            cand = replace(norm, inst=replace(inst, order={
+                v: list(p) for v, p in zip(inst.blues, pick)}))
+            r = _emit(cand)
+            sc = score(cand, r)
             if sc > best_score:
-                best, best_order, best_score = cand, norm.inst.order, sc
+                best, best_inst, best_score = r, cand.inst, sc
                 if sc == len(sets):
                     break
-    norm.inst.order = best_order
+    norm.inst = best_inst
     return best
 
 
@@ -443,10 +460,10 @@ def lift(norm: NormalizedCRBDS, red: ReducedInstance,
 
     The fence and the signals are the same for every assignment, so each
     point's row among them is found once per call; each assignment then
-    only places its defenders and is dropped at its first cell with two
-    colours.  The lines are those the first assignment that
-    `verify_separation` passes would give, and a point on a line of the
-    assignment tried raises what `verify_separation` raises for it.
+    only places its defenders and is decided in one pass over the points.
+    The lines are those the first assignment that `verify_separation`
+    passes would give, and a point on a line of the assignment tried
+    raises what `verify_separation` raises for it.
     """
     layout = red.layout
     inst, k, n, d = norm.inst, layout.k, layout.n, layout.d
@@ -494,53 +511,42 @@ def lift(norm: NormalizedCRBDS, red: ReducedInstance,
     # and return the first assignment that separates.
 
     def defenders(j, gj):
-        """x = xlo + 5/2 or xlo + 3/2, built as (2*xlo + 5)/2 or
-        (2*xlo + 3)/2, in lowest terms."""
+        """The lines and their order keys; x = xlo + 5/2 or xlo + 3/2,
+        built as (2*xlo + 5)/2 or (2*xlo + 3)/2, in lowest terms."""
         out = []
         for r in range(1, d + 1):
             if r == gj:
                 continue
             xlo, _ = layout.v_strip(j, 2 * r)
             out.append(AxisLine("V", F(2 * xlo + (5 if r < gj else 3), 2)))
-        return out
+        return out, [order_key(ln.c) for ln in out]
 
-    # A vertical meets a point iff its coordinate is one of the points' x
-    # (as (numerator, denominator) pairs); then, as for a point on a fixed
-    # line, `verify_separation` raises PointOnLine, and is called to raise
-    # it.  The fixed lines are the same for every assignment: each point's
-    # row is found once, and only the columns change with the defenders.
+    # One pass per assignment, over the points in input order: a point on
+    # a line makes `verify_separation` raise its PointOnLine (the first
+    # such point in input order is always reached), any other point's cell
+    # records its colour.  The fixed lines are the same for every
+    # assignment, so each point's row is found once.
     points = red.points
-    xs = {(p.x.numerator, p.x.denominator) for p in points}
-
-    def meets_a_point(verticals):
-        return any((ln.c.numerator, ln.c.denominator) in xs
-                   for ln in verticals)
-
     hks, fixed_vks = axis_keys(fixed)
+    nh = len(hks)
     rows = [bisect_left(hks, p.yk) for p in points]
-    fixed_meets = (meets_a_point(ln for ln in fixed if ln.orient == "V")
-                   or any(row < len(hks) and hks[row] == p.yk
-                          for p, row in zip(points, rows)))
-    # per track, per candidate index: (its defenders, their keys, whether
-    # one meets a point), in the order of hits[j]
-    options = []
-    for j in range(1, n + 1):
-        opts = []
-        for gj in hits[j]:
-            lines = defenders(j, gj)
-            opts.append((lines, [order_key(ln.c) for ln in lines],
-                         meets_a_point(lines)))
-        options.append(opts)
+    options = [[defenders(j, gj) for gj in hits[j]] for j in range(1, n + 1)]
 
     for assign in product(*options):
-        lines = fixed + [ln for defs, _, _ in assign for ln in defs]
-        if fixed_meets or any(meets for _, _, meets in assign):
-            # a point lies on one of these lines: this raises PointOnLine
-            if verify_separation(points, lines) is None:
-                break
-            continue
-        vks = sorted(fixed_vks + [k for _, keys, _ in assign for k in keys])
-        if _monochromatic(points, rows, vks):
+        lines = fixed + [ln for defs, _ in assign for ln in defs]
+        vks = sorted(fixed_vks + [key for _, keys in assign for key in keys])
+        nv = len(vks)
+        seen = {}
+        mixed = False
+        for p, row in zip(points, rows):
+            xk, color = p.xk, p.color
+            col = bisect_left(vks, xk)
+            if ((row < nh and hks[row] == p.yk)
+                    or (col < nv and vks[col] == xk)):
+                verify_separation(points, lines)  # raises PointOnLine
+            if seen.setdefault((row, col), color) != color:
+                mixed = True
+        if not mixed:
             break
     else:
         raise NotSeparating(
@@ -550,18 +556,6 @@ def lift(norm: NormalizedCRBDS, red: ReducedInstance,
     _require(sum(1 for ln in lines if ln.orient == "V") == layout.q,
              "lift's vertical line count is not q")
     return lines
-
-
-def _monochromatic(points, rows, vks) -> bool:
-    """Whether every cell holds one colour, for points off all lines in
-    their given `rows` and the columns that the sorted vertical-line keys
-    `vks` give; stops at the first cell that gets a second colour."""
-    seen = {}
-    for p, row in zip(points, rows):
-        color = p.color
-        if seen.setdefault((row, bisect_left(vks, p.xk)), color) != color:
-            return False
-    return True
 
 
 def extract(red: ReducedInstance, lines: list[AxisLine]) -> list[str]:

@@ -220,3 +220,23 @@ def test_point_on_a_line_is_reported_by_verify_separation(counted):
     with pytest.raises(PointOnLine):
         lift(norm, _moved(red, 0, y=fixed[3].c), ["u1", "u3"])
     assert counted["verify_separation"] == 1
+
+
+def test_point_on_a_line_after_a_mixed_cell_raises():
+    """The last point in input order lies on a defender of the first
+    assignment, whose cells are already mixed among the points before it:
+    `lift` raises the reference's PointOnLine for that point, so it never
+    stops an assignment before reaching its last point."""
+    norm = normalize(unliftable())
+    red = reduce_instance(norm)
+    chosen = ["u1_1", "u2_1"]
+    _, fixed, assignments = _reference_assignments(norm, red, chosen)
+    first = fixed + assignments[0]
+    last = red.points[-1]
+    assert verify_separation(red.points[:-1], first) is not None
+    for ln in assignments[0]:
+        moved = _moved(red, last.id, x=ln.c)
+        assert _same_as_reference(norm, moved, chosen) == "PointOnLine"
+        with pytest.raises(PointOnLine) as raised:
+            lift(norm, moved, chosen)
+        assert raised.value.point_id == last.id

@@ -8,10 +8,12 @@ from pathlib import Path
 
 import sepline
 
-# cli: the `oracle` command and `solve --check`; reduction:
-# colorful_dominating_sets for the ordering search.  The solvers import
-# nothing from the oracles, repair included.
-ORACLE_IMPORTERS = {"__init__", "cli", "reduction"}
+# cli: the `oracle` command and `solve --check`.  The solvers (repair
+# included) and the reduction import nothing from the oracles; the
+# enumerator the reduction's ordering search uses,
+# `colorful_dominating_sets`, lives in `reduction`, and `oracles` imports
+# it from there.
+ORACLE_IMPORTERS = {"__init__", "cli"}
 
 
 def imports_oracles(source: str) -> bool:

@@ -1,6 +1,7 @@
 from dataclasses import replace
 from fractions import Fraction
 from itertools import product
+from random import Random
 
 import pytest
 
@@ -279,3 +280,55 @@ def test_validate_layout_rejects_vertical_through_two_pairs():
     pts[tr1.id] = replace(tr1, x=tr2.x - Fraction(1, 2))
     with pytest.raises(GuaranteeViolated, match="two functional pairs"):
         validate_layout(ReducedInstance(pts, red.p, red.q, red.layout))
+
+
+def test_reduce_instance_changes_no_crbds():
+    """toy() is an instance where the ordering search picks a new order:
+    `reduce_instance` sets `norm.inst` to a new instance holding it and
+    leaves the one it was handed as it was."""
+    norm = normalize(toy())
+    handed = norm.inst
+    lists = {v: list(handed.neighbors_of_blue(v)) for v in handed.blues}
+    reduce_instance(norm)
+    assert norm.inst is not handed and norm.inst.order is not None
+    assert handed.order is None
+    assert {v: handed.neighbors_of_blue(v) for v in handed.blues} == lists
+    assert norm.inst.order == sidecar_to_doc(norm)["normalized"]["order"]
+    assert sidecar_from_doc(sidecar_to_doc(norm))[0].inst == norm.inst
+
+
+def _scanned_neighbors(inst, v):
+    """Reference: the explicit order if `inst` has one for `v`, else a scan
+    of the classes in order for the reds adjacent to `v`."""
+    if inst.order is not None and v in inst.order:
+        return list(inst.order[v])
+    out = []
+    for cls in inst.classes:
+        for u in cls:
+            if (u, v) in inst.edges:
+                out.append(u)
+    return out
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_stored_neighbor_lists_match_the_scan(seed):
+    rng = Random(seed)
+    k, m, n = rng.randint(1, 4), rng.randint(1, 4), rng.randint(1, 6)
+    classes = [[f"u{c}_{a}" for a in range(m)] for c in range(k)]
+    reds = [u for cls in classes for u in cls]
+    blues = [f"v{j}" for j in range(n)]
+    edges = {(u, v) for v in blues
+             for u in rng.sample(reds, rng.randint(1, len(reds)))}
+    plain = CRBDS(classes, blues, edges)
+    full = {v: rng.sample(plain.neighbors_of_blue(v), plain.degree(v))
+            for v in blues}
+    partial = {v: full[v] for v in rng.sample(blues, rng.randint(1, n))}
+    ordered = CRBDS(classes, blues, edges, full)
+    for order in (None, full, partial):
+        # built directly, and rebuilt by replace from another order
+        for inst in (CRBDS(classes, blues, edges, order),
+                     replace(ordered, order=order)):
+            for v in blues:
+                assert inst.neighbors_of_blue(v) == _scanned_neighbors(
+                    inst, v)
+                assert inst.degree(v) == len(_scanned_neighbors(inst, v))
