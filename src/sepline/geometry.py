@@ -102,37 +102,48 @@ Line = Union[AxisLine, GeneralLine]
 def general_line(a, b, c) -> GeneralLine:
     """Canonicalize (a, b, c): integer coefficients, gcd 1, positive lead."""
     a, b, c = Fraction(a), Fraction(b), Fraction(c)
+    den = lcm(a.denominator, b.denominator, c.denominator)
+    return _primitive_line(int(a * den), int(b * den), int(c * den))
+
+
+def _primitive_line(a: int, b: int, c: int) -> GeneralLine:
+    """a*x + b*y + c = 0 divided by gcd(a, b, c), its lead made positive."""
     if a == 0 and b == 0:
         raise ValueError("degenerate line: a = b = 0")
-    den = lcm(a.denominator, b.denominator, c.denominator)
-    ai, bi, ci = int(a * den), int(b * den), int(c * den)
-    g = gcd(ai, gcd(bi, ci))
-    ai, bi, ci = ai // g, bi // g, ci // g
-    lead = ai if ai != 0 else bi
-    if lead < 0:
-        ai, bi, ci = -ai, -bi, -ci
-    return GeneralLine(Fraction(ai), Fraction(bi), Fraction(ci))
+    g = gcd(a, b, c) if (a or b) > 0 else -gcd(a, b, c)
+    return GeneralLine(Fraction(a // g), Fraction(b // g), Fraction(c // g))
 
 
 def line_through(px, py, qx, qy) -> GeneralLine:
-    """The unique line through two distinct points."""
-    a = qy - py
-    b = px - qx
-    return general_line(a, b, -(a * px + b * py))
+    """The unique line through two distinct points, as `general_line` gives
+    (qy - py, px - qx, qx*py - px*qy): scaled to integers by the four
+    denominators."""
+    pxn, pxd, pyn, pyd = (px.numerator, px.denominator,
+                          py.numerator, py.denominator)
+    qxn, qxd, qyn, qyd = (qx.numerator, qx.denominator,
+                          qy.numerator, qy.denominator)
+    return _primitive_line((qyn * pyd - pyn * qyd) * pxd * qxd,
+                           (pxn * qxd - qxn * pxd) * pyd * qyd,
+                           qxn * pyn * pxd * qyd - pxn * qyn * qxd * pyd)
 
 
 def circle_point_from_parameter(t) -> tuple[Fraction, Fraction]:
-    """Rational unit-circle point for parameter t; covers everything but (-1, 0)."""
+    """The rational unit-circle point ((1 - t^2)/(1 + t^2), 2t/(1 + t^2));
+    covers everything but (-1, 0).  With t = a/b that is ((b^2 - a^2)/s,
+    2ab/s) for s = a^2 + b^2, one gcd per coordinate."""
     t = Fraction(t)
-    d = 1 + t * t
-    return (1 - t * t) / d, 2 * t / d
+    a, b = t.numerator, t.denominator
+    s = a * a + b * b
+    return Fraction(b * b - a * a, s), Fraction(2 * a * b, s)
 
 
 def circle_parameter(x: Fraction, y: Fraction) -> Fraction:
-    """Inverse of circle_point_from_parameter; undefined at (-1, 0)."""
-    if x == -1:
+    """Inverse of circle_point_from_parameter, y/(1 + x); undefined at
+    (-1, 0)."""
+    xn, xd = x.numerator, x.denominator
+    if xn == -xd:
         raise ValueError("(-1, 0) has no finite parameter")
-    return y / (1 + x)
+    return Fraction(y.numerator * xd, y.denominator * (xd + xn))
 
 
 def line_side(line: Line, p: ColoredPoint) -> int:
@@ -466,20 +477,25 @@ def cell_arcs(positions, hs, vs) -> dict[CellSignature, list[Arc]]:
 
 
 def arc_interior_point(start: ColoredPoint, end: ColoredPoint,
-                       forbidden_x=(), forbidden_y=()) -> tuple[Fraction, Fraction]:
+                       forbidden_x=(), forbidden_y=(), start_pos=None,
+                       end_pos=None) -> tuple[Fraction, Fraction]:
     """A rational circle point strictly inside the open ccw arc start -> end,
     with both coordinates outside the given forbidden containers (tested
-    for membership, not copied).  The candidates are infinitely many
-    distinct circle points and a coordinate value is shared by at most two
-    of them, so finite forbidden sets end the search."""
-    return next((x, y) for x, y in map(circle_point_from_parameter,
-                                       _arc_parameter_candidates(start, end))
+    for membership, not copied).  `start_pos` and `end_pos` are the ends'
+    angular keys, built here if not given.  The candidates are infinitely
+    many distinct circle points and a coordinate value is shared by at most
+    two of them, so finite forbidden sets end the search."""
+    if start_pos is None:
+        start_pos = _point_key(start.x, start.y)
+    if end_pos is None:
+        end_pos = _point_key(end.x, end.y)
+    return next((x, y) for x, y in map(
+        circle_point_from_parameter,
+        _arc_parameter_candidates(start, end, start_pos, end_pos))
                 if x not in forbidden_x and y not in forbidden_y)
 
 
-def _arc_parameter_candidates(start, end):
-    a = _point_key(start.x, start.y)
-    b = _point_key(end.x, end.y)
+def _arc_parameter_candidates(start, end, a, b):
     if a == LEFT:
         tb = circle_parameter(end.x, end.y)
         for j in count():

@@ -1,7 +1,9 @@
 """Constructive separation solvers for points on a circle.
 
 solve_general protects each blue chunk with one line through its two
-adjacent switches (w/2 lines, optimal).  solve_axis builds the edge-cover
+adjacent switches (w/2 lines, optimal) and certifies the lines in
+O(n log n): each line's two anchors bound, on the circle, exactly one
+maximal blue run of the angular order.  solve_axis builds the edge-cover
 seeded line set L0 of size kappa, then walks a sequence of strictly
 dominating solutions until every cell is monochromatic.  Each step makes
 one flip (one boundary line of the priority corrupt cell); solve_axis
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations
-from operator import or_
+from operator import lt, or_
 from typing import Optional
 
 from .decomposition import (CircleDecomposition, SwitchGraph,
@@ -29,10 +31,10 @@ from .decomposition import (CircleDecomposition, SwitchGraph,
 from .errors import (DominationFailure, GuaranteeViolated, NotSeparating,
                      RepairExhausted)
 from .geometry import (BLUE, RED, Arc, AxisLine, CellMap, CellSignature,
-                       CoordinateSet, GeneralLine, arc_interior_point,
-                       arc_quadrants, axis_candidates, axis_keys, cell_arcs,
-                       cell_map, line_through, order_key, pick_coordinate,
-                       verify_separation)
+                       CoordinateSet, GeneralLine, _integer_form, _point_key,
+                       arc_interior_point, arc_quadrants, axis_candidates,
+                       axis_keys, cell_arcs, cell_map, line_through, order_key,
+                       pick_coordinate)
 
 F = Fraction
 
@@ -61,7 +63,7 @@ class AxisSolution:
 
 def solve_general(points) -> GeneralSolution:
     """One line per blue chunk, anchored inside its two adjacent switches.
-    Raises NotSeparating if the lines do not verify."""
+    Raises NotSeparating if the lines fail their certificate."""
     dec = decompose(points)
     if dec.w == 0:
         return GeneralSolution([], [])
@@ -70,16 +72,69 @@ def solve_general(points) -> GeneralSolution:
     for i, chunk in enumerate(dec.chunks):
         if chunk.color != BLUE:
             continue
-        prev_sw = dec.switches[(i - 1) % w]
-        next_sw = dec.switches[i]
-        p = arc_interior_point(prev_sw.start, prev_sw.end)
-        q = arc_interior_point(next_sw.start, next_sw.end)
+        p = _anchor(dec.switches[(i - 1) % w])
+        q = _anchor(dec.switches[i])
         lines.append(line_through(p[0], p[1], q[0], q[1]))
         anchors.append((i, p, q))
-    witness = verify_separation(dec.points, lines)
-    if witness is not None:
-        raise NotSeparating(f"pair {witness} is not separated")
+    _certify_general(lines, anchors, dec.positions)
     return GeneralSolution(lines, anchors)
+
+
+def _anchor(sw, forbidden_x=(), forbidden_y=()) -> tuple[Fraction, Fraction]:
+    """A circle point inside the open arc of switch `sw`."""
+    return arc_interior_point(sw.start, sw.end, forbidden_x, forbidden_y,
+                              sw.start_pos, sw.end_pos)
+
+
+def _certify_general(lines, anchors, positions) -> None:
+    """Raise NotSeparating unless `lines` separate the points of
+    `positions`, `decompose`'s angular order; O(n + L log n).
+
+    The line of anchors[k] = (chunk, p, q) must pass through the distinct
+    unit-circle points p and q, so it meets the circle only there and the
+    open ccw arc from p to q is one open side of it.  If that arc holds
+    exactly one maximal blue run, no point lies at p or q and each run has
+    its own line, every red-blue pair is split.  Chunks and switches are
+    not read, so a fault in them cannot hide.
+    """
+    keys = [k for k, _ in positions]
+    n = len(keys)
+    if not all(map(lt, keys, keys[1:])):
+        raise NotSeparating("point keys do not strictly increase")
+    # a maximal blue run's first index -> the index of the red after it
+    reds = [i for i, (_, p) in enumerate(positions) if p.color == RED]
+    run_end = {(r + 1) % n: s for r, s in zip(reds, reds[1:] + reds[:1])
+               if (r + 1) % n != s}
+    if len(lines) != len(anchors):
+        raise NotSeparating(f"{len(lines)} lines for {len(anchors)} anchors")
+    done = set()
+    for line, (chunk, p, q) in zip(lines, anchors):
+        def require(ok, what):
+            if not ok:
+                raise NotSeparating(f"line of blue chunk {chunk}: {what}")
+
+        a, b, c = _integer_form(line)
+        require(a or b, "a = b = 0")
+        require(p != q, "p = q")
+        ends = []
+        for name, (x, y) in (("p", p), ("q", q)):
+            xn, xd = x.numerator, x.denominator
+            yn, yd = y.numerator, y.denominator
+            require(a * xn * yd + b * yn * xd + c * xd * yd == 0,
+                    f"anchor {name} is off the line")
+            require((xn * yd) ** 2 + (yn * xd) ** 2 == (xd * yd) ** 2,
+                    f"anchor {name} is off the unit circle")
+            key = _point_key(x, y)
+            i = bisect_left(keys, key)
+            require(i == n or keys[i] != key,
+                    f"anchor {name} is an input point")
+            ends.append(i % n)
+        require(run_end.get(ends[0]) == ends[1],
+                "the points between its anchors are not one maximal blue run")
+        require(ends[0] not in done, "a second line on its blue run")
+        done.add(ends[0])
+    if len(done) != len(run_end):
+        raise NotSeparating(f"{len(done)} lines for {len(run_end)} blue runs")
 
 
 def wedge_baseline(points) -> AxisSolution:
@@ -101,12 +156,10 @@ def wedge_baseline(points) -> AxisSolution:
     for i, chunk in enumerate(dec.chunks):
         if chunk.color != BLUE:
             continue
-        prev_sw = dec.switches[(i - 1) % w]
-        next_sw = dec.switches[i]
-        p = arc_interior_point(prev_sw.start, prev_sw.end, fx, fy)
+        p = _anchor(dec.switches[(i - 1) % w], fx, fy)
         # q also avoids p's x and +-p's y, for this chunk only
-        q = arc_interior_point(next_sw.start, next_sw.end,
-                               _Either(fx, (p[0],)), _Either(fy, (p[1], -p[1])))
+        q = _anchor(dec.switches[i],
+                    _Either(fx, (p[0],)), _Either(fy, (p[1], -p[1])))
         corner = (p[0], q[1]) if q[1] * q[1] < p[1] * p[1] else (q[0], p[1])
         lines += [AxisLine("V", corner[0]), AxisLine("H", corner[1])]
         fx.add(corner[0])

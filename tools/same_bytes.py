@@ -12,6 +12,8 @@ instance of the sweep below.  For each circle instance the digest takes in
 * `build_switch_graph`: every edge (i, j) with each orientation and the
   `lo`/`hi` of its overlap, in the order of `edges`;
 * `wedge_baseline`: its lines in order;
+* `solve_general`: its lines in order, each as its integers a, b, c, and
+  its anchors, each as the blue chunk's index and the points p and q;
 
 or the name of the `SeplineError` that a call raised.
 
@@ -150,12 +152,19 @@ def main(argv=None) -> int:
     def wedge(points):
         return _lines(solvers.wedge_baseline(points).lines)
 
+    def general(points):
+        sol = solvers.solve_general(points)
+        return "{}|{}".format(
+            ",".join(f"{ln.a} {ln.b} {ln.c}" for ln in sol.lines),
+            ",".join(f"{i}:{px} {py} {qx} {qy}"
+                     for i, (px, py), (qx, qy) in sol.anchors))
+
     for family, instances in _families().items():
         digest = hashlib.sha256()
         tally = {"instances": 0, "steps": 0, "repairs": 0}
         for points in instances:
             tally["instances"] += 1
-            for output in (axis, edges, wedge):
+            for output in (axis, edges, wedge, general):
                 try:
                     record = output(points)
                 except SeplineError as exc:
