@@ -26,7 +26,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import islice, permutations, product
 from typing import Optional
 
 from .errors import (BudgetViolation, DominationFailure, GuaranteeViolated,
@@ -262,24 +262,50 @@ SELECTOR_X = 2 * U
 GUARD_Y = 2 * U
 
 
-def _emit(norm: NormalizedCRBDS) -> ReducedInstance:
+def _emit(norm: NormalizedCRBDS, parts: Optional[dict] = None
+          ) -> ReducedInstance:
+    """The reduced instance of `norm`, validated.  Its points come in
+    parts: the selectors, blue j's functional block and the guards with the
+    enforcers.  Within one normalized instance a part keeps its ids (list
+    positions) under every neighbour order, so `parts`, which the caller
+    keeps for one search, keyed "selectors", (j, neighbour order) and
+    "guards and enforcers", lends each emit the (point, role) pairs that
+    earlier emits built: each part is built once."""
     inst, k, n, d, m = norm.inst, norm.k, norm.n, norm.d, norm.m
     lay = ReductionLayout(k, n, d, m)
     pts: list[ColoredPoint] = []
+    roles = lay.roles
+    parts = {} if parts is None else parts
+    built: list = []
 
     def add(color, x, y, role):
         """x is an int; y is an int or a Fraction."""
         pid = len(pts)
         pts.append(ColoredPoint(pid, color, F(x),
                                 y if type(y) is F else F(y)))
-        lay.roles[pid] = role
+        roles[pid] = role
+        built.append((pts[-1], role))
+
+    def reused(key) -> bool:
+        """Append part `key` if an earlier emit built it; else return
+        False, and `add` records the part as it is built."""
+        nonlocal built
+        part = parts.get(key)
+        if part is None:
+            built = parts[key] = []
+            return False
+        for pt, role in part:
+            pts.append(pt)
+            roles[pt.id] = role
+        return True
 
     # selectors: red-blue pair in the buffer zones of each H_i, shared x
-    for i in range(1, k + 1):
-        lo, hi = lay.h_track(i)
-        top, bottom = (RED, BLUE) if i % 2 == 0 else (BLUE, RED)
-        add(bottom, SELECTOR_X, lo + U // 2, ("selector", i, "bottom"))
-        add(top, SELECTOR_X, hi - U // 2, ("selector", i, "top"))
+    if not reused("selectors"):
+        for i in range(1, k + 1):
+            lo, hi = lay.h_track(i)
+            top, bottom = (RED, BLUE) if i % 2 == 0 else (BLUE, RED)
+            add(bottom, SELECTOR_X, lo + U // 2, ("selector", i, "bottom"))
+            add(top, SELECTOR_X, hi - U // 2, ("selector", i, "top"))
 
     # functional pairs: the beta-th neighbor u of v_j, sitting at u's class
     # row i / position alpha, occupies box Z_ij[alpha, 2*beta].  The BL
@@ -294,7 +320,10 @@ def _emit(norm: NormalizedCRBDS) -> ReducedInstance:
         for ai, u in enumerate(cls, start=1):
             pos[u] = (ci, ai)
     for j, v in enumerate(inst.blues, start=1):
-        for beta, u in enumerate(inst.neighbors_of_blue(v), start=1):
+        nbrs = tuple(inst.neighbors_of_blue(v))
+        if reused((j, nbrs)):
+            continue
+        for beta, u in enumerate(nbrs, start=1):
             i, alpha = pos[u]
             xlo, ylo, xhi, yhi = lay.z_box(i, j, alpha, 2 * beta)
             left_c, right_c = (BLUE, RED) if beta % 2 == 1 else (RED, BLUE)
@@ -306,23 +335,25 @@ def _emit(norm: NormalizedCRBDS) -> ReducedInstance:
 
     # guards: one shared y, middle of every even vertical strip, colors
     # alternating within a track and matching across track boundaries
-    for j in range(1, n + 1):
-        for r in range(1, d + 1):
-            xlo, _ = lay.v_strip(j, 2 * r)
-            color = BLUE if (r + j) % 2 == 0 else RED
-            add(color, xlo + U // 2, GUARD_Y, ("guard", j, r))
+    if not reused("guards and enforcers"):
+        for j in range(1, n + 1):
+            for r in range(1, d + 1):
+                xlo, _ = lay.v_strip(j, 2 * r)
+                color = BLUE if (r + j) % 2 == 0 else RED
+                add(color, xlo + U // 2, GUARD_Y, ("guard", j, r))
 
-    # enforcers: pair A forces a horizontal line at the H_0/H_1 boundary,
-    # pair B at the H_k/H_{k+1} boundary, pair C a vertical at V_0/V_1
-    h1_lo, _ = lay.h_track(1)
-    _, hk_hi = lay.h_track(k)
-    y_top_mid = hk_hi + 2 * U
-    add(BLUE, U, GUARD_Y, ("enforcer", "A", "low"))
-    add(RED, U, h1_lo + 1, ("enforcer", "A", "high"))
-    add(RED, 3 * U, hk_hi - 1, ("enforcer", "B", "low"))
-    add(BLUE, 3 * U, y_top_mid, ("enforcer", "B", "high"))
-    add(BLUE, 4 * U - 2, y_top_mid, ("enforcer", "C", "left"))
-    add(RED, 4 * U + 2, y_top_mid, ("enforcer", "C", "right"))
+        # enforcers: pair A forces a horizontal line at the H_0/H_1
+        # boundary, pair B at the H_k/H_{k+1} boundary, pair C a vertical
+        # at V_0/V_1
+        h1_lo, _ = lay.h_track(1)
+        _, hk_hi = lay.h_track(k)
+        y_top_mid = hk_hi + 2 * U
+        add(BLUE, U, GUARD_Y, ("enforcer", "A", "low"))
+        add(RED, U, h1_lo + 1, ("enforcer", "A", "high"))
+        add(RED, 3 * U, hk_hi - 1, ("enforcer", "B", "low"))
+        add(BLUE, 3 * U, y_top_mid, ("enforcer", "B", "high"))
+        add(BLUE, 4 * U - 2, y_top_mid, ("enforcer", "C", "left"))
+        add(RED, 4 * U + 2, y_top_mid, ("enforcer", "C", "right"))
 
     red = ReducedInstance(pts, lay.p, lay.q, lay)
     validate_layout(red)
@@ -338,7 +369,8 @@ def reduce_instance(norm: NormalizedCRBDS) -> ReducedInstance:
     whose neighbour ordering the search below chose (a new `CRBDS`, or the
     same one); no `CRBDS` is changed."""
     inst = norm.inst
-    red = _emit(norm)
+    parts: dict = {}
+    red = _emit(norm, parts)
     # Which dominating sets admit a canonical separating family depends on
     # the per-blue neighbor ordering: it fixes which box column (and hence
     # which corner orientation) every edge pair occupies.  At small scale,
@@ -356,24 +388,30 @@ def reduce_instance(norm: NormalizedCRBDS) -> ReducedInstance:
         if space > _ORDER_SEARCH_SPACE:
             return red
 
-    def score(cand, r):
-        total = 0
+    def score(cand, r, floor):
+        """How many sets lift under `cand`, or at most `floor` once the
+        misses leave it unable to score more than `floor`."""
+        total, misses_left = 0, len(sets) - floor
         for s in sets:
             try:
                 lift(cand, r, s)
             except (InvalidDominatingSet, NotSeparating):
+                misses_left -= 1
+                if not misses_left:
+                    return total
                 continue
             total += 1
         return total
 
-    best, best_inst, best_score = red, inst, score(norm, red)
+    best, best_inst, best_score = red, inst, score(norm, red, -1)
     if best_score < len(sets):
-        for pick in product(*(permutations(inst.neighbors_of_blue(v))
-                              for v in inst.blues)):
+        # the first pick keeps every blue's own order: that is `red`
+        for pick in islice(product(*(permutations(inst.neighbors_of_blue(v))
+                                     for v in inst.blues)), 1, None):
             cand = replace(norm, inst=replace(inst, order={
                 v: list(p) for v, p in zip(inst.blues, pick)}))
-            r = _emit(cand)
-            sc = score(cand, r)
+            r = _emit(cand, parts)
+            sc = score(cand, r, best_score)
             if sc > best_score:
                 best, best_inst, best_score = r, cand.inst, sc
                 if sc == len(sets):
@@ -496,9 +534,9 @@ def lift(norm: NormalizedCRBDS, red: ReducedInstance,
     # H_0/H_1 and H_k/H_{k+1} boundaries and the V_0/V_1 boundary
     h1_lo, _ = layout.h_track(1)
     _, hk_hi = layout.h_track(k)
-    fixed.append(AxisLine("H", F(GUARD_Y + (h1_lo + 1)) / 2))
-    fixed.append(AxisLine("H", F((hk_hi - 1) + (hk_hi + 2 * U)) / 2))
-    fixed.append(AxisLine("V", F((4 * U - 2) + (4 * U + 2)) / 2))
+    fixed.append(AxisLine("H", F(GUARD_Y + (h1_lo + 1), 2)))
+    fixed.append(AxisLine("H", F((hk_hi - 1) + (hk_hi + 2 * U), 2)))
+    fixed.append(AxisLine("V", F((4 * U - 2) + (4 * U + 2), 2)))
     # signals: one horizontal mid-strip line per track, at the chosen strip
     for i in range(1, k + 1):
         ylo, _ = layout.h_strip(i, f[i])

@@ -79,10 +79,11 @@ def rat_from_str(s) -> Fraction:
     m = _RATIONAL.fullmatch(s) if isinstance(s, str) else None
     if m is None:
         raise ValueError(f"rational must be a 'num/den' string, got {s!r}")
-    if m[2] is None:
-        return Fraction(int(m[1]))
+    num, den = m.groups()
+    if den is None:
+        return Fraction(int(num))
     try:
-        return Fraction(int(m[1]), int(m[2]))
+        return Fraction(int(num), int(den))
     except ZeroDivisionError:
         raise ValueError(f"rational {s!r} has a zero denominator") from None
 

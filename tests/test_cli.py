@@ -74,6 +74,14 @@ class TestSerialization:
         with pytest.raises(ValueError):
             rat_from_str(0.5)
 
+    def test_rational_groups(self):
+        assert rat_from_str("-12") == F(-12)
+        assert rat_from_str("0/5") == F(0)
+        assert rat_from_str("-6/4") == F(-3, 2)
+        assert type(rat_from_str("7")) is F
+        with pytest.raises(ValueError, match="zero denominator"):
+            rat_from_str("3/0")
+
     @pytest.mark.parametrize("text", ["0.6", "6e-1", "3_0/5_0", " 3/5 ",
                                       "+3/5", "3/-5", "", "-", "3/", "٣/5"])
     def test_rational_grammar_is_strict(self, text):

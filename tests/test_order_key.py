@@ -6,6 +6,7 @@ bits.  The angular keys, built from integers, order like the reference
 positions of `test_geometry` on circle points and crossings whose signed
 x^2 share their first 64 bits."""
 
+import dataclasses
 import random
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
@@ -249,3 +250,60 @@ def test_circle_key_near_ties():
     # floor occur, and so do crossings exactly at a point
     assert min(ties.values()) > 0
     assert equal > len(positions)
+
+
+@dataclasses.dataclass(frozen=True)
+class _PostInitPoint:
+    """`ColoredPoint` as a generated `__init__` and `__post_init__` build
+    it: the behaviour its explicit `__init__` must keep."""
+    id: int
+    color: str
+    x: Fraction
+    y: Fraction
+    xk: tuple = dataclasses.field(init=False, compare=False, repr=False)
+    yk: tuple = dataclasses.field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "xk", order_key(self.x))
+        object.__setattr__(self, "yk", order_key(self.y))
+
+
+_POINTS = [(0, RED, F(1, 3), F(-2, 7)), (5, BLUE, F(-10**60, 3), F(0)),
+           (2, RED, 3, -4), (7, BLUE, F(-1, 2**70), F(2**70 + 1, 2**70))]
+
+
+class TestColoredPoint:
+    @pytest.mark.parametrize("fields", _POINTS)
+    def test_keys_are_order_keys(self, fields):
+        p = ColoredPoint(*fields)
+        assert p.xk == order_key(p.x) and p.yk == order_key(p.y)
+
+    @pytest.mark.parametrize("fields", _POINTS)
+    def test_behaves_as_the_generated_dataclass(self, fields):
+        p, ref = ColoredPoint(*fields), _PostInitPoint(*fields)
+        assert repr(p) == repr(ref).replace("_PostInitPoint", "ColoredPoint")
+        assert vars(p) == vars(ref)
+        assert hash(p) == hash(ref) == hash(ColoredPoint(*fields))
+        assert p == ColoredPoint(*fields)
+        assert p != ColoredPoint(fields[0] + 1, *fields[1:])
+        assert p != ref  # another class
+        assert [f.name for f in dataclasses.fields(p)] == \
+            ["id", "color", "x", "y", "xk", "yk"]
+
+    def test_keyword_arguments_and_replace(self):
+        p = ColoredPoint(id=3, color=RED, x=F(1, 2), y=F(5))
+        q = dataclasses.replace(p, x=F(-7, 3))
+        assert (q.id, q.color, q.x, q.y) == (3, RED, F(-7, 3), F(5))
+        assert q.xk == order_key(F(-7, 3)) and q.yk == p.yk
+        with pytest.raises(ValueError):
+            dataclasses.replace(p, xk=order_key(F(0)))
+
+    def test_assignment_raises(self):
+        p = ColoredPoint(0, RED, F(1), F(2))
+        for name, value in (("x", F(3)), ("xk", order_key(F(3))),
+                            ("color", BLUE)):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(p, name, value)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            del p.y
+        assert (p.x, p.color, p.y) == (F(1), RED, F(2))

@@ -33,8 +33,10 @@ and the sidecar documents `sepline reduce` writes, then for each colorful
 dominating set the solution document of `lift` and the `{"vertices"}`
 document of `extract`, each on the documents read back as the CLI reads
 them, or the name of the `SeplineError` raised.  After it the script
-prints how many lifts there were and how many raised, so a sweep that
-stops reaching `NotSeparating` shows.  The whole sweep takes about 30 s on
+prints how many lifts there were and how many raised, and on how many
+instances the neighbour-ordering search of `reduce_instance` chose an
+order other than the instance's own (`reordered`), so a sweep that stops
+reaching `NotSeparating` or a changed order shows.  The whole sweep takes about 30 s on
 one core.
 """
 
@@ -178,7 +180,9 @@ def main(argv=None) -> int:
     def round_trip(inst):
         """The texts `reduce`, `lift` and `extract` write for `inst`."""
         norm = reduction.normalize(inst)
+        own = norm.inst
         red = reduction.reduce_instance(norm)
+        tally["reordered"] += norm.inst is not own
         planar = ser.dumps(ser.instance_to_doc(red.points, "planar"))
         sidecar = ser.dumps(ser.sidecar_to_doc(norm))
         yield planar + sidecar
@@ -203,7 +207,7 @@ def main(argv=None) -> int:
                 yield type(exc).__name__
 
     digest = hashlib.sha256()
-    tally = {"instances": 0, "lifts": 0, "failed": 0}
+    tally = {"instances": 0, "lifts": 0, "failed": 0, "reordered": 0}
     for inst in _crbds_instances():
         tally["instances"] += 1
         try:
