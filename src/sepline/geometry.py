@@ -416,9 +416,10 @@ def angular_sort(points: Iterable[ColoredPoint]) -> list[ColoredPoint]:
 def cell_arcs(positions, hs, vs) -> dict[CellSignature, list[Arc]]:
     """Maximal circle arcs per arrangement cell, computed combinatorially.
 
-    `positions` are the points as `angular_positions` orders them; `hs` and
-    `vs` are the sorted, deduplicated line coordinates.  Lines with
-    |coordinate| >= 1 miss the open unit disk and contribute no crossings.
+    `positions` are the points (at least one) as `angular_positions` orders
+    them; `hs` and `vs` are the sorted, deduplicated line coordinates.
+    Lines with |coordinate| >= 1 miss the open unit disk and contribute no
+    crossings.
     Walks the circle once, flipping one index of the cell signature at every
     crossing event; coincident crossings (one horizontal plus one vertical
     line meeting on the circle) are folded into one event.
@@ -435,8 +436,6 @@ def cell_arcs(positions, hs, vs) -> dict[CellSignature, list[Arc]]:
             upper, lower = _crossing_keys("V", c)
             crossings += [(upper, 0, -1), (lower, 0, 1)]
 
-    if not positions:
-        return {}
     ref_pos, ref = positions[0]
     ref_sig = point_signature(ref, hs, vs)
 

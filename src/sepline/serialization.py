@@ -51,8 +51,7 @@ def _check(value, shape, path: str) -> None:
     elif type(shape) is list and type(value) is list:
         sub = shape[0]
         for i, item in enumerate(value):
-            if type(item) is not sub and not (type(sub) is tuple
-                                              and item in sub):
+            if type(item) is not sub:
                 _check(item, sub, f"{path}[{i}]")
     else:
         expected = (f"one of {', '.join(map(repr, shape))}"

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -9,12 +10,17 @@ import pytest
 
 import sepline
 import sepline.solvers
+from sepline import reduction
 from sepline.cli import main
 from sepline.decomposition import decompose
 from sepline.errors import BadPattern
 from sepline.generate import gen_circle
 from sepline.geometry import AxisLine, GeneralLine, general_line, line_through
-from sepline.reduction import CRBDS, normalize, reduce_instance
+from sepline.oracles import (DEFAULT_AXIS_BOUND, DEFAULT_GENERAL_BOUND,
+                             min_axis_separation,
+                             min_general_separation_circle)
+from sepline.reduction import (CRBDS, colorful_dominating_sets, normalize,
+                               reduce_instance)
 from sepline.render import _clip_general, render_svg
 from sepline.serialization import (crbds_from_doc, crbds_to_doc, dumps,
                                    instance_from_doc, instance_to_doc, loads,
@@ -682,3 +688,128 @@ class TestCommands:
         code, out = self.lift_with_sidecar(tmp_path, capsys, edit)
         assert code == 1
         assert out.err.startswith(f"error: {expected}")
+
+    @pytest.mark.parametrize("variant,oracle", [
+        ("axis", min_axis_separation),
+        ("general", min_general_separation_circle)])
+    def test_oracle_size_is_the_library_oracle(self, tmp_path, variant,
+                                               oracle):
+        inst, out = tmp_path / "i.json", tmp_path / "o.json"
+        self.run("gen", "9", "--seed", "5", "-o", str(inst))
+        assert self.run("oracle", str(inst), "--variant", variant,
+                        "-o", str(out)) == 0
+        doc = json.loads(out.read_text())
+        size, _ = oracle(instance_from_doc(loads(inst.read_text()))[1])
+        assert size > 1
+        assert doc["variant"] == variant
+        assert doc["size"] == len(doc["lines"]) == size
+
+    def test_oracle_general_of_planar_exits_1(self, tmp_path, capsys):
+        inst = tmp_path / "p.json"
+        inst.write_text(json.dumps({"kind": "planar", "points": [
+            {"color": "R", "x": "0", "y": "0"},
+            {"color": "B", "x": "1", "y": "2"}]}))
+        assert self.run("oracle", str(inst), "--variant", "general") == 1
+        assert capsys.readouterr().err == \
+            "error: the general oracle needs a circle instance\n"
+
+    @pytest.mark.parametrize("variant,bound", [
+        ("axis", DEFAULT_AXIS_BOUND), ("general", DEFAULT_GENERAL_BOUND)])
+    def test_oracle_over_its_bound_exits_1(self, tmp_path, capsys, variant,
+                                           bound):
+        inst = tmp_path / "i.json"
+        self.run("gen", str(bound + 1), "-o", str(inst))
+        assert self.run("oracle", str(inst), "--variant", variant) == 1
+        assert capsys.readouterr().err == \
+            f"error: {bound + 1} points exceeds oracle bound {bound}\n"
+
+    def test_reduce_without_sidecar_writes_it_to_stdout(self, tmp_path,
+                                                        capsys):
+        crbds = tmp_path / "c.json"
+        crbds.write_text(json.dumps(toy_doc()))
+        side = tmp_path / "side.json"
+        assert self.run("reduce", str(crbds), "-o", str(tmp_path / "a.json"),
+                        "--sidecar", str(side)) == 0
+        capsys.readouterr()
+        assert self.run("reduce", str(crbds),
+                        "-o", str(tmp_path / "b.json")) == 0
+        assert capsys.readouterr().out == side.read_text()
+        assert (tmp_path / "a.json").read_text() == \
+            (tmp_path / "b.json").read_text()
+
+    def test_reduce_empty_class_exits_1(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({**toy_doc(), "k": 3, "classes": [
+            ["u1", "u2"], ["u3", "u4"], []]}))
+        assert self.run("reduce", str(bad), "--sidecar",
+                        str(tmp_path / "side.json")) == 1
+        assert capsys.readouterr().err == \
+            "error: every class must be nonempty\n"
+
+    @pytest.mark.parametrize("chosen,expected", [
+        ("u1,u2", "class 1 must contribute exactly one vertex"),
+        ("u1,u3,u4", "expected 2 vertices, got 3")],
+        ids=["two-of-one-class", "too-many"])
+    def test_lift_set_not_one_per_class_exits_1(self, tmp_path, capsys,
+                                                chosen, expected):
+        crbds = tmp_path / "c.json"
+        crbds.write_text(json.dumps(toy_doc()))
+        inst, side = tmp_path / "r.json", tmp_path / "side.json"
+        self.run("reduce", str(crbds), "-o", str(inst),
+                 "--sidecar", str(side))
+        capsys.readouterr()
+        assert self.run("lift", "--sidecar", str(side), "--instance",
+                        str(inst), "--set", chosen) == 1
+        assert capsys.readouterr().err == f"error: {expected}\n"
+
+    def test_reduce_of_a_no_instance_keeps_its_order(self, tmp_path):
+        # every colorful selection misses one blue vertex
+        order = {"v1": ["u3", "u1"], "v2": ["u4", "u2"],
+                 "v3": ["u4", "u1"], "v4": ["u3", "u2"]}
+        doc = {"k": 2, "classes": [["u1", "u2"], ["u3", "u4"]],
+               "blues": list(order),
+               "edges": [[u, v] for v, us in order.items() for u in us],
+               "order": order}
+        norm = normalize(crbds_from_doc(doc))
+        own = norm.inst
+        assert own.order == order
+        assert not list(colorful_dominating_sets(own))
+        assert math.prod(map(len, own.classes)) <= \
+            reduction._ORDER_SEARCH_SETS
+        reduce_instance(norm)
+        assert norm.inst is own
+        crbds, side = tmp_path / "c.json", tmp_path / "side.json"
+        crbds.write_text(json.dumps(doc))
+        assert self.run("reduce", str(crbds), "-o", str(tmp_path / "r.json"),
+                        "--sidecar", str(side)) == 0
+        assert json.loads(side.read_text())["normalized"]["order"] == order
+
+    def test_solve_repeated_point_exits_1(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"kind": "circle", "points": [
+            {"color": "R", "x": "1", "y": "0"},
+            {"color": "B", "x": "1", "y": "0"},
+            {"color": "R", "x": "-1", "y": "0"}]}))
+        assert self.run("solve", str(bad)) == 1
+        assert capsys.readouterr().err == (
+            "error: duplicate point position (Fraction(1, 1), Fraction(0, 1))"
+            "\n")
+
+    def test_gen_bad_run_length_exits_1(self, capsys):
+        assert self.run("gen", "3", "--pattern", "chunked:2,x") == 1
+        assert capsys.readouterr().err == "error: bad run lengths '2,x'\n"
+
+    def test_render_planar_without_sidecar_draws_its_bounding_box(self,
+                                                                  tmp_path):
+        inst, svg = tmp_path / "p.json", tmp_path / "p.svg"
+        inst.write_text(json.dumps({"kind": "planar", "points": [
+            {"color": "R", "x": "0", "y": "0"},
+            {"color": "B", "x": "40", "y": "10"},
+            {"color": "R", "x": "100", "y": "3"}]}))
+        assert self.run("render", str(inst), "-o", str(svg)) == 0
+        text = svg.read_text()
+        # x in [0, 100] and y in [0, 10], each padded by 100 // 20 = 5
+        assert 'viewBox="0 0 110.0000 20.0000"' in text
+        # (0, 0) sits at (0 - x0, y1 - 0) = (5, 15)
+        assert '<circle class="pt" cx="5.0000" cy="15.0000"' in text
+        assert 'class="grid' not in text and "unit-circle" not in text

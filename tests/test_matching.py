@@ -70,6 +70,17 @@ def test_triangle_cover():
     assert len(minimum_edge_cover(3, edges)) == 2
 
 
+@pytest.mark.parametrize("edges,message", [
+    ([(0, 1), (1, 3)], "edge (1, 3) references an invalid vertex"),
+    ([(-1, 0)], "edge (-1, 0) references an invalid vertex"),
+    ([(0, 1), (2, 2)], "self-loop at 2")],
+    ids=["past-n", "negative", "self-loop"])
+def test_bad_edge_rejected(edges, message):
+    with pytest.raises(ValueError) as exc:
+        maximum_matching(3, edges)
+    assert str(exc.value) == message
+
+
 def test_isolated_vertex_rejected():
     with pytest.raises(HasIsolatedVertex):
         minimum_edge_cover(3, [(0, 1)])
