@@ -7,9 +7,8 @@ graph whose structure determines the optimal number of axis-parallel lines.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from typing import NamedTuple
 
 from . import matching
@@ -56,13 +55,6 @@ class Switch:
     start_pos: tuple  # their angular keys, from the angular sort
     end_pos: tuple
 
-    @cached_property
-    def intervals(self) -> dict[str, Interval]:
-        """Projection intervals keyed by the stabbing line's orientation:
-        "H" lines meet the Y projection, "V" lines the X projection."""
-        return {"H": projection_interval(self, "Y"),
-                "V": projection_interval(self, "X")}
-
 
 @dataclass
 class CircleDecomposition:
@@ -85,14 +77,14 @@ def decompose(points) -> CircleDecomposition:
     for p in points:
         if not p.on_unit_circle():
             raise PointOffCircle(p.id)
-    seen = set()
-    for p in points:
-        key = (p.x.numerator, p.x.denominator, p.y.numerator, p.y.denominator)
-        if key in seen:
-            raise ValueError(f"duplicate point position {(p.x, p.y)}")
-        seen.add(key)
 
     keyed = angular_positions(points)
+    # on the circle a key's quadrant and x^2 fix the position, and the sort
+    # puts equal keys next to each other
+    for (ka, a), (kb, b) in zip(keyed, keyed[1:]):
+        if ka == kb:
+            raise ValueError(f"points {a.id} and {b.id} share the position "
+                             f"({a.x}, {a.y})")
     pos = {p.id: a for a, p in keyed}
     by_id = {p.id: p for p in points}
 
@@ -115,11 +107,12 @@ def decompose(points) -> CircleDecomposition:
     return CircleDecomposition(points, runs, switches, keyed)
 
 
-def projection_interval(switch: Switch, axis: str) -> Interval:
-    """Image of the open switch arc under the X or Y projection; an end
-    widens to -1 or 1 when the arc passes that turning point."""
+def projection_interval(switch: Switch, orient: str) -> Interval:
+    """Image of the open switch arc under the Y projection for `orient` "H",
+    the X projection for "V"; an end widens to -1 or 1 when the arc passes
+    that turning point."""
     a, b = switch.start_pos, switch.end_pos
-    if axis == "Y":
+    if orient == "H":
         ka, kb = switch.start.yk, switch.end.yk
         top_in = arc_contains(TOP, a, b)
         bot_in = arc_contains(BOTTOM, a, b)
@@ -138,7 +131,7 @@ def faces(a: Switch, b: Switch) -> dict[str, Interval]:
     pairwise reference for the sweep in `build_switch_graph`."""
     out: dict[str, Interval] = {}
     for orient in ("H", "V"):
-        ia, ib = a.intervals[orient], b.intervals[orient]
+        ia, ib = (projection_interval(s, orient) for s in (a, b))
         lok, hik = max(ia.lok, ib.lok), min(ia.hik, ib.hik)
         if lok < hik:
             out[orient] = Interval(lok, hik)
@@ -151,7 +144,9 @@ class SwitchGraph:
     edges: dict[tuple[int, int], dict[str, Interval]]
     isolated: list[int]
     kappa: int
-    edge_cover: list[tuple[int, int]] = field(default_factory=list)
+    edge_cover: list[tuple[int, int]]
+    h_intervals: list[Interval]  # each switch's projection interval, for
+    v_intervals: list[Interval]  # H and for V lines, by switch index
 
     def orientations(self, i: int, j: int) -> str:
         ann = self.edges[(min(i, j), max(i, j))]
@@ -161,17 +156,19 @@ class SwitchGraph:
 def build_switch_graph(dec: CircleDecomposition) -> SwitchGraph:
     """The nice-pair graph over switches, with kappa = |I| + MEC(H).
 
-    A sweep per orientation over the switches sorted by interval start
-    pairs each switch with the later-starting ones that start before it
-    ends, in O(w log w + E).  Every projection interval is nonempty, so
-    these are exactly the facing pairs, and each overlap runs from the
-    later start to the earlier end: the edges `faces` would give, sorted
-    by (i, j), H before V in each."""
+    Each switch's two projection intervals are built here and kept on the
+    graph.  A sweep per orientation over the switches sorted by interval
+    start pairs each switch with the later-starting ones that start before
+    it ends, in O(w log w + E).  Every projection interval is nonempty, so
+    these are exactly the facing pairs, and each overlap runs from the later
+    start to the earlier end: the edges `faces` would give, sorted by
+    (i, j), H before V in each."""
     sw = dec.switches
     n = len(sw)
+    h_itvs = [projection_interval(s, "H") for s in sw]
+    v_itvs = [projection_interval(s, "V") for s in sw]
     edges: dict[tuple[int, int], dict[str, Interval]] = {}
-    for orient in ("H", "V"):
-        itvs = [s.intervals[orient] for s in sw]
+    for orient, itvs in (("H", h_itvs), ("V", v_itvs)):
         order = sorted(range(n), key=lambda i: itvs[i].lok)
         for a, i in enumerate(order):
             hik = itvs[i].hik
@@ -191,4 +188,4 @@ def build_switch_graph(dec: CircleDecomposition) -> SwitchGraph:
     cover = matching.minimum_edge_cover(len(covered), sub_edges)
     edge_cover = sorted((covered[i], covered[j]) for (i, j) in cover)
     kappa = len(isolated) + len(edge_cover)
-    return SwitchGraph(n, edges, isolated, kappa, edge_cover)
+    return SwitchGraph(n, edges, isolated, kappa, edge_cover, h_itvs, v_itvs)

@@ -13,7 +13,8 @@ import random
 from fractions import Fraction
 
 from .errors import BadPattern
-from .geometry import BLUE, RED, ColoredPoint, circle_point_from_parameter
+from .geometry import (BLUE, RED, ColoredPoint, _point_key,
+                       circle_point_from_parameter)
 
 _MAG = 10_000
 
@@ -36,12 +37,6 @@ def parse_pattern(spec: str) -> tuple[str, list[int]]:
     raise BadPattern(f"unknown pattern {spec!r}")
 
 
-def _angular_key(t: Fraction) -> tuple[int, Fraction]:
-    # t = tan(theta/2): nonnegative parameters sweep the upper half first
-    # (counterclockwise from (1,0)), negatives continue from (-1,0)
-    return (0, t) if t >= 0 else (1, t)
-
-
 def gen_circle(n: int, seed: int, pattern: str) -> list[ColoredPoint]:
     if n < 1:
         raise ValueError("need at least one point")
@@ -53,7 +48,10 @@ def gen_circle(n: int, seed: int, pattern: str) -> list[ColoredPoint]:
     ts: set[Fraction] = set()
     while len(ts) < n:
         ts.add(Fraction(rng.randint(-_MAG, _MAG), rng.randint(1, _MAG)))
-    ordered = sorted(ts, key=_angular_key)
+    # sorted by the angular key of each point, and only then built, so
+    # that the coordinates lie in memory in the order the solvers walk them
+    ordered = sorted(
+        ts, key=lambda t: _point_key(*circle_point_from_parameter(t)))
 
     if name == "alternating":
         colors = [RED if i % 2 == 0 else BLUE for i in range(n)]

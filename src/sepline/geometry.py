@@ -272,15 +272,20 @@ def cell_map(points, lines) -> CellMap:
         yk, xk = p.yk, p.xk
         row, col = bisect_left(hks, yk), bisect_left(vks, xk)
         if (row < nh and hks[row] == yk) or (col < nv and vks[col] == xk):
-            raise PointOnLine(p.id, next(
-                ln for ln in lines
-                if ln.c == (p.y if ln.orient == "H" else p.x)))
+            raise _point_on_line(p, lines)
         sig = CellSignature(row, col)
         cells.setdefault(sig, []).append(p.id)
         colors.setdefault(sig, {}).setdefault(p.color, p.id)
     corrupt = {sig for sig, cols in colors.items() if len(cols) == 2}
     return CellMap([k[1] for k in hks], [k[1] for k in vks], hks, vks,
                    cells, corrupt, colors)
+
+
+def _point_on_line(p: ColoredPoint, lines) -> PointOnLine:
+    """The error for point `p` on one of the axis `lines`: it names the
+    first line in `lines` through `p`."""
+    return PointOnLine(p.id, next(
+        ln for ln in lines if ln.c == (p.y if ln.orient == "H" else p.x)))
 
 
 # --- exact positions on the unit circle ------------------------------------
@@ -554,9 +559,11 @@ class CoordinateSet:
         self.pairs.add((v.numerator, v.denominator))
 
 
-def pick_coordinate(lo: Fraction, hi: Fraction, forbidden) -> Optional[Fraction]:
+def pick_coordinate(lo: Fraction, hi: Fraction, forbidden) -> Fraction:
     """A rational in the open interval (lo, hi) that is not in the finite
-    `forbidden` (any container; it is not copied), or None if lo >= hi."""
+    `forbidden` (any container; it is not copied).  Raises
+    GuaranteeViolated if the interval is empty."""
     if lo >= hi:
-        return None
+        raise GuaranteeViolated("no coordinate in the empty interval "
+                                f"({lo}, {hi})")
     return next(c for c in _rationals_between(lo, hi) if c not in forbidden)

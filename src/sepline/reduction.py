@@ -31,8 +31,8 @@ from typing import Optional
 
 from .errors import (BudgetViolation, DominationFailure, GuaranteeViolated,
                      InvalidDominatingSet, NoSignalLine, NotSeparating)
-from .geometry import (BLUE, RED, AxisLine, ColoredPoint, axis_keys,
-                       order_key, verify_separation)
+from .geometry import (BLUE, RED, AxisLine, ColoredPoint, _point_on_line,
+                       axis_keys, order_key, verify_separation)
 
 F = Fraction
 U = 4  # grid unit: strip width and height
@@ -501,7 +501,7 @@ def lift(norm: NormalizedCRBDS, red: ReducedInstance,
     only places its defenders and is decided in one pass over the points.
     The lines are those the first assignment that `verify_separation`
     passes would give, and a point on a line of the assignment tried
-    raises what `verify_separation` raises for it.
+    raises the PointOnLine that `verify_separation` would raise for it.
     """
     layout = red.layout
     inst, k, n, d = norm.inst, layout.k, layout.n, layout.d
@@ -560,10 +560,10 @@ def lift(norm: NormalizedCRBDS, red: ReducedInstance,
         return out, [order_key(ln.c) for ln in out]
 
     # One pass per assignment, over the points in input order: a point on
-    # a line makes `verify_separation` raise its PointOnLine (the first
-    # such point in input order is always reached), any other point's cell
-    # records its colour.  The fixed lines are the same for every
-    # assignment, so each point's row is found once.
+    # a line raises its PointOnLine (the first such point in input order is
+    # always reached), any other point's cell records its colour.  The
+    # fixed lines are the same for every assignment, so each point's row is
+    # found once.
     points = red.points
     hks, fixed_vks = axis_keys(fixed)
     nh = len(hks)
@@ -581,7 +581,7 @@ def lift(norm: NormalizedCRBDS, red: ReducedInstance,
             col = bisect_left(vks, xk)
             if ((row < nh and hks[row] == p.yk)
                     or (col < nv and vks[col] == xk)):
-                verify_separation(points, lines)  # raises PointOnLine
+                raise _point_on_line(p, lines)
             if seen.setdefault((row, col), color) != color:
                 mixed = True
         if not mixed:
@@ -635,13 +635,16 @@ def extract(red: ReducedInstance, lines: list[AxisLine]) -> list[str]:
 
 def extract_vertices(norm: NormalizedCRBDS, red: ReducedInstance,
                      lines: list[AxisLine]) -> list[str]:
-    """extract, mapped back to vertex names, with the domination check."""
-    picks = extract(red, lines)
-    out = [norm.inst.classes[i - 1][alpha - 1] for i, alpha in picks]
+    """extract, mapped back to vertex names, with the domination check; the
+    picks of the classes `normalize` added (whose names all start with "_",
+    as no input name does) are left out, so the answer is in input names."""
+    classes = norm.inst.classes
+    out = [classes[i - 1][alpha - 1] for i, alpha in extract(red, lines)]
     chosen = set(out)
     for v in norm.inst.blues:
         if not any(u in chosen for u in norm.inst.neighbors_of_blue(v)):
             raise DominationFailure(
                 f"extracted set does not dominate {v!r}; the line set "
                 "should not have been separating within budgets")
-    return out
+    return [u for u, cls in zip(out, classes)
+            if not all(v.startswith("_") for v in cls)]

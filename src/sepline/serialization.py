@@ -279,10 +279,6 @@ def sidecar_from_doc(doc: dict) -> tuple[NormalizedCRBDS, ReductionLayout]:
 
 # --- canonical text form ----------------------------------------------------
 
-class _Unwritable(Exception):
-    """A value `_write` leaves to `json.dumps`."""
-
-
 _ENCODE_STR = json.encoder.encode_basestring_ascii
 _LITERALS = {True: "true", False: "false", None: "null"}
 
@@ -290,7 +286,7 @@ _LITERALS = {True: "true", False: "false", None: "null"}
 def _write(value, indent: str, out) -> None:
     """Pass the text of `value` to `out` as `json.dumps(indent=2,
     sort_keys=True)` writes it at the depth whose line break and indent is
-    `indent`.  Raises _Unwritable for a value of any other type than dict
+    `indent`.  Raises TypeError for a value of any other type than dict
     (with str keys), list, str, int, bool, None or float."""
     t = type(value)
     if t is dict:
@@ -301,7 +297,8 @@ def _write(value, indent: str, out) -> None:
         sep = "{" + inner
         for key in sorted(value):
             if type(key) is not str:
-                raise _Unwritable
+                raise TypeError(
+                    f"cannot write a key of type {type(key).__name__}")
             item = value[key]
             if type(item) is str:
                 out(f"{sep}{_ENCODE_STR(key)}: {_ENCODE_STR(item)}")
@@ -333,7 +330,7 @@ def _write(value, indent: str, out) -> None:
     elif t is float:
         out(json.dumps(value))
     else:
-        raise _Unwritable
+        raise TypeError(f"cannot write a value of type {t.__name__}")
 
 
 def dumps(doc: dict) -> str:
@@ -341,12 +338,10 @@ def dumps(doc: dict) -> str:
     `json.dumps(doc, indent=2, sort_keys=True) + "\\n"`: sorted keys, two
     spaces of indent, ASCII escapes, and `{}`/`[]` for empty containers.
     Written directly, because `json.dumps` with an indent never uses the C
-    encoder; a document holding any other type goes to `json.dumps`."""
+    encoder.  Raises TypeError for a value of a type `_write` does not
+    write."""
     out: list[str] = []
-    try:
-        _write(doc, "\n", out.append)
-    except _Unwritable:
-        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    _write(doc, "\n", out.append)
     out.append("\n")
     return "".join(out)
 

@@ -189,8 +189,6 @@ def build_L0(dec: CircleDecomposition, graph: SwitchGraph) -> AxisSolution:
 
     def place(orient, interval):
         c = pick_coordinate(interval.lo, interval.hi, forbidden[orient])
-        if c is None:
-            raise GuaranteeViolated("facing edge lost its witness coordinate")
         forbidden[orient].add(c)
         lines.append(AxisLine(orient, c))
 
@@ -199,10 +197,12 @@ def build_L0(dec: CircleDecomposition, graph: SwitchGraph) -> AxisSolution:
         orient = "H" if "H" in ann else "V"
         place(orient, ann[orient])
     for r in graph.isolated:
-        itv = dec.switches[r].intervals
-        (hn, hd), (vn, vd) = _width(itv["H"]), _width(itv["V"])
-        orient = "H" if hn * vd >= vn * hd else "V"
-        place(orient, itv[orient])
+        h, v = graph.h_intervals[r], graph.v_intervals[r]
+        (hn, hd), (vn, vd) = _width(h), _width(v)
+        if hn * vd >= vn * hd:
+            place("H", h)
+        else:
+            place("V", v)
     return AxisSolution(lines, kappa=graph.kappa)
 
 
@@ -241,27 +241,26 @@ def _cell_center(sig: CellSignature, cm: CellMap) -> tuple[Fraction, Fraction]:
             (max(ylo, F(-1)) + min(yhi, F(1))) / 2)
 
 
-def _unstabbed(hks, vks, switches) -> list:
-    """The switches whose open interval holds, in neither orientation, a
-    line coordinate of that orientation; `hks` and `vks` are the sorted
-    order keys of the H and V line coordinates.  O(w log L) bisections."""
-    def stabbed(sw, ks, orient):
-        itv = sw.intervals[orient]
+def _unstabbed(hks, vks, graph: SwitchGraph) -> list[int]:
+    """The indices of the switches whose open interval holds, in neither
+    orientation, a line coordinate of that orientation; `hks` and `vks` are
+    the sorted order keys of the H and V line coordinates.  O(w log L)."""
+    def stabbed(itv, ks):
         return bisect_right(ks, itv.lok) < bisect_left(ks, itv.hik)
 
-    return [sw for sw in switches
-            if not (stabbed(sw, hks, "H") or stabbed(sw, vks, "V"))]
+    pairs = zip(graph.h_intervals, graph.v_intervals)
+    return [i for i, (h, v) in enumerate(pairs)
+            if not (stabbed(h, hks) or stabbed(v, vks))]
 
 
-def _check_invariants(dec, cm, arcs):
+def _check_invariants(graph, cm, arcs):
     """Structural facts every intermediate arrangement must satisfy; raises
     GuaranteeViolated (also under `python -O`) if one fails."""
     def require(ok, what):
         if not ok:
             raise GuaranteeViolated(f"invariant violated: {what}")
 
-    require(not _unstabbed(cm.hks, cm.vks, dec.switches),
-            "a switch is not stabbed")
+    require(not _unstabbed(cm.hks, cm.vks, graph), "a switch is not stabbed")
     large = 0
     for sig, arclist in arcs.items():
         require(len(arclist) <= 4, "cell meets the circle in more than 4 arcs")
@@ -275,7 +274,7 @@ def _check_invariants(dec, cm, arcs):
 
 
 def refine_step(points, solution: AxisSolution, dec: CircleDecomposition,
-                cm: CellMap):
+                graph: SwitchGraph, cm: CellMap):
     """One strict-domination step, after checking the invariants of the
     arrangement whose cell partition is `cm`.
 
@@ -284,7 +283,7 @@ def refine_step(points, solution: AxisSolution, dec: CircleDecomposition,
     (_STUCK, corrupt_sig).
     """
     arcs = cell_arcs(dec.positions, cm.hs, cm.vs)
-    _check_invariants(dec, cm, arcs)
+    _check_invariants(graph, cm, arcs)
     if not cm.corrupt:
         return (_DONE, solution)
     small = [sig for sig in cm.corrupt if len(arcs[sig]) == 2]
@@ -370,7 +369,7 @@ def _cell_boundary_lines(sig: CellSignature, hs, vs) -> list[AxisLine]:
 
 def _repair_around(points, solution: AxisSolution, cm: CellMap,
                    sig: CellSignature,
-                   switches) -> tuple[AxisSolution, CellMap]:
+                   graph: SwitchGraph) -> tuple[AxisSolution, CellMap]:
     """Replace the boundary lines of corrupt cell `sig` of `cm`, the cell
     partition of `solution`, by the first combination of axis candidates
     that completes the kept lines to kappa separating lines; returns it
@@ -387,13 +386,13 @@ def _repair_around(points, solution: AxisSolution, cm: CellMap,
     """
     boundary = _cell_boundary_lines(sig, cm.hs, cm.vs)
     keep = [ln for ln in solution.lines if ln not in boundary]
-    missed = _unstabbed(*axis_keys(keep), switches)
-    need = sum(1 << sw.index for sw in missed)
+    missed = _unstabbed(*axis_keys(keep), graph)
+    need = sum(1 << i for i in missed)
     pool = []  # (candidate, the missed switches it stabs as a bitmask)
     for c in axis_candidates(points):
         k = order_key(c.c)
-        itvs = ((sw.index, sw.intervals[c.orient]) for sw in missed)
-        hit = sum(1 << i for i, itv in itvs if itv.lok < k < itv.hik)
+        itvs = graph.h_intervals if c.orient == "H" else graph.v_intervals
+        hit = sum(1 << i for i in missed if itvs[i].lok < k < itvs[i].hik)
         if hit:
             pool.append((c, hit))
     for combo in combinations(pool, solution.kappa - len(keep)):
@@ -460,7 +459,7 @@ def solve_axis(points, on_step=None) -> AxisSolution:
     while True:
         if on_step is not None:
             on_step(sol)
-        outcome, payload = refine_step(points, sol, dec, cm)
+        outcome, payload = refine_step(points, sol, dec, graph, cm)
         if outcome == _DONE:
             break
         if outcome == _IMPROVED:
@@ -474,7 +473,7 @@ def solve_axis(points, on_step=None) -> AxisSolution:
                 raise GuaranteeViolated("refinement exceeded the r*b step bound")
             continue
         # _STUCK: payload is the offending cell signature
-        sol, cm = _repair_around(points, sol, cm, payload, dec.switches)
+        sol, cm = _repair_around(points, sol, cm, payload, graph)
         break
 
     # cm is the partition of sol.lines: the loop's last, or repair's

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from sepline.decomposition import projection_interval
 from sepline.geometry import BLUE, RED, ColoredPoint, axis_keys
 
 F = Fraction
@@ -26,7 +27,7 @@ def line_stabs_switch(orient: str, c, switch) -> bool:
     """Whether the axis line of orientation `orient` at `c` crosses the
     open switch arc: `c` lies inside its open projection interval.  The
     reference for the solver's bisection stab check."""
-    itv = switch.intervals[orient]
+    itv = projection_interval(switch, orient)
     return itv.lo < c < itv.hi
 
 

@@ -80,10 +80,10 @@ def axis_runs():
             events.append(FLIP_DIRECTIONS[(orient, step)])
             return flip(points, lines, cm, arcs, sig, orient, step)
 
-        def repairing(points, sol, cm, sig, switches):
+        def repairing(points, sol, cm, sig, graph):
             stuck = _arcs(points, sol.lines)[sig]
             events.append("other" if len(stuck) == 2 else "large")
-            return repair(points, sol, cm, sig, switches)
+            return repair(points, sol, cm, sig, graph)
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(solvers, "_flip", flipping)

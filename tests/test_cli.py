@@ -15,7 +15,8 @@ from sepline.cli import main
 from sepline.decomposition import decompose
 from sepline.errors import BadPattern
 from sepline.generate import gen_circle
-from sepline.geometry import AxisLine, GeneralLine, general_line, line_through
+from sepline.geometry import (AxisLine, GeneralLine, angular_sort,
+                              circle_parameter, general_line, line_through)
 from sepline.oracles import (DEFAULT_AXIS_BOUND, DEFAULT_GENERAL_BOUND,
                              min_axis_separation,
                              min_general_separation_circle)
@@ -160,6 +161,16 @@ class TestGenerate:
         pts = gen_circle(30, 7, "random")
         assert all(p.x * p.x + p.y * p.y == 1 for p in pts)
         assert len({(p.x, p.y) for p in pts}) == 30
+
+    def test_ids_follow_the_ccw_order(self):
+        # with t = tan(theta/2), t >= 0 sweeps the upper half from (1, 0)
+        # and t < 0 the lower half after (-1, 0): the ids follow both that
+        # order and the angular sort
+        for n, seed in ((40, 1), (200, 2)):
+            pts = gen_circle(n, seed, "random")
+            ts = [circle_parameter(p.x, p.y) for p in pts]
+            assert ts == sorted(ts, key=lambda t: (t < 0, t))
+            assert [p.id for p in angular_sort(pts)] == list(range(n))
 
     def test_bad_patterns(self):
         for spec in ("spiral", "chunked:", "chunked:2,0", "chunked:2,3",
@@ -318,17 +329,17 @@ class TestCommands:
         # classes, whose forced picks are _leafL1 and _leafH1
         ({"classes": [["u1", "u2"], ["u3", "u4"]], "blues": ["v1", "v2"],
           "edges": [["u1", "v1"], ["u3", "v1"], ["u1", "v2"],
-                    ["u3", "v2"]]}, "u1,u3", ["_leafL1", "u1", "u3", "_leafH1"],
-         19),
+                    ["u3", "v2"]]}, "u1,u3", ["_leafL1", "_leafH1"], 19),
         # three classes: normalize adds the parity class, forced pick _par1
         ({"classes": [["a"], ["b"], ["c"]], "blues": ["v1", "v2"],
           "edges": [["a", "v1"], ["b", "v1"], ["b", "v2"], ["c", "v2"]]},
-         "a,b,c", ["a", "b", "c", "_par1"], 10),
+         "a,b,c", ["_par1"], 10),
     ], ids=["degree", "parity"])
     def test_lift_completes_input_set(self, tmp_path, capsys, doc, chosen,
                                       added, size):
         # --set names vertices of the input instance; lift adds the forced
-        # pick of each class that normalize added
+        # pick of each class that normalize added, and extract answers in
+        # the input instance again
         crbds = tmp_path / "c.json"
         crbds.write_text(json.dumps(doc))
         inst, side = tmp_path / "r.json", tmp_path / "side.json"
@@ -342,11 +353,14 @@ class TestCommands:
         capsys.readouterr()
         assert self.run("extract", "--sidecar", str(side), "--instance",
                         str(inst), "--lines", str(sol)) == 0
-        assert json.loads(capsys.readouterr().out)["vertices"] == added
+        vertices = json.loads(capsys.readouterr().out)["vertices"]
+        assert vertices == chosen.split(",")
+        assert len(vertices) == len(doc["classes"])
+        assert all(u in cls for u, cls in zip(vertices, doc["classes"]))
         # naming the forced picks as well lifts to the same lines
         full = tmp_path / "full.json"
         assert self.run("lift", "--sidecar", str(side), "--instance",
-                        str(inst), "--set", ",".join(added),
+                        str(inst), "--set", ",".join([chosen, *added]),
                         "-o", str(full)) == 0
         assert full.read_bytes() == sol.read_bytes()
 
@@ -791,9 +805,8 @@ class TestCommands:
             {"color": "B", "x": "1", "y": "0"},
             {"color": "R", "x": "-1", "y": "0"}]}))
         assert self.run("solve", str(bad)) == 1
-        assert capsys.readouterr().err == (
-            "error: duplicate point position (Fraction(1, 1), Fraction(0, 1))"
-            "\n")
+        assert capsys.readouterr().err == \
+            "error: points 0 and 1 share the position (1, 0)\n"
 
     def test_gen_bad_run_length_exits_1(self, capsys):
         assert self.run("gen", "3", "--pattern", "chunked:2,x") == 1
@@ -813,3 +826,100 @@ class TestCommands:
         # (0, 0) sits at (0 - x0, y1 - 0) = (5, 15)
         assert '<circle class="pt" cx="5.0000" cy="15.0000"' in text
         assert 'class="grid' not in text and "unit-circle" not in text
+
+    # --- documented exits of each command ---------------------------------
+
+    def planar(self, tmp_path, points=(("R", "0", "0"), ("B", "1", "2"))):
+        inst = tmp_path / "p.json"
+        inst.write_text(json.dumps({"kind": "planar", "points": [
+            {"color": c, "x": x, "y": y} for c, x, y in points]}))
+        return inst
+
+    @pytest.mark.parametrize("command,expected", [
+        (("solve", "--variant", "general"),
+         "the general-line solver needs a circle instance"),
+        (("solve", "--variant", "axis"),
+         "the axis solver needs a circle instance"),
+        (("kappa",), "kappa diagnostics need a circle instance")],
+        ids=["solve-general", "solve-axis", "kappa"])
+    def test_circle_command_of_planar_exits_1(self, tmp_path, capsys,
+                                              command, expected):
+        inst = self.planar(tmp_path)
+        out = tmp_path / "out.json"
+        assert self.run(command[0], str(inst), *command[1:],
+                        "-o", str(out)) == 1
+        assert capsys.readouterr().err == f"error: {expected}\n"
+        assert not out.exists()
+
+    def test_solve_check_disagreeing_oracle_exits_1(self, tmp_path, capsys,
+                                                    monkeypatch):
+        # an oracle optimum other than the solver's size is reported, and
+        # no solution is written
+        inst, out = tmp_path / "i.json", tmp_path / "s.json"
+        self.run("gen", "8", "--pattern", "alternating", "-o", str(inst))
+        monkeypatch.setattr(sepline.cli, "min_axis_separation",
+                            lambda pts: (99, []))
+        capsys.readouterr()
+        assert self.run("solve", str(inst), "--check", "-o", str(out)) == 1
+        assert capsys.readouterr().err == \
+            "check failed: solver size 4 != oracle optimum 99\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("budget", [(), ("--p", "1"), ("--q", "1")],
+                             ids=["neither", "p-only", "q-only"])
+    def test_oracle_pq_without_budgets_exits_1(self, tmp_path, capsys,
+                                               budget):
+        inst = tmp_path / "i.json"
+        self.run("gen", "4", "--pattern", "alternating", "-o", str(inst))
+        capsys.readouterr()
+        assert self.run("oracle", str(inst), "--variant", "pq",
+                        *budget) == 1
+        assert capsys.readouterr().err == \
+            "error: the pq oracle needs --p and --q\n"
+
+    def toy_sidecar(self, tmp_path):
+        crbds, side = tmp_path / "c.json", tmp_path / "side.json"
+        crbds.write_text(json.dumps(toy_doc()))
+        assert self.run("reduce", str(crbds), "-o", str(tmp_path / "r.json"),
+                        "--sidecar", str(side)) == 0
+        return side
+
+    def test_extract_without_a_signal_line_exits_2(self, tmp_path, capsys):
+        # a planar instance that is not the sidecar's: one vertical line
+        # separates it within the budgets, but no track has a signal
+        side = self.toy_sidecar(tmp_path)
+        inst = self.planar(tmp_path)
+        capsys.readouterr()
+        assert self.run("extract", "--sidecar", str(side), "--instance",
+                        str(inst), "--lines", "V:1/2") == 2
+        assert capsys.readouterr().err == \
+            "error: no usable signal line in horizontal track 1\n"
+
+    def test_extract_of_a_non_dominating_set_exits_1(self, tmp_path, capsys):
+        # signals at the second strip of both tracks pick {u2, u4}, which
+        # misses v1; they separate this one-colour instance
+        side = self.toy_sidecar(tmp_path)
+        _, lay = sidecar_from_doc(loads(side.read_text()))
+        signals = [f"H:{lay.h_strip(i, 2)[0] + reduction.U // 2}"
+                   for i in (1, 2)]
+        inst = self.planar(tmp_path, [("R", "0", "0")])
+        capsys.readouterr()
+        assert self.run("extract", "--sidecar", str(side), "--instance",
+                        str(inst), "--lines", ",".join(signals)) == 1
+        assert capsys.readouterr().err.startswith(
+            "error: extracted set does not dominate 'v1'")
+
+    def test_render_skips_a_general_line_outside_the_box(self, tmp_path):
+        # x = 5 misses the drawing box around the unit circle; x = 1/2
+        # crosses it
+        inst, sol = tmp_path / "i.json", tmp_path / "s.json"
+        self.run("gen", "6", "--pattern", "chunked:3,3", "-o", str(inst))
+        svgs = []
+        for c in ("-5", "-1/2"):
+            sol.write_text(json.dumps({"lines": [
+                {"a": "1", "b": "0", "c": c}]}))
+            svg = tmp_path / "i.svg"
+            assert self.run("render", str(inst), "--solution", str(sol),
+                            "-o", str(svg)) == 0
+            svgs.append(svg.read_text())
+        assert [text.count('class="sol"') for text in svgs] == [0, 1]

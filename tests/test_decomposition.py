@@ -56,6 +56,22 @@ class TestDecompose:
         with pytest.raises(PointOffCircle):
             decompose([pt(0, RED, F(1, 2), F(1, 2))])
 
+    def test_repeated_position_raises(self):
+        # these 12 positions share their x^2 or y^2 in fours but are
+        # distinct; a repeat of any one, last in input order, names both ids
+        xys = [(F(1), F(0)), (F(0), F(1)), (F(-1), F(0)), (F(0), F(-1))]
+        xys += [(sx * a, sy * b) for a, b in ((F(3, 5), F(4, 5)),
+                                              (F(4, 5), F(3, 5)))
+                for sx in (1, -1) for sy in (1, -1)]
+        pts = [ColoredPoint(i, RED, x, y) for i, (x, y) in enumerate(xys)]
+        assert decompose(pts).w == 0
+        for p in pts:
+            again = ColoredPoint(len(pts), BLUE, p.x, p.y)
+            with pytest.raises(ValueError) as exc:
+                decompose(pts + [again])
+            assert str(exc.value) == (f"points {p.id} and {again.id} share "
+                                      f"the position ({p.x}, {p.y})")
+
     def test_chunk_colors_alternate(self):
         rng = random.Random(5)
         for _ in range(50):
@@ -72,15 +88,15 @@ class TestProjectionInterval:
     def test_first_quadrant_switch(self, pts4):
         dec = decompose(pts4)
         s1 = dec.switches[0]  # open arc (1,0) -> (0,1)
-        itv = projection_interval(s1, "Y")
+        itv = projection_interval(s1, "H")
         assert (itv.lo, itv.hi) == (F(0), F(1))
-        itv = projection_interval(s1, "X")
+        itv = projection_interval(s1, "V")
         assert (itv.lo, itv.hi) == (F(0), F(1))
 
     def test_third_quadrant_switch(self, pts4):
         dec = decompose(pts4)
         s3 = dec.switches[2]  # open arc (-1,0) -> (0,-1)
-        itv = projection_interval(s3, "X")
+        itv = projection_interval(s3, "V")
         assert (itv.lo, itv.hi) == (F(-1), F(0))
 
     def test_turning_point_closes_endpoint(self):
@@ -90,7 +106,7 @@ class TestProjectionInterval:
         b = pt(1, BLUE, F(-3, 5), F(4, 5))
         s = decompose([a, b]).switches[0]
         assert (s.start, s.end) == (a, b)
-        itv = projection_interval(s, "Y")
+        itv = projection_interval(s, "H")
         assert (itv.lo, itv.hi) == (F(4, 5), F(1))
 
     def test_stab(self, pts4):
@@ -183,7 +199,6 @@ class TestSwitchGraph:
                     assert itv.lo < itv.hi
                     c = pick_coordinate(itv.lo, itv.hi,
                                         fy if orient == "H" else fx)
-                    assert c is not None
                     assert line_stabs_switch(orient, c, dec.switches[i])
                     assert line_stabs_switch(orient, c, dec.switches[j])
             # non-edges: a dense rational sample never stabs both
@@ -203,9 +218,9 @@ def test_projection_intervals_computed_once_per_switch(monkeypatch):
     calls = []
     original = decomposition.projection_interval
 
-    def counting(switch, axis):
-        calls.append((switch.index, axis))
-        return original(switch, axis)
+    def counting(switch, orient):
+        calls.append((switch.index, orient))
+        return original(switch, orient)
 
     for n, seed in ((32, 9), (15, 1227)):
         pts = gen_circle(n, seed, "random")
@@ -215,8 +230,8 @@ def test_projection_intervals_computed_once_per_switch(monkeypatch):
         with monkeypatch.context() as m:
             m.setattr(decomposition, "projection_interval", counting)
             solve_axis(pts)
-        assert sorted(calls) == [(i, axis) for i in range(w)
-                                 for axis in ("X", "Y")]
+        assert sorted(calls) == [(i, orient) for i in range(w)
+                                 for orient in ("H", "V")]
 
 
 def decompose_diag_like():

@@ -48,11 +48,17 @@ def test_dumps_edge_cases(doc):
     assert dumps(doc) == reference(doc)
 
 
-@pytest.mark.parametrize("doc", [
-    {"a": (1, [2, (3,)])}, {1: "int key"}, {"a": {2: None}}, (1, 2)])
-def test_other_types_go_to_json_dumps(doc):
-    """Tuples and non-string keys are left to `json.dumps` itself."""
-    assert dumps(doc) == reference(doc)
+@pytest.mark.parametrize("doc,message", [
+    ({"a": (1, [2, (3,)])}, "cannot write a value of type tuple"),
+    ({1: "int key"}, "cannot write a key of type int"),
+    ({"a": {2: None}}, "cannot write a key of type int"),
+    ((1, 2), "cannot write a value of type tuple")],
+    ids=["nested-tuple", "int-key", "nested-int-key", "tuple"])
+def test_other_types_raise_type_error(doc, message):
+    """The documents the program writes hold dicts with str keys, lists,
+    str, int, bool, None and float only; any other type is an error."""
+    with pytest.raises(TypeError, match=f"^{message}$"):
+        dumps(doc)
 
 
 def _run(*argv) -> str:

@@ -5,7 +5,7 @@ from functools import cmp_to_key
 import pytest
 
 import sepline.geometry as geometry
-from sepline.errors import PointOnLine
+from sepline.errors import GuaranteeViolated, PointOnLine
 from sepline.geometry import (BLUE, RED, Arc, AxisLine, CellSignature,
                               ColoredPoint, GeneralLine,
                               angular_positions, angular_sort, arc_contains,
@@ -281,8 +281,11 @@ class TestArcInteriorPoint:
 
 
 def test_pick_coordinate():
-    assert pick_coordinate(F(0), F(1), {F(1, 2)}) not in (None, F(1, 2))
-    assert pick_coordinate(F(2), F(1), set()) is None
+    assert F(0) < pick_coordinate(F(0), F(1), {F(1, 2)}) < F(1)
+    assert pick_coordinate(F(0), F(1), {F(1, 2)}) != F(1, 2)
+    for lo, hi in ((F(2), F(1)), (F(1, 3), F(1, 3))):
+        with pytest.raises(GuaranteeViolated, match="empty interval"):
+            pick_coordinate(lo, hi, set())
 
 
 def test_angular_sort(pts4):

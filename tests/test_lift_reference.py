@@ -214,12 +214,16 @@ def test_lift_decides_assignments_without_verify_separation(counted):
     assert counted == {"verify_separation": 0, "cell_map": 0}
 
 
-def test_point_on_a_line_is_reported_by_verify_separation(counted):
+def test_point_on_a_line_is_reported_without_verify_separation(counted):
+    """`lift` raises the reference's PointOnLine from its own pass, calling
+    neither `verify_separation` nor `cell_map`."""
     norm, red, fixed, _ = _toy_setup()
+    moved = _moved(red, 0, y=fixed[3].c)
+    want = _outcome(_reference_lift, norm, moved, ["u1", "u3"])
+    assert want[0] == "PointOnLine"
     counted.update(verify_separation=0, cell_map=0)
-    with pytest.raises(PointOnLine):
-        lift(norm, _moved(red, 0, y=fixed[3].c), ["u1", "u3"])
-    assert counted["verify_separation"] == 1
+    assert _outcome(lift, norm, moved, ["u1", "u3"]) == want
+    assert counted == {"verify_separation": 0, "cell_map": 0}
 
 
 def test_point_on_a_line_after_a_mixed_cell_raises():

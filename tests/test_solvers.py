@@ -221,9 +221,10 @@ class TestBuildL0:
 class TestRefineStep:
     def test_done_on_separating(self, pts4):
         dec = decompose(pts4)
-        sol = build_L0(dec, build_switch_graph(dec))
+        g = build_switch_graph(dec)
+        sol = build_L0(dec, g)
         # pts4's L0 already separates; refine must report done unchanged
-        outcome, payload = refine_step(pts4, sol, dec,
+        outcome, payload = refine_step(pts4, sol, dec, g,
                                        cell_map(pts4, sol.lines))
         if outcome == "done":
             assert payload is sol
@@ -237,10 +238,11 @@ class TestRefineStep:
             dec = decompose(pts)
             if dec.w == 0:
                 continue
-            sol = build_L0(dec, build_switch_graph(dec))
+            g = build_switch_graph(dec)
+            sol = build_L0(dec, g)
             while True:
                 old = sep_bitset(pts, sol.lines)
-                outcome, payload = refine_step(pts, sol, dec,
+                outcome, payload = refine_step(pts, sol, dec, g,
                                                cell_map(pts, sol.lines))
                 if outcome != "improved":
                     break
@@ -307,7 +309,7 @@ def _run_optimized(script):
 # ends on: a loop stopped at L0 of gen_circle(60, 14), which has 2 corrupt
 # cells, must not return it
 UNVERIFIED = {
-    "solve_axis": ("s.refine_step = lambda pts, sol, dec, cm: (s._DONE, sol)",
+    "solve_axis": ("s.refine_step = lambda pts, sol, *rest: (s._DONE, sol)",
                    "gen_circle(60, 14, 'random')"),
     # every line misses the circle, so its certificate fails
     "solve_general": ("s.line_through = lambda *pq: s.GeneralLine(1, 0, -2)",
@@ -338,7 +340,7 @@ def test_broken_invariant_raises_without_asserts():
         "import sepline.solvers as s",
         "from sepline.errors import GuaranteeViolated",
         "from sepline.generate import gen_circle",
-        "s._unstabbed = lambda hks, vks, switches: list(switches)",
+        "s._unstabbed = lambda hks, vks, graph: list(range(graph.n))",
         "try:",
         "    s.solve_axis(gen_circle(16, 7, 'random'))",
         "except GuaranteeViolated:",
@@ -348,7 +350,7 @@ def test_broken_invariant_raises_without_asserts():
 
 
 def test_non_dominating_step_raises(monkeypatch):
-    def unchanged(points, sol, dec, cm):
+    def unchanged(points, sol, dec, graph, cm):
         return (solvers._IMPROVED,
                 AxisSolution(sol.lines, sol.kappa, sol.steps + 1))
     monkeypatch.setattr(solvers, "refine_step", unchanged)
@@ -360,7 +362,8 @@ def test_one_flip_per_step(monkeypatch):
     # a step flips the priority cell only
     pts = gen_circle(60, 14, "random")
     dec = decompose(pts)
-    sol = build_L0(dec, build_switch_graph(dec))
+    g = build_switch_graph(dec)
+    sol = build_L0(dec, g)
     calls = []
     flip = solvers._flip
 
@@ -368,7 +371,7 @@ def test_one_flip_per_step(monkeypatch):
         calls.append(sig)
         return flip(points, lines, cm, arcs, sig, orient, step)
     monkeypatch.setattr(solvers, "_flip", recording)
-    outcome, payload = refine_step(pts, sol, dec, cell_map(pts, sol.lines))
+    outcome, payload = refine_step(pts, sol, dec, g, cell_map(pts, sol.lines))
     assert len(calls) == 1
     assert outcome == "improved"
     assert (payload.steps, payload.size) == (1, sol.size)
@@ -468,16 +471,26 @@ def test_failed_repair_raises_without_widening(monkeypatch):
 
 def test_lost_witness_raises_without_asserts():
     # build_L0 must raise GuaranteeViolated under python -O when an edge
-    # interval yields no coordinate
+    # interval yields no coordinate: here every edge's overlap is emptied
     _run_optimized("\n".join([
         "import sepline.solvers as s",
+        "from sepline.decomposition import Interval",
         "from sepline.errors import GuaranteeViolated",
         "from sepline.generate import gen_circle",
-        "s.pick_coordinate = lambda lo, hi, forbidden: None",
+        "graph = s.build_switch_graph",
+        "def emptied(dec):",
+        "    g = graph(dec)",
+        "    if not g.edge_cover:",
+        "        raise SystemExit('no edge to empty')",
+        "    for ann in g.edges.values():",
+        "        for orient, itv in ann.items():",
+        "            ann[orient] = Interval(itv.lok, itv.lok)",
+        "    return g",
+        "s.build_switch_graph = emptied",
         "try:",
         "    s.solve_axis(gen_circle(16, 7, 'random'))",
-        "except GuaranteeViolated:",
-        "    raise SystemExit(0)",
+        "except GuaranteeViolated as e:",
+        "    raise SystemExit(0 if 'empty interval' in str(e) else str(e))",
         "raise SystemExit('a missing coordinate went unnoticed')",
     ]))
 
@@ -523,9 +536,9 @@ def _solve_recording_repair(monkeypatch, pts):
     stuck = []
     repair = solvers._repair_around
 
-    def recording(points, sol, cm, sig, switches):
+    def recording(points, sol, cm, sig, graph):
         stuck.append((sol, cm, sig))
-        return repair(points, sol, cm, sig, switches)
+        return repair(points, sol, cm, sig, graph)
     monkeypatch.setattr(solvers, "_repair_around", recording)
     return solve_axis(pts), stuck
 
@@ -678,11 +691,12 @@ def test_bisection_stab_check_equals_line_loop():
         mids = [(a + b) / 2 for a, b in zip(coords, coords[1:])]
         lines = [AxisLine(rng.choice("HV"), rng.choice(coords + mids))
                  for _ in range(rng.randint(0, 6))]
-        want = [sw for sw in dec.switches
+        want = [sw.index for sw in dec.switches
                 if not any(line_stabs_switch(ln.orient, ln.c, sw)
                            for ln in lines)]
         # keys only: these lines may pass through points
-        assert solvers._unstabbed(*axis_keys(lines), dec.switches) == want
+        graph = build_switch_graph(dec)
+        assert solvers._unstabbed(*axis_keys(lines), graph) == want
         results.append(not want)
     assert 20 < sum(results) < 380
 
