@@ -17,7 +17,8 @@ import time
 from pathlib import Path
 
 from .decomposition import build_switch_graph, decompose
-from .errors import BudgetViolation, NoSignalLine, NotSeparating, SeplineError
+from .errors import (BudgetViolation, InvalidDominatingSet, NoSignalLine,
+                     NotSeparating, SeplineError)
 from .generate import gen_circle
 from .geometry import verify_separation
 from .oracles import (feasible_pq, min_axis_separation,
@@ -196,6 +197,11 @@ def _load_sidecar(args):
 def cmd_lift(args) -> int:
     norm, red = _load_sidecar(args)
     chosen = [s for s in args.set.split(",") if s]
+    for u in chosen:
+        if u.startswith("_"):
+            raise InvalidDominatingSet(
+                f"--set vertex {u!r:.40} starts with '_', which names the "
+                "vertices normalize adds, not an input vertex")
     lines = lift(norm, red, chosen)
     _emit_text(dumps(solution_to_doc("axis", lines)), args.out)
     return OK

@@ -47,13 +47,12 @@ class Chunk:
 
 @dataclass
 class Switch:
-    """Open arc between the last point of one chunk and the first of the next."""
+    """Open arc between the last point of one chunk and the first of the
+    next, each end an (angular key, point) pair of the angular sort."""
 
     index: int
-    start: ColoredPoint  # last point of chunk index
-    end: ColoredPoint    # first point of chunk index + 1 (cyclic)
-    start_pos: tuple  # their angular keys, from the angular sort
-    end_pos: tuple
+    start: tuple  # the last pair of chunk index
+    end: tuple    # the first pair of chunk index + 1 (cyclic)
 
 
 @dataclass
@@ -85,39 +84,34 @@ def decompose(points) -> CircleDecomposition:
         if ka == kb:
             raise ValueError(f"points {a.id} and {b.id} share the position "
                              f"({a.x}, {a.y})")
-    pos = {p.id: a for a, p in keyed}
-    by_id = {p.id: p for p in points}
 
-    runs: list[Chunk] = []
-    for _, p in keyed:
-        if runs and runs[-1].color == p.color:
-            runs[-1].point_ids.append(p.id)
+    runs: list[list] = []  # each chunk's (key, point) pairs
+    for kp in keyed:
+        if runs and runs[-1][0][1].color == kp[1].color:
+            runs[-1].append(kp)
         else:
-            runs.append(Chunk(p.color, [p.id]))
-    if len(runs) > 1 and runs[0].color == runs[-1].color:
+            runs.append([kp])
+    if len(runs) > 1 and runs[0][0][1].color == runs[-1][0][1].color:
         # the run through angle 0 wraps around
-        runs[0].point_ids = runs.pop().point_ids + runs[0].point_ids
+        runs[0] = runs.pop() + runs[0]
 
-    switches: list[Switch] = []
-    if len(runs) > 1:
-        for i, chunk in enumerate(runs):
-            nxt = runs[(i + 1) % len(runs)]
-            a, b = chunk.point_ids[-1], nxt.point_ids[0]
-            switches.append(Switch(i, by_id[a], by_id[b], pos[a], pos[b]))
-    return CircleDecomposition(points, runs, switches, keyed)
+    chunks = [Chunk(run[0][1].color, [p.id for _, p in run]) for run in runs]
+    switches = [Switch(i, run[-1], runs[(i + 1) % len(runs)][0])
+                for i, run in enumerate(runs)] if len(runs) > 1 else []
+    return CircleDecomposition(points, chunks, switches, keyed)
 
 
 def projection_interval(switch: Switch, orient: str) -> Interval:
     """Image of the open switch arc under the Y projection for `orient` "H",
     the X projection for "V"; an end widens to -1 or 1 when the arc passes
     that turning point."""
-    a, b = switch.start_pos, switch.end_pos
+    (a, start), (b, end) = switch.start, switch.end
     if orient == "H":
-        ka, kb = switch.start.yk, switch.end.yk
+        ka, kb = start.yk, end.yk
         top_in = arc_contains(TOP, a, b)
         bot_in = arc_contains(BOTTOM, a, b)
     else:
-        ka, kb = switch.start.xk, switch.end.xk
+        ka, kb = start.xk, end.xk
         top_in = arc_contains(RIGHT, a, b)
         bot_in = arc_contains(LEFT, a, b)
     return Interval(_LOW if bot_in else min(ka, kb),

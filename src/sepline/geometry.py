@@ -237,11 +237,6 @@ def axis_candidates(points) -> list[AxisLine]:
     return cands
 
 
-def point_signature(p: ColoredPoint, hs, vs) -> CellSignature:
-    """Cell of `p` given sorted, deduplicated line coordinates `hs`, `vs`."""
-    return CellSignature(bisect_left(hs, p.y), bisect_left(vs, p.x))
-
-
 @dataclass
 class CellMap:
     hs: list[Fraction]  # sorted, deduplicated horizontal-line coordinates
@@ -300,7 +295,8 @@ class _Ratio:
     """The rational n/d, d > 0 and in lowest terms, as the exact tie-break of
     an angular key: built without `Fraction`'s gcd, compared by cross
     multiplication, and reached only when two keys share their quadrant and
-    64-bit floor.  Keys are compared only with keys, and never hashed."""
+    64-bit floor.  Keys are compared only with keys, and never hashed; `>`
+    and `>=` fall back to the reflected `<` and `<=`."""
 
     __slots__ = ("n", "d")
 
@@ -316,12 +312,6 @@ class _Ratio:
 
     def __le__(self, other):
         return self.n * other.d <= other.n * self.d
-
-    def __gt__(self, other):
-        return self.n * other.d > other.n * self.d
-
-    def __ge__(self, other):
-        return self.n * other.d >= other.n * self.d
 
     def __repr__(self):
         return f"{self.n}/{self.d}"
@@ -403,8 +393,8 @@ class Arc:
     signature: CellSignature
     start: tuple  # angular keys of its ends
     end: tuple
-    point_ids: list[int]
-    colors: set[str]
+    members: list[tuple[tuple, ColoredPoint]]  # the (angular key, point)
+    # pairs strictly inside it, in the order of `angular_positions`
 
 
 def angular_positions(points) -> list[tuple[tuple, ColoredPoint]]:
@@ -418,36 +408,34 @@ def angular_sort(points: Iterable[ColoredPoint]) -> list[ColoredPoint]:
     return [p for _, p in angular_positions(points)]
 
 
-def cell_arcs(positions, hs, vs) -> dict[CellSignature, list[Arc]]:
+def cell_arcs(positions, hks, vks) -> dict[CellSignature, list[Arc]]:
     """Maximal circle arcs per arrangement cell, computed combinatorially.
 
     `positions` are the points (at least one) as `angular_positions` orders
-    them; `hs` and `vs` are the sorted, deduplicated line coordinates.
-    Lines with |coordinate| >= 1 miss the open unit disk and contribute no
-    crossings.
+    them; `hks` and `vks` are the order keys of the sorted, deduplicated
+    line coordinates, as `axis_keys` or `CellMap` hold them.  Lines with
+    |coordinate| >= 1 miss the open unit disk and contribute no crossings.
     Walks the circle once, flipping one index of the cell signature at every
     crossing event; coincident crossings (one horizontal plus one vertical
     line meeting on the circle) are folded into one event.
     """
     crossings: list[tuple[tuple, int, int]] = []
-    for c in hs:
+    for _, c in hks:
         if abs(c.numerator) < c.denominator:
             # ccw through the x > 0 crossing: y increases, so row + 1
             right, left = _crossing_keys("H", c)
             crossings += [(right, 1, 0), (left, -1, 0)]
-    for c in vs:
+    for _, c in vks:
         if abs(c.numerator) < c.denominator:
             # ccw through the y > 0 crossing: x decreases, so col - 1
             upper, lower = _crossing_keys("V", c)
             crossings += [(upper, 0, -1), (lower, 0, 1)]
 
     ref_pos, ref = positions[0]
-    ref_sig = point_signature(ref, hs, vs)
+    ref_sig = CellSignature(bisect_left(hks, ref.yk), bisect_left(vks, ref.xk))
 
     if not crossings:
-        arc = Arc(ref_sig, ref_pos, ref_pos, [p.id for _, p in positions],
-                  {p.color for _, p in positions})
-        return {ref_sig: [arc]}
+        return {ref_sig: [Arc(ref_sig, ref_pos, ref_pos, positions)]}
 
     crossings.sort(key=lambda t: t[0])
     groups: list[list] = []
@@ -461,14 +449,15 @@ def cell_arcs(positions, hs, vs) -> dict[CellSignature, list[Arc]]:
     # members[g]: the points strictly inside the arc from group g to group
     # g + 1 (a point on a crossing is in no arc); the points before the
     # first group lie on the arc from the last group, which wraps past 0
-    members: list[list[ColoredPoint]] = [[] for _ in groups]
+    members: list[list] = [[] for _ in groups]
     keys = [grp[0] for grp in groups]
     g = -1
-    for k, p in positions:
+    for kp in positions:
+        k = kp[0]
         while g + 1 < len(keys) and keys[g + 1] <= k:
             g += 1
         if keys[g] != k:
-            members[g].append(p)
+            members[g].append(kp)
 
     # the walk starts at the first crossing after the reference point
     start = next((g for g, k in enumerate(keys) if ref_pos < k), 0)
@@ -478,45 +467,38 @@ def cell_arcs(positions, hs, vs) -> dict[CellSignature, list[Arc]]:
         pos, dr, dc = groups[g]
         row += dr
         col += dc
-        nxt = groups[(g + 1) % len(groups)][0]
         sig = CellSignature(row, col)
-        arc = Arc(sig, pos, nxt, [p.id for p in members[g]],
-                  {p.color for p in members[g]})
+        arc = Arc(sig, pos, groups[(g + 1) % len(groups)][0], members[g])
         result.setdefault(sig, []).append(arc)
     if (row, col) != ref_sig:
         raise GuaranteeViolated("circle walk did not close")
     return result
 
 
-def arc_interior_point(start: ColoredPoint, end: ColoredPoint,
-                       forbidden_x=(), forbidden_y=(), start_pos=None,
-                       end_pos=None) -> tuple[Fraction, Fraction]:
-    """A rational circle point strictly inside the open ccw arc start -> end,
-    with both coordinates outside the given forbidden containers (tested
-    for membership, not copied).  `start_pos` and `end_pos` are the ends'
-    angular keys, built here if not given.  The candidates are infinitely
+def arc_interior_point(a: tuple, b: tuple, forbidden_x=(),
+                       forbidden_y=()) -> tuple[Fraction, Fraction]:
+    """A rational circle point strictly inside the open ccw arc from a to b,
+    each end an (angular key, point) pair as `angular_positions` builds
+    them, with both coordinates outside the given forbidden containers
+    (tested for membership, not copied).  The candidates are infinitely
     many distinct circle points and a coordinate value is shared by at most
     two of them, so finite forbidden sets end the search."""
-    if start_pos is None:
-        start_pos = _point_key(start.x, start.y)
-    if end_pos is None:
-        end_pos = _point_key(end.x, end.y)
-    return next((x, y) for x, y in map(
-        circle_point_from_parameter,
-        _arc_parameter_candidates(start, end, start_pos, end_pos))
+    return next((x, y) for x, y in map(circle_point_from_parameter,
+                                       _arc_parameter_candidates(a, b))
                 if x not in forbidden_x and y not in forbidden_y)
 
 
-def _arc_parameter_candidates(start, end, a, b):
-    if a == LEFT:
+def _arc_parameter_candidates(a, b):
+    (ka, start), (kb, end) = a, b
+    if ka == LEFT:
         tb = circle_parameter(end.x, end.y)
         for j in count():
             yield tb - (1 + j if j < 4 else Fraction(1, 2 ** j))
-    elif b == LEFT:
+    elif kb == LEFT:
         ta = circle_parameter(start.x, start.y)
         for j in count():
             yield ta + (1 + j if j < 4 else Fraction(1, 2 ** j))
-    elif arc_contains(LEFT, a, b):
+    elif arc_contains(LEFT, ka, kb):
         ta = circle_parameter(start.x, start.y)
         tb = circle_parameter(end.x, end.y)
         for j in count(1):

@@ -19,13 +19,16 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .errors import TooLarge
-from .geometry import (BLUE, RED, GeneralLine, angular_sort, arc_interior_point,
+from .decomposition import decompose
+from .errors import NotSeparating, TooLarge
+from .geometry import (BLUE, RED, GeneralLine, arc_interior_point,
                        axis_candidates, line_side, line_through)
 from .reduction import CRBDS, colorful_dominating_sets
 
-DEFAULT_AXIS_BOUND = 16
-DEFAULT_GENERAL_BOUND = 10
+DEFAULT_AXIS_BOUND = 16       # points, for min_axis_separation
+DEFAULT_GENERAL_BOUND = 10    # points, for min_general_separation_circle
+PQ_CANDIDATE_BOUND = 120      # axis candidates, for feasible_pq
+RBDS_SELECTION_BOUND = 10_000  # selections, for colorful_rbds_solve
 
 
 def pair_index(points):
@@ -37,7 +40,6 @@ def pair_index(points):
 def sep_bitset(points, lines) -> int:
     """Bitset over red x blue pairs separated by at least one line."""
     reds, blues = pair_index(points)
-    by_id = {p.id: p for p in points}
     bits = 0
     nb = len(blues)
     for ln in lines:
@@ -56,13 +58,13 @@ def full_mask(points) -> int:
 
 
 def general_candidates(points) -> list[GeneralLine]:
-    """One line per unordered pair of gaps between angularly consecutive points."""
-    ordered = angular_sort(points)
-    n = len(ordered)
-    mids = []
-    for i in range(n):
-        a, b = ordered[i], ordered[(i + 1) % n]
-        mids.append(arc_interior_point(a, b))
+    """One line per unordered pair of gaps between angularly consecutive
+    points.  Raises as `decompose` does on an instance that is not one of
+    distinct circle points."""
+    positions = decompose(points).positions
+    n = len(positions)
+    mids = [arc_interior_point(positions[i], positions[(i + 1) % n])
+            for i in range(n)]
     cands = []
     for i in range(n):
         for j in range(i + 1, n):
@@ -75,17 +77,30 @@ def _covers(points, cands) -> list[int]:
     return [sep_bitset(points, [c]) for c in cands]
 
 
-def _min_cover(covers: list[int], target: int) -> Optional[list[int]]:
-    """Minimum subset of `covers` whose union is `target`; lexicographically
-    least among the optima (by candidate index sequence)."""
+def _min_separation(points, cands):
+    """(k*, witness lines): the fewest of `cands` that separate `points`.
+    Raises NotSeparating, naming the first red and blue that no candidate
+    separates, if there are none."""
+    covers = _covers(points, cands)
+    target = missing = full_mask(points)
+    for c in covers:
+        missing &= ~c
+    if missing:
+        reds, blues = pair_index(points)
+        r, b = divmod((missing & -missing).bit_length() - 1, len(blues))
+        raise NotSeparating(
+            f"no line separates points {reds[r]} and {blues[b]}")
+    sol = _min_cover(covers, target)
+    return len(sol), [cands[i] for i in sol]
+
+
+def _min_cover(covers: list[int], target: int) -> list[int]:
+    """Minimum subset of `covers` whose union is `target`, which the union
+    of all of them covers; lexicographically least among the optima (by
+    candidate index sequence)."""
     if target == 0:
         return []
     m = len(covers)
-    union = 0
-    for c in covers:
-        union |= c
-    if union & target != target:
-        return None
 
     # phase 1: optimal size, branching over candidates by coverage descending
     order = sorted(range(m), key=lambda i: (-bin(covers[i] & target).count("1"), i))
@@ -137,34 +152,30 @@ def _min_cover(covers: list[int], target: int) -> Optional[list[int]]:
     return lex(0, 0, [])
 
 
-def min_axis_separation(points, bound=DEFAULT_AXIS_BOUND):
-    """(k*, witness axis lines): exact minimum axis-parallel separation."""
+def min_axis_separation(points):
+    """(k*, witness axis lines): exact minimum axis-parallel separation.
+    Axis candidates split every pair of distinct points, so only a red and
+    a blue at one position raise NotSeparating."""
     points = list(points)
-    if len(points) > bound:
-        raise TooLarge(f"{len(points)} points exceeds oracle bound {bound}")
-    cands = axis_candidates(points)
-    target = full_mask(points)
-    sol = _min_cover(_covers(points, cands), target)
-    assert sol is not None, "axis candidates always suffice for finite point sets"
-    return len(sol), [cands[i] for i in sol]
+    if len(points) > DEFAULT_AXIS_BOUND:
+        raise TooLarge(f"{len(points)} points exceeds oracle bound "
+                       f"{DEFAULT_AXIS_BOUND}")
+    return _min_separation(points, axis_candidates(points))
 
 
-def min_general_separation_circle(points, bound=DEFAULT_GENERAL_BOUND):
+def min_general_separation_circle(points):
     """(k*, witness lines): exact minimum separation by arbitrary lines,
     for points on the unit circle."""
     points = list(points)
-    if len(points) > bound:
-        raise TooLarge(f"{len(points)} points exceeds oracle bound {bound}")
-    target = full_mask(points)
-    if target == 0:
+    if len(points) > DEFAULT_GENERAL_BOUND:
+        raise TooLarge(f"{len(points)} points exceeds oracle bound "
+                       f"{DEFAULT_GENERAL_BOUND}")
+    if full_mask(points) == 0:
         return 0, []
-    cands = general_candidates(points)
-    sol = _min_cover(_covers(points, cands), target)
-    assert sol is not None
-    return len(sol), [cands[i] for i in sol]
+    return _min_separation(points, general_candidates(points))
 
 
-def feasible_pq(points, p: int, q: int, bound=120):
+def feasible_pq(points, p: int, q: int):
     """Exact decision: can <= p horizontal plus <= q vertical lines separate?
 
     Returns a witness line list, or None for infeasible.  Raises ValueError
@@ -174,8 +185,9 @@ def feasible_pq(points, p: int, q: int, bound=120):
         raise ValueError(f"budgets must be >= 0, got p={p}, q={q}")
     points = list(points)
     cands = axis_candidates(points)
-    if len(cands) > bound:
-        raise TooLarge(f"{len(cands)} candidates exceeds pq bound {bound}")
+    if len(cands) > PQ_CANDIDATE_BOUND:
+        raise TooLarge(f"{len(cands)} candidates exceeds pq bound "
+                       f"{PQ_CANDIDATE_BOUND}")
     covers = _covers(points, cands)
     target = full_mask(points)
     is_h = [c.orient == "H" for c in cands]
@@ -232,11 +244,12 @@ def feasible_pq(points, p: int, q: int, bound=120):
     return [cands[i] for i in sorted(sol)]
 
 
-def colorful_rbds_solve(inst: CRBDS, bound=10_000) -> Optional[list[str]]:
+def colorful_rbds_solve(inst: CRBDS) -> Optional[list[str]]:
     """First colorful dominating set in lexicographic selection order, or None."""
     total = 1
     for cls in inst.classes:
         total *= max(1, len(cls))
-        if total > bound:
-            raise TooLarge(f"{total} selections exceeds bound {bound}")
+        if total > RBDS_SELECTION_BOUND:
+            raise TooLarge(f"{total} selections exceeds bound "
+                           f"{RBDS_SELECTION_BOUND}")
     return next(colorful_dominating_sets(inst), None)

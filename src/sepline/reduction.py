@@ -637,7 +637,9 @@ def extract_vertices(norm: NormalizedCRBDS, red: ReducedInstance,
                      lines: list[AxisLine]) -> list[str]:
     """extract, mapped back to vertex names, with the domination check; the
     picks of the classes `normalize` added (whose names all start with "_",
-    as no input name does) are left out, so the answer is in input names."""
+    as no input name does) are left out, and a padding vertex picked in an
+    input class becomes the class's first input vertex, so the answer is in
+    input names.  A pad has no edges, so the check passed without it."""
     classes = norm.inst.classes
     out = [classes[i - 1][alpha - 1] for i, alpha in extract(red, lines)]
     chosen = set(out)
@@ -646,5 +648,5 @@ def extract_vertices(norm: NormalizedCRBDS, red: ReducedInstance,
             raise DominationFailure(
                 f"extracted set does not dominate {v!r}; the line set "
                 "should not have been separating within budgets")
-    return [u for u, cls in zip(out, classes)
-            if not all(v.startswith("_") for v in cls)]
+    return [u if not u.startswith("_") else cls[0]
+            for u, cls in zip(out, classes) if not cls[0].startswith("_")]

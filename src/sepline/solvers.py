@@ -72,18 +72,13 @@ def solve_general(points) -> GeneralSolution:
     for i, chunk in enumerate(dec.chunks):
         if chunk.color != BLUE:
             continue
-        p = _anchor(dec.switches[(i - 1) % w])
-        q = _anchor(dec.switches[i])
+        before, after = dec.switches[(i - 1) % w], dec.switches[i]
+        p = arc_interior_point(before.start, before.end)
+        q = arc_interior_point(after.start, after.end)
         lines.append(line_through(p[0], p[1], q[0], q[1]))
         anchors.append((i, p, q))
     _certify_general(lines, anchors, dec.positions)
     return GeneralSolution(lines, anchors)
-
-
-def _anchor(sw, forbidden_x=(), forbidden_y=()) -> tuple[Fraction, Fraction]:
-    """A circle point inside the open arc of switch `sw`."""
-    return arc_interior_point(sw.start, sw.end, forbidden_x, forbidden_y,
-                              sw.start_pos, sw.end_pos)
 
 
 def _certify_general(lines, anchors, positions) -> None:
@@ -156,10 +151,11 @@ def wedge_baseline(points) -> AxisSolution:
     for i, chunk in enumerate(dec.chunks):
         if chunk.color != BLUE:
             continue
-        p = _anchor(dec.switches[(i - 1) % w], fx, fy)
+        before, after = dec.switches[(i - 1) % w], dec.switches[i]
+        p = arc_interior_point(before.start, before.end, fx, fy)
         # q also avoids p's x and +-p's y, for this chunk only
-        q = _anchor(dec.switches[i],
-                    _Either(fx, (p[0],)), _Either(fy, (p[1], -p[1])))
+        q = arc_interior_point(after.start, after.end, _Either(fx, (p[0],)),
+                               _Either(fy, (p[1], -p[1])))
         corner = (p[0], q[1]) if q[1] * q[1] < p[1] * p[1] else (q[0], p[1])
         lines += [AxisLine("V", corner[0]), AxisLine("H", corner[1])]
         fx.add(corner[0])
@@ -220,14 +216,14 @@ _IMPROVED = "improved"
 _STUCK = "stuck"
 
 
-def _primary_quadrant(arc: Arc, quadrant) -> Optional[int]:
+def _primary_quadrant(arc: Arc) -> Optional[int]:
     """The arc's quadrant, or of a 2-quadrant arc the one holding more of
-    its points (the lower on a tie); `quadrant` maps a point id to its
-    quadrant."""
+    its points (the lower on a tie); a point's quadrant is its key's
+    first entry."""
     qs = arc_quadrants(arc.start, arc.end)
     if len(qs) > 2:
         return None
-    return max(sorted(qs), key=[quadrant[i] for i in arc.point_ids].count)
+    return max(sorted(qs), key=[k[0] for k, _ in arc.members].count)
 
 
 def _cell_center(sig: CellSignature, cm: CellMap) -> tuple[Fraction, Fraction]:
@@ -268,7 +264,8 @@ def _check_invariants(graph, cm, arcs):
             large += 1
         if sig in cm.corrupt:
             require(len(arclist) >= 2, "corrupt cell without 2-4 arcs")
-            require(all(len(a.colors) <= 1 for a in arclist),
+            require(all(len({p.color for _, p in a.members}) <= 1
+                        for a in arclist),
                     "non-monochromatic arc in corrupt cell")
     require(large <= 1, "more than one large cell")
 
@@ -282,7 +279,7 @@ def refine_step(points, solution: AxisSolution, dec: CircleDecomposition,
     corrupt cells are a large cell or 2-arc cells with neither flip,
     (_STUCK, corrupt_sig).
     """
-    arcs = cell_arcs(dec.positions, cm.hs, cm.vs)
+    arcs = cell_arcs(dec.positions, cm.hks, cm.vks)
     _check_invariants(graph, cm, arcs)
     if not cm.corrupt:
         return (_DONE, solution)
@@ -293,10 +290,9 @@ def refine_step(points, solution: AxisSolution, dec: CircleDecomposition,
     # classify 2-arc corrupt cells; the paper's priority cell is the
     # horizontal-flip cell farthest from the x-axis, else the vertical-flip
     # cell farthest from the y-axis (ties by signature)
-    quadrant = {p.id: k[0] for k, p in dec.positions}
     flips = []
     for sig in small:
-        qs = {_primary_quadrant(a, quadrant) for a in arcs[sig]}
+        qs = {_primary_quadrant(a) for a in arcs[sig]}
         cx, cy = _cell_center(sig, cm)
         if qs in ({0, 1}, {2, 3}):
             flips.append((0, -abs(cy), sig, "H", 1 if cy > 0 else -1))
@@ -305,15 +301,17 @@ def refine_step(points, solution: AxisSolution, dec: CircleDecomposition,
     if not flips:
         return (_STUCK, min(small))
     _, _, sig, orient, step = min(flips)
-    lines = _flip(points, solution.lines, cm, arcs[sig], sig, orient, step)
+    lines = _flip(points, solution.lines, cm, arcs, sig, orient, step)
     return (_IMPROVED, AxisSolution(lines, solution.kappa,
                                     solution.steps + 1, solution.repair_used))
 
 
-def _flip(points, lines, cm, arc_pair, sig, orient, step) -> list[AxisLine]:
+def _flip(points, lines, cm, arcs, sig, orient, step) -> list[AxisLine]:
     """Flip a boundary line of the 2-arc corrupt cell `sig`: for orient "H"
     the horizontal line above it (step +1) or below it (step -1), for "V"
-    the vertical line right (+1) or left (-1) of it.
+    the vertical line right (+1) or left (-1) of it.  `arcs` are
+    `cell_arcs` of the partition `cm`; no point lies on a line of `cm`, so
+    a cell's points are the members of its arcs.
 
     Removing the line merges the cell with its neighbour across it; the
     added perpendicular line, strictly between the protected arc's points
@@ -341,12 +339,12 @@ def _flip(points, lines, cm, arc_pair, sig, orient, step) -> list[AxisLine]:
 
     # the cell holds both colours and _check_invariants made each arc
     # monochromatic, so each arc holds the points of one colour
-    arc_a, arc_b = arc_pair
-    exposed, protected = ((arc_a, arc_b) if ncolors.keys() == arc_a.colors
-                          else (arc_b, arc_a))
-    by_id = {p.id: p for p in points}
-    exp = [perp(by_id[i]) for i in (*exposed.point_ids, *cm.cells[neighbor])]
-    prot = [perp(by_id[i]) for i in protected.point_ids]
+    arc_a, arc_b = arcs[sig]
+    exposed, protected = ((arc_a, arc_b) if arc_a.members[0][1].color
+                          in ncolors else (arc_b, arc_a))
+    exp = [perp(p) for arc in (exposed, *arcs[neighbor])
+           for _, p in arc.members]
+    prot = [perp(p) for _, p in protected.members]
     lo, hi = ((max(prot), min(exp)) if max(prot) < min(exp)
               else (max(exp), min(prot)))
     require(lo < hi, "no cut fits between the arcs")

@@ -3,7 +3,8 @@ from fractions import Fraction
 import pytest
 
 from sepline.decomposition import projection_interval
-from sepline.geometry import BLUE, RED, ColoredPoint, axis_keys
+from sepline.geometry import (BLUE, RED, ColoredPoint, angular_positions,
+                              axis_keys, cell_arcs)
 
 F = Fraction
 
@@ -35,6 +36,11 @@ def axis_coords(lines):
     """The sorted, deduplicated H and V line coordinates."""
     hks, vks = axis_keys(lines)
     return [k[1] for k in hks], [k[1] for k in vks]
+
+
+def arcs_of(pts, lines):
+    """`cell_arcs` of the circle points `pts` under the axis `lines`."""
+    return cell_arcs(angular_positions(pts), *axis_keys(lines))
 
 
 @pytest.fixture

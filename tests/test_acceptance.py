@@ -16,9 +16,8 @@ from sepline import solvers
 from sepline.decomposition import build_switch_graph, decompose
 from sepline.errors import GuaranteeViolated
 from sepline.generate import gen_circle
-from sepline.geometry import (BLUE, RED, ColoredPoint, angular_positions,
-                              cell_arcs, circle_point_from_parameter,
-                              verify_separation)
+from sepline.geometry import (BLUE, RED, ColoredPoint,
+                              circle_point_from_parameter, verify_separation)
 from sepline.matching import maximum_matching, minimum_edge_cover
 from sepline.oracles import (colorful_rbds_solve, feasible_pq,
                              min_axis_separation,
@@ -27,15 +26,11 @@ from sepline.reduction import (extract_vertices, lift, normalize,
                                reduce_instance, validate_layout)
 from sepline.solvers import solve_axis, solve_general, wedge_baseline
 
-from conftest import axis_coords, line_stabs_switch
+from conftest import arcs_of, line_stabs_switch
 from test_reduction import _small_instances, toy
 from test_solvers import FLIP_DIRECTIONS
 
 F = Fraction
-
-
-def _arcs(pts, lines):
-    return cell_arcs(angular_positions(pts), *axis_coords(lines))
 
 
 def _report(ok: bool, label: str, detail: str):
@@ -81,7 +76,7 @@ def axis_runs():
             return flip(points, lines, cm, arcs, sig, orient, step)
 
         def repairing(points, sol, cm, sig, graph):
-            stuck = _arcs(points, sol.lines)[sig]
+            stuck = arcs_of(points, sol.lines)[sig]
             events.append("other" if len(stuck) == 2 else "large")
             return repair(points, sol, cm, sig, graph)
 
@@ -148,7 +143,7 @@ def test_criterion_4_refinement_invariants(axis_runs):
         if sol.steps > r * b:
             violations += 1
         for step in arrangements:
-            arcs = [len(a) for a in _arcs(pts, step.lines).values()]
+            arcs = [len(a) for a in arcs_of(pts, step.lines).values()]
             if max(arcs, default=0) > 4:
                 violations += 1
             if sum(1 for m in arcs if m >= 3) > 1:

@@ -96,9 +96,8 @@ def _replace(sol, k, p, q):
 def _between(dec, a, b):
     """A circle point strictly inside the open ccw arc from point id a to
     point id b."""
-    keys = {p.id: k for k, p in dec.positions}
-    return arc_interior_point(dec.points[a], dec.points[b], (), (),
-                              keys[a], keys[b])
+    pairs = {p.id: (k, p) for k, p in dec.positions}
+    return arc_interior_point(pairs[a], pairs[b])
 
 
 @pytest.mark.parametrize("where", ["previous red chunk", "own blue chunk",
@@ -115,14 +114,14 @@ def test_anchor_moved_off_its_switch(solved, where):
         moved = _between(dec, blue.point_ids[0], blue.point_ids[1])
     else:
         sw = dec.switches[(chunk - 2) % w]
-        moved = _between(dec, sw.start.id, sw.end.id)
+        moved = arc_interior_point(sw.start, sw.end)
     _certify(dec, *_replace(sol, k, moved, q), "not one maximal blue run")
 
 
 def test_anchor_on_an_input_point(solved):
     pts, sol, dec = solved
     chunk, p, q = sol.anchors[0]
-    start = dec.switches[(chunk - 1) % len(dec.switches)].start
+    _, start = dec.switches[(chunk - 1) % len(dec.switches)].start
     _certify(dec, *_replace(sol, 0, (start.x, start.y), q),
              "anchor p is an input point")
 
@@ -158,8 +157,7 @@ def test_two_lines_on_one_chunk(solved):
     _certify(dec, lines, anchors, "a second line on its blue run")
     chunk, p, q = sol.anchors[0]
     sw = dec.switches[chunk]
-    other = arc_interior_point(sw.start, sw.end, {q[0]}, {q[1]},
-                               sw.start_pos, sw.end_pos)
+    other = arc_interior_point(sw.start, sw.end, {q[0]}, {q[1]})
     lines, anchors = _replace(sol, 1, p, other)
     anchors[1] = (chunk, p, other)
     _certify(dec, lines, anchors, "a second line on its blue run")

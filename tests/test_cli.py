@@ -42,6 +42,11 @@ def toy_doc():
                       ["u2", "v2"], ["u3", "v2"]]}
 
 
+# class 0 is padded by normalize to ["a", "_pad_0_2"]
+PADDED_DOC = {"classes": [["a"], ["c", "d"]], "blues": ["v1", "v2"],
+              "edges": [["a", "v1"], ["c", "v1"], ["c", "v2"], ["d", "v2"]]}
+
+
 # the toy instance with a red listed twice in one class, a red in two
 # classes and a blue listed twice
 REPEATED_NAMES = [
@@ -357,12 +362,14 @@ class TestCommands:
         assert vertices == chosen.split(",")
         assert len(vertices) == len(doc["classes"])
         assert all(u in cls for u, cls in zip(vertices, doc["classes"]))
-        # naming the forced picks as well lifts to the same lines
-        full = tmp_path / "full.json"
+        # naming the forced picks as well lifts to the same lines in the
+        # library, which takes normalized names; --set takes input names
+        norm = normalize(crbds_from_doc(doc))
+        lines = reduction.lift(norm, reduce_instance(norm),
+                               [*chosen.split(","), *added])
+        assert dumps(solution_to_doc("axis", lines)) == sol.read_text()
         assert self.run("lift", "--sidecar", str(side), "--instance",
-                        str(inst), "--set", ",".join([chosen, *added]),
-                        "-o", str(full)) == 0
-        assert full.read_bytes() == sol.read_bytes()
+                        str(inst), "--set", ",".join([chosen, *added])) == 1
 
     def test_lift_bad_set_exits_1(self, tmp_path):
         crbds = tmp_path / "c.json"
@@ -372,6 +379,40 @@ class TestCommands:
                  "--sidecar", str(side))
         assert self.run("lift", "--sidecar", str(side),
                         "--instance", str(inst), "--set", "u2,u4") == 1
+
+    def test_lift_set_of_an_added_vertex_exits_1(self, tmp_path, capsys):
+        # normalize pads class 0 to ["a", "_pad_0_2"]; --set names input
+        # vertices only
+        crbds = tmp_path / "c.json"
+        crbds.write_text(json.dumps(PADDED_DOC))
+        inst, side = tmp_path / "r.json", tmp_path / "side.json"
+        self.run("reduce", str(crbds), "-o", str(inst),
+                 "--sidecar", str(side))
+        capsys.readouterr()
+        assert self.run("lift", "--sidecar", str(side), "--instance",
+                        str(inst), "--set", "_pad_0_2,c") == 1
+        assert capsys.readouterr().err == (
+            "error: --set vertex '_pad_0_2' starts with '_', which names "
+            "the vertices normalize adds, not an input vertex\n")
+
+    def test_extract_of_a_padding_pick_answers_an_input_vertex(self, tmp_path,
+                                                               capsys):
+        # the library's lift takes normalized names; a pad has no edges, so
+        # extract answers its class's first input vertex instead
+        crbds = tmp_path / "c.json"
+        crbds.write_text(json.dumps(PADDED_DOC))
+        inst, side = tmp_path / "r.json", tmp_path / "side.json"
+        self.run("reduce", str(crbds), "-o", str(inst),
+                 "--sidecar", str(side))
+        norm = normalize(crbds_from_doc(PADDED_DOC))
+        assert norm.inst.classes[0] == ["a", "_pad_0_2"]
+        lines = reduction.lift(norm, reduce_instance(norm), ["_pad_0_2", "c"])
+        sol = tmp_path / "lift.json"
+        sol.write_text(dumps(solution_to_doc("axis", lines)))
+        capsys.readouterr()
+        assert self.run("extract", "--sidecar", str(side), "--instance",
+                        str(inst), "--lines", str(sol)) == 0
+        assert json.loads(capsys.readouterr().out)["vertices"] == ["a", "c"]
 
     def test_reserved_vertex_name_exits_1(self, tmp_path, capsys):
         # names starting with "_" would clash with the vertices normalize
@@ -726,6 +767,46 @@ class TestCommands:
         assert self.run("oracle", str(inst), "--variant", "general") == 1
         assert capsys.readouterr().err == \
             "error: the general oracle needs a circle instance\n"
+
+    def test_oracle_red_and_blue_at_one_position_exits_2(self, tmp_path,
+                                                         capsys):
+        # no line splits a red and a blue at one position: the axis oracle
+        # answers No as verify and the pq oracle do, also under python -O
+        inst = tmp_path / "p.json"
+        inst.write_text(json.dumps({"kind": "planar", "points": [
+            {"color": "R", "x": "0", "y": "0"},
+            {"color": "B", "x": "0", "y": "0"},
+            {"color": "B", "x": "1", "y": "0"}]}))
+        capsys.readouterr()
+        assert self.run("oracle", str(inst), "--variant", "axis") == 2
+        assert capsys.readouterr().err == \
+            "error: no line separates points 0 and 1\n"
+        assert self.run("oracle", str(inst), "--variant", "pq",
+                        "--p", "1", "--q", "1") == 2
+        assert json.loads(capsys.readouterr().out)["feasible"] is False
+        src = str(Path(sepline.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-O", "-m", "sepline.cli", "oracle", str(inst),
+             "--variant", "axis"], env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True, text=True)
+        assert (proc.returncode, proc.stderr) == \
+            (2, "error: no line separates points 0 and 1\n")
+
+    @pytest.mark.parametrize("colors", ["RRB", "RBB"])
+    def test_oracle_general_of_a_repeated_point_exits_1(self, tmp_path,
+                                                        capsys, colors):
+        # the general oracle rejects a repeated position as solve does
+        inst = tmp_path / "c.json"
+        inst.write_text(json.dumps({"kind": "circle", "points": [
+            {"color": c, "x": x, "y": y}
+            for c, (x, y) in zip(colors, [("1", "0"), ("1", "0"),
+                                          ("0", "1")])]}))
+        expected = "error: points 0 and 1 share the position (1, 0)\n"
+        capsys.readouterr()
+        assert self.run("oracle", str(inst), "--variant", "general") == 1
+        assert capsys.readouterr().err == expected
+        assert self.run("solve", str(inst), "--variant", "general") == 1
+        assert capsys.readouterr().err == expected
 
     @pytest.mark.parametrize("variant,bound", [
         ("axis", DEFAULT_AXIS_BOUND), ("general", DEFAULT_GENERAL_BOUND)])

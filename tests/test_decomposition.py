@@ -105,7 +105,7 @@ class TestProjectionInterval:
         a = pt(0, RED, F(3, 5), F(4, 5))
         b = pt(1, BLUE, F(-3, 5), F(4, 5))
         s = decompose([a, b]).switches[0]
-        assert (s.start, s.end) == (a, b)
+        assert (s.start[1], s.end[1]) == (a, b)
         itv = projection_interval(s, "H")
         assert (itv.lo, itv.hi) == (F(4, 5), F(1))
 

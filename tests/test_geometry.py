@@ -8,14 +8,13 @@ import sepline.geometry as geometry
 from sepline.errors import GuaranteeViolated, PointOnLine
 from sepline.geometry import (BLUE, RED, Arc, AxisLine, CellSignature,
                               ColoredPoint, GeneralLine,
-                              angular_positions, angular_sort, arc_contains,
-                              arc_interior_point, arc_quadrants,
-                              cell_arcs, cell_map,
+                              angular_sort, arc_contains,
+                              arc_interior_point, arc_quadrants, cell_map,
                               circle_point_from_parameter, general_line,
                               line_side, line_through, pick_coordinate,
-                              point_signature, verify_separation)
+                              verify_separation)
 
-from conftest import axis_coords
+from conftest import arcs_of, axis_coords
 
 F = Fraction
 
@@ -24,8 +23,10 @@ def pt(i, color, x, y):
     return ColoredPoint(i, color, F(x), F(y))
 
 
-def _arcs(pts, lines):
-    return cell_arcs(angular_positions(pts), *axis_coords(lines))
+def _pair(p):
+    """The (angular key, point) pair of `p`, as `angular_positions` builds
+    it."""
+    return geometry._point_key(p.x, p.y), p
 
 
 class TestCircleParametrization:
@@ -167,7 +168,7 @@ class TestCellMap:
 
 class TestCellArcs:
     def test_one_secant(self, pts4):
-        arcs = _arcs(pts4, [AxisLine("H", F(1, 2))])
+        arcs = arcs_of(pts4, [AxisLine("H", F(1, 2))])
         assert sorted(len(v) for v in arcs.values()) == [1, 1]
 
     def test_central_cell_four_arcs(self, pts4):
@@ -175,20 +176,20 @@ class TestCellArcs:
         # a central cell of half-width 1/2 would sit entirely inside the disk
         lines = [AxisLine("H", F(3, 4)), AxisLine("H", F(-3, 4)),
                  AxisLine("V", F(3, 4)), AxisLine("V", F(-3, 4))]
-        arcs = _arcs(pts4, lines)
+        arcs = arcs_of(pts4, lines)
         assert len(arcs[CellSignature(1, 1)]) == 4
 
     def test_inner_cell_has_no_arcs(self, pts4):
         lines = [AxisLine("H", F(1, 2)), AxisLine("H", F(-1, 2)),
                  AxisLine("V", F(1, 2)), AxisLine("V", F(-1, 2))]
-        arcs = _arcs(pts4, lines)
+        arcs = arcs_of(pts4, lines)
         assert CellSignature(1, 1) not in arcs
 
     def test_arc_points_partition(self, pts4):
         lines = [AxisLine("H", F(1, 3)), AxisLine("V", F(-2, 7))]
-        arcs = _arcs(pts4, lines)
-        ids = sorted(i for arclist in arcs.values() for a in arclist
-                     for i in a.point_ids)
+        arcs = arcs_of(pts4, lines)
+        ids = sorted(p.id for arclist in arcs.values() for a in arclist
+                     for _, p in a.members)
         assert ids == [0, 1, 2, 3]
 
     def test_arc_count_never_exceeds_four(self):
@@ -202,7 +203,7 @@ class TestCellArcs:
                 orient = rng.choice("HV")
                 if all(c != (p.y if orient == "H" else p.x) for p in pts):
                     lines.append(AxisLine(orient, c))
-            arcs = _arcs(pts, lines)
+            arcs = arcs_of(pts, lines)
             for arclist in arcs.values():
                 assert len(arclist) <= 4
 
@@ -217,13 +218,17 @@ class TestCellArcs:
                 if all(c != (p.y if orient == "H" else p.x) for p in pts):
                     lines.append(AxisLine(orient, c))
             cm = cell_map(pts, lines)
-            arcs = _arcs(pts, lines)
-            by_id = {p.id: p for p in pts}
+            arcs = arcs_of(pts, lines)
             hs, vs = axis_coords(lines)
+            members = 0
             for sig, arclist in arcs.items():
                 for a in arclist:
-                    for i in a.point_ids:
-                        assert point_signature(by_id[i], hs, vs) == sig
+                    for _, p in a.members:
+                        members += 1
+                        assert cm.cells[sig].count(p.id) == 1
+                        assert sig == (sum(1 for c in hs if c < p.y),
+                                       sum(1 for c in vs if c < p.x))
+            assert members == len(pts)
 
     def test_matches_per_arc_scan(self):
         # lines through points, coincident H/V crossings, lines missing the
@@ -251,31 +256,31 @@ class TestCellArcs:
                 else:
                     lines.append(AxisLine(rng.choice("HV"), rng.choice(
                         [F(1), F(-1), F(3, 2), F(-2)])))
-            assert _arcs(pts, lines) == _per_arc_scan(pts, lines)
+            assert arcs_of(pts, lines) == _per_arc_scan(pts, lines)
 
 
 class TestArcInteriorPoint:
     def test_inside_and_on_circle(self, pts4):
-        x, y = arc_interior_point(pts4[0], pts4[1])
+        x, y = arc_interior_point(_pair(pts4[0]), _pair(pts4[1]))
         assert x * x + y * y == 1
         assert 0 < x < 1 and 0 < y < 1
 
     def test_wrapping_arc_through_left(self):
         a = pt(0, RED, 0, 1)
         b = pt(1, BLUE, 0, -1)
-        x, y = arc_interior_point(a, b)
+        x, y = arc_interior_point(_pair(a), _pair(b))
         assert x * x + y * y == 1
         assert x < 0
 
     def test_respects_forbidden(self, pts4):
-        x, y = arc_interior_point(pts4[0], pts4[1],
+        x, y = arc_interior_point(_pair(pts4[0]), _pair(pts4[1]),
                                   forbidden_x={F(3, 5)}, forbidden_y={F(4, 5)})
         assert x != F(3, 5) and y != F(4, 5)
 
     def test_endpoint_is_left(self):
         a = pt(0, RED, -1, 0)
         b = pt(1, BLUE, 0, -1)
-        x, y = arc_interior_point(a, b)
+        x, y = arc_interior_point(_pair(a), _pair(b))
         assert x * x + y * y == 1
         assert y < 0
 
@@ -419,8 +424,8 @@ def _per_arc_scan(points, lines):
     ref_sig = CellSignature(sum(1 for c in hs if c < pts[0].y),
                             sum(1 for c in vs if c < pts[0].x))
     if not events:
-        return {ref_sig: [Arc(ref_sig, ref_key, ref_key, [p.id for p in pts],
-                              {p.color for p in pts})]}
+        return {ref_sig: [Arc(ref_sig, ref_key, ref_key,
+                              [_pair(p) for p in pts])]}
     events.sort(key=cmp_to_key(lambda a, b: _ref_cmp(a[0], b[0])))
     groups = []
     for pos, key, dr, dc in events:
@@ -438,12 +443,10 @@ def _per_arc_scan(points, lines):
         row += dr
         col += dc
         nxt, nxt_key = groups[(g + 1) % len(groups)][:2]
-        members = [p for p in pts
+        members = [_pair(p) for p in pts
                    if _ref_inside(_ref_pos(p.x, p.y), pos, nxt)]
         sig = CellSignature(row, col)
-        out.setdefault(sig, []).append(
-            Arc(sig, key, nxt_key, [p.id for p in members],
-                {p.color for p in members}))
+        out.setdefault(sig, []).append(Arc(sig, key, nxt_key, members))
     return out
 
 

@@ -1,6 +1,6 @@
-"""The solve path and the reduction must keep their guarantees under
-`python -O`, which strips every `assert`; their modules check with explicit
-raises instead."""
+"""The solve path, the reduction and the oracles must keep their guarantees
+under `python -O`, which strips every `assert`; their modules check with
+explicit raises instead."""
 
 import ast
 from pathlib import Path
@@ -10,7 +10,7 @@ import pytest
 import sepline
 
 SOLVE_PATH = ("geometry.py", "decomposition.py", "matching.py", "solvers.py",
-              "reduction.py")
+              "reduction.py", "oracles.py")
 
 
 @pytest.mark.parametrize("module", SOLVE_PATH)

@@ -6,7 +6,9 @@ import pytest
 from sepline.errors import TooLarge
 from sepline.geometry import (BLUE, RED, AxisLine, ColoredPoint,
                               circle_point_from_parameter, verify_separation)
-from sepline.oracles import (axis_candidates, colorful_rbds_solve,
+import sepline.geometry
+from sepline.oracles import (PQ_CANDIDATE_BOUND, RBDS_SELECTION_BOUND,
+                             axis_candidates, colorful_rbds_solve,
                              feasible_pq, full_mask, general_candidates,
                              min_axis_separation,
                              min_general_separation_circle, sep_bitset)
@@ -81,6 +83,25 @@ class TestMinGeneral:
             assert 2 * k >= decompose(pts).w
             assert verify_separation(pts, lines) is None
 
+    @pytest.mark.parametrize("n", [2, 5, 10])
+    def test_keys_each_point_once(self, monkeypatch, n):
+        # the gaps' interior points come from decompose's angular order,
+        # whose keys are built once per point
+        calls = []
+        point_key = sepline.geometry._point_key
+
+        def counting(x, y):
+            calls.append((x, y))
+            return point_key(x, y)
+        monkeypatch.setattr(sepline.geometry, "_point_key", counting)
+        rng = random.Random(n)
+        while True:
+            pts = _random_circle_instance(rng, n)
+            if full_mask(pts):
+                break
+        min_general_separation_circle(pts)
+        assert len(calls) == n
+
 
 class TestFeasiblePQ:
     def test_pts4_budgets(self, pts4):
@@ -107,6 +128,14 @@ class TestFeasiblePQ:
                 for q in range(3):
                     if table[(p, q)]:
                         assert table[(p + 1, q)] and table[(p, q + 1)]
+
+
+    def test_bound(self):
+        # n points with distinct coordinates have 2(n - 1) candidates
+        pts = [pt(i, RED if i % 2 else BLUE, i, 2 * i) for i in range(62)]
+        assert len(axis_candidates(pts)) == 122 > PQ_CANDIDATE_BOUND
+        with pytest.raises(TooLarge, match="122 candidates exceeds pq bound"):
+            feasible_pq(pts, 1, 1)
 
 
 class TestDiscretization:
@@ -166,6 +195,8 @@ class TestCRBDS:
         assert colorful_rbds_solve(inst) == ["a", "d"]
 
     def test_bound(self):
-        inst = CRBDS([["x"] * 200] * 3, ["v"], set())
-        with pytest.raises(TooLarge):
-            colorful_rbds_solve(inst, bound=100)
+        # 100 * 101 selections, just over the bound
+        inst = CRBDS([["x"] * 100, ["y"] * 101], ["v"], set())
+        assert 100 * 101 > RBDS_SELECTION_BOUND
+        with pytest.raises(TooLarge, match="10100 selections exceeds"):
+            colorful_rbds_solve(inst)

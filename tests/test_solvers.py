@@ -14,16 +14,15 @@ from sepline.decomposition import build_switch_graph, decompose
 from sepline.errors import DominationFailure, RepairExhausted
 from sepline.generate import gen_circle
 from sepline.geometry import (BLUE, RED, AxisLine, ColoredPoint,
-                              angular_positions, arc_interior_point,
-                              axis_candidates, axis_keys,
-                              cell_arcs, cell_map, circle_parameter,
+                              arc_interior_point, axis_candidates, axis_keys,
+                              cell_map, circle_parameter,
                               circle_point_from_parameter, verify_separation)
 from sepline.oracles import (full_mask, min_axis_separation,
                              min_general_separation_circle, sep_bitset)
 from sepline.solvers import (AxisSolution, build_L0, refine_step, solve_axis,
                              solve_general, wedge_baseline)
 
-from conftest import axis_coords, line_stabs_switch
+from conftest import arcs_of, line_stabs_switch
 from test_golden import _mirror
 
 F = Fraction
@@ -43,10 +42,6 @@ def _random_circle_instance(rng, n, bichromatic=False):
                for i, t in enumerate(sorted(ts))]
         if not bichromatic or len({p.color for p in pts}) == 2:
             return pts
-
-
-def _arcs(pts, lines):
-    return cell_arcs(angular_positions(pts), *axis_coords(lines))
 
 
 def alternating_instance(n):
@@ -576,7 +571,7 @@ def test_repair_corpus(monkeypatch, cause, n, seed):
     assert sol.repair_used and sol.size == sol.kappa
     assert verify_separation(pts, sol.lines) is None
     [(old, cm, sig)] = stuck
-    arcs = _arcs(pts, old.lines)[sig]
+    arcs = arcs_of(pts, old.lines)[sig]
     if cause == "other":
         assert len(arcs) == 2
     else:
@@ -600,9 +595,9 @@ def test_padding_keeps_w_and_kappa(n, seed):
         padded = pad(pts, f)
         pdec = decompose(padded)
         assert len(padded) > n and pdec.w == dec.w
-        assert [(s.start.x, s.start.y, s.end.x, s.end.y)
-                for s in pdec.switches] == [
-            (s.start.x, s.start.y, s.end.x, s.end.y) for s in dec.switches]
+        # the ends' angular keys, which fix their positions on the circle
+        assert [(s.start[0], s.end[0]) for s in pdec.switches] == [
+            (s.start[0], s.end[0]) for s in dec.switches]
         assert (build_switch_graph(pdec).kappa
                 == build_switch_graph(dec).kappa)
 
