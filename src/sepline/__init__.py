@@ -5,8 +5,8 @@ All computation uses exact rational arithmetic (fractions.Fraction);
 floating point appears only in SVG output.
 """
 
-from .decomposition import (CircleDecomposition, SwitchGraph,
-                            build_switch_graph, decompose)
+from .decomposition import (CircleDecomposition, CircleOrder, SwitchGraph,
+                            build_switch_graph, circle_order, decompose)
 from .errors import SeplineError
 from .generate import gen_circle
 from .geometry import (BLUE, RED, AxisLine, ColoredPoint, GeneralLine,
@@ -20,9 +20,9 @@ from .render import render_svg
 from .solvers import solve_axis, solve_general, wedge_baseline
 
 __all__ = [
-    "AxisLine", "BLUE", "CRBDS", "CircleDecomposition", "ColoredPoint",
-    "GeneralLine", "RED", "SeplineError", "SwitchGraph",
-    "build_switch_graph", "circle_point_from_parameter",
+    "AxisLine", "BLUE", "CRBDS", "CircleDecomposition", "CircleOrder",
+    "ColoredPoint", "GeneralLine", "RED", "SeplineError", "SwitchGraph",
+    "build_switch_graph", "circle_order", "circle_point_from_parameter",
     "colorful_rbds_solve", "decompose", "extract", "extract_vertices",
     "feasible_pq", "gen_circle", "lift", "maximum_matching",
     "min_axis_separation", "min_general_separation_circle",

@@ -16,7 +16,7 @@ import sys
 import time
 from pathlib import Path
 
-from .decomposition import build_switch_graph, decompose
+from .decomposition import build_switch_graph, circle_order, decompose
 from .errors import (BudgetViolation, InvalidDominatingSet, NoSignalLine,
                      NotSeparating, SeplineError)
 from .generate import gen_circle
@@ -157,6 +157,8 @@ def cmd_oracle(args) -> int:
             raise ValueError("the general oracle needs a circle instance")
         size, lines = min_general_separation_circle(pts)
     else:
+        if kind == "circle":
+            circle_order(pts)  # a circle instance is valid as solve reads it
         size, lines = min_axis_separation(pts)
     _emit_text(dumps({"variant": args.variant, "size": size,
                       "lines": [line_to_doc(ln) for ln in lines]}), args.out)

@@ -8,8 +8,8 @@ there is no floating point anywhere on a computation path.
 Order keys.  Sorting, bisecting and comparing coordinates goes through
 `order_key(v) = (floor(v * 2**64), v)`, computed once where the value is
 created: `ColoredPoint.xk`/`yk` and the line-key lists of `CellMap`; the
-interval keys of `decomposition.Interval` are those of the points' and of
-+-1, reused.  A key tuple orders exactly like its rational, because the
+switches' projection-interval keys are those of the points and of +-1,
+reused.  A key tuple orders exactly like its rational, because the
 floor is monotone and values with equal floors fall through to the exact
 `Fraction`; so an integer comparison decides all but the comparisons of
 values within 2**-64 of each other, and those are decided in `Fraction`
@@ -26,12 +26,12 @@ on the solve path (`CoordinateSet`) hold (numerator, denominator) pairs.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import count
 from math import gcd, lcm
-from typing import Iterable, NamedTuple, Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from .errors import GuaranteeViolated, PointOnLine
 
@@ -243,9 +243,10 @@ class CellMap:
     vs: list[Fraction]  # the same for vertical lines
     hks: list[tuple]    # their order keys
     vks: list[tuple]
-    cells: dict[CellSignature, list[int]]  # ids in input order
+    cell_of: list[CellSignature]  # each point's cell, in input order
     corrupt: set[CellSignature]
-    colors: dict[CellSignature, dict[str, int]]  # colour -> its first id
+    colors: dict[CellSignature, dict[str, int]]  # colour -> its first id,
+    # cells in the order of their first point
 
     def witness(self) -> Optional[tuple[int, int]]:
         """`verify_separation`'s witness for these lines: None if no cell
@@ -261,7 +262,9 @@ def cell_map(points, lines) -> CellMap:
     line, naming the first such line in `lines`."""
     hks, vks = axis_keys(lines)
     nh, nv = len(hks), len(vks)
-    cells: dict[CellSignature, list[int]] = {}
+    # one signature object per cell, shared by its points in `cell_of`
+    first: dict[CellSignature, CellSignature] = {}
+    cell_of: list[CellSignature] = []
     colors: dict[CellSignature, dict[str, int]] = {}
     for p in points:
         yk, xk = p.yk, p.xk
@@ -269,11 +272,12 @@ def cell_map(points, lines) -> CellMap:
         if (row < nh and hks[row] == yk) or (col < nv and vks[col] == xk):
             raise _point_on_line(p, lines)
         sig = CellSignature(row, col)
-        cells.setdefault(sig, []).append(p.id)
+        sig = first.setdefault(sig, sig)
+        cell_of.append(sig)
         colors.setdefault(sig, {}).setdefault(p.color, p.id)
     corrupt = {sig for sig, cols in colors.items() if len(cols) == 2}
     return CellMap([k[1] for k in hks], [k[1] for k in vks], hks, vks,
-                   cells, corrupt, colors)
+                   cell_of, corrupt, colors)
 
 
 def _point_on_line(p: ColoredPoint, lines) -> PointOnLine:
@@ -393,31 +397,32 @@ class Arc:
     signature: CellSignature
     start: tuple  # angular keys of its ends
     end: tuple
-    members: list[tuple[tuple, ColoredPoint]]  # the (angular key, point)
-    # pairs strictly inside it, in the order of `angular_positions`
+    members: range  # the indices, in the circle order, of the points
+    # strictly inside it, ccw; the arc through angle 0 starts below 0, at
+    # the negative list index of its first point
 
 
-def angular_positions(points) -> list[tuple[tuple, ColoredPoint]]:
-    """(angular key, point) pairs by ccw angle from the (1, 0) direction."""
-    return sorted(((_point_key(p.x, p.y), p) for p in points),
-                  key=lambda t: t[0])
+def angular_sort(points: list[ColoredPoint]) -> tuple[list[ColoredPoint],
+                                                      list[tuple]]:
+    """Circle points by ccw angle from the (1, 0) direction, and their
+    angular keys, each built once.  The sort is stable: equal keys stay
+    next to each other in input order."""
+    keys = [_point_key(p.x, p.y) for p in points]
+    by_angle = sorted(range(len(points)), key=keys.__getitem__)
+    return [points[i] for i in by_angle], [keys[i] for i in by_angle]
 
 
-def angular_sort(points: Iterable[ColoredPoint]) -> list[ColoredPoint]:
-    """Points by ccw angle starting at the (1, 0) direction."""
-    return [p for _, p in angular_positions(points)]
-
-
-def cell_arcs(positions, hks, vks) -> dict[CellSignature, list[Arc]]:
+def cell_arcs(order, hks, vks) -> dict[CellSignature, list[Arc]]:
     """Maximal circle arcs per arrangement cell, computed combinatorially.
 
-    `positions` are the points (at least one) as `angular_positions` orders
-    them; `hks` and `vks` are the order keys of the sorted, deduplicated
-    line coordinates, as `axis_keys` or `CellMap` hold them.  Lines with
+    `order` is a `decomposition.CircleOrder` (at least one point); `hks`
+    and `vks` are the order keys of the sorted, deduplicated line
+    coordinates, as `axis_keys` or `CellMap` hold them.  Lines with
     |coordinate| >= 1 miss the open unit disk and contribute no crossings.
-    Walks the circle once, flipping one index of the cell signature at every
-    crossing event; coincident crossings (one horizontal plus one vertical
-    line meeting on the circle) are folded into one event.
+    Walks the crossings once, flipping one index of the cell signature at
+    every crossing event; coincident crossings (one horizontal plus one
+    vertical line meeting on the circle) are folded into one event.  An
+    arc's members are bisected from the order's keys: O(L log L + L log n).
     """
     crossings: list[tuple[tuple, int, int]] = []
     for _, c in hks:
@@ -431,11 +436,12 @@ def cell_arcs(positions, hks, vks) -> dict[CellSignature, list[Arc]]:
             upper, lower = _crossing_keys("V", c)
             crossings += [(upper, 0, -1), (lower, 0, 1)]
 
-    ref_pos, ref = positions[0]
+    keys, ref = order.keys, order.points[0]
+    n, ref_pos = len(keys), keys[0]
     ref_sig = CellSignature(bisect_left(hks, ref.yk), bisect_left(vks, ref.xk))
 
     if not crossings:
-        return {ref_sig: [Arc(ref_sig, ref_pos, ref_pos, positions)]}
+        return {ref_sig: [Arc(ref_sig, ref_pos, ref_pos, range(n))]}
 
     crossings.sort(key=lambda t: t[0])
     groups: list[list] = []
@@ -446,21 +452,15 @@ def cell_arcs(positions, hks, vks) -> dict[CellSignature, list[Arc]]:
         else:
             groups.append([pos, dr, dc])
 
-    # members[g]: the points strictly inside the arc from group g to group
-    # g + 1 (a point on a crossing is in no arc); the points before the
-    # first group lie on the arc from the last group, which wraps past 0
-    members: list[list] = [[] for _ in groups]
-    keys = [grp[0] for grp in groups]
-    g = -1
-    for kp in positions:
-        k = kp[0]
-        while g + 1 < len(keys) and keys[g + 1] <= k:
-            g += 1
-        if keys[g] != k:
-            members[g].append(kp)
+    # the arc from group g to the next holds the points from the first
+    # after g to the last before the next (a point on a crossing is in no
+    # arc); the arc from the last group wraps past angle 0
+    gkeys = [grp[0] for grp in groups]
+    after = [bisect_right(keys, k) for k in gkeys]
+    before = [bisect_left(keys, k) for k in gkeys]
 
     # the walk starts at the first crossing after the reference point
-    start = next((g for g, k in enumerate(keys) if ref_pos < k), 0)
+    start = bisect_right(gkeys, ref_pos) % len(groups)
     row, col = ref_sig
     result: dict[CellSignature, list[Arc]] = {}
     for g in (*range(start, len(groups)), *range(start)):
@@ -468,28 +468,32 @@ def cell_arcs(positions, hks, vks) -> dict[CellSignature, list[Arc]]:
         row += dr
         col += dc
         sig = CellSignature(row, col)
-        arc = Arc(sig, pos, groups[(g + 1) % len(groups)][0], members[g])
-        result.setdefault(sig, []).append(arc)
+        nxt = (g + 1) % len(groups)
+        members = range(after[g] - (n if nxt == 0 else 0), before[nxt])
+        result.setdefault(sig, []).append(Arc(sig, pos, gkeys[nxt], members))
     if (row, col) != ref_sig:
         raise GuaranteeViolated("circle walk did not close")
     return result
 
 
-def arc_interior_point(a: tuple, b: tuple, forbidden_x=(),
+def arc_interior_point(order, i: int, forbidden_x=(),
                        forbidden_y=()) -> tuple[Fraction, Fraction]:
-    """A rational circle point strictly inside the open ccw arc from a to b,
-    each end an (angular key, point) pair as `angular_positions` builds
-    them, with both coordinates outside the given forbidden containers
-    (tested for membership, not copied).  The candidates are infinitely
-    many distinct circle points and a coordinate value is shared by at most
-    two of them, so finite forbidden sets end the search."""
+    """A rational circle point strictly inside the gap after point i of
+    the `decomposition.CircleOrder` `order`: the open ccw arc from point i
+    to the next (all of the circle but point i if it is the only one).
+    Both coordinates lie outside the given forbidden containers (tested
+    for membership, not copied).  The candidates are infinitely many
+    distinct circle points and a coordinate value is shared by at most two
+    of them, so finite forbidden sets end the search."""
+    j = (i + 1) % len(order.keys)
+    candidates = _arc_parameter_candidates(order.keys[i], order.points[i],
+                                           order.keys[j], order.points[j])
     return next((x, y) for x, y in map(circle_point_from_parameter,
-                                       _arc_parameter_candidates(a, b))
+                                       candidates)
                 if x not in forbidden_x and y not in forbidden_y)
 
 
-def _arc_parameter_candidates(a, b):
-    (ka, start), (kb, end) = a, b
+def _arc_parameter_candidates(ka, start, kb, end):
     if ka == LEFT:
         tb = circle_parameter(end.x, end.y)
         for j in count():

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .decomposition import decompose
+from .decomposition import CircleOrder, circle_order
 from .errors import NotSeparating, TooLarge
 from .geometry import (BLUE, RED, GeneralLine, arc_interior_point,
                        axis_candidates, line_side, line_through)
@@ -57,14 +57,11 @@ def full_mask(points) -> int:
     return (1 << (len(reds) * len(blues))) - 1
 
 
-def general_candidates(points) -> list[GeneralLine]:
-    """One line per unordered pair of gaps between angularly consecutive
-    points.  Raises as `decompose` does on an instance that is not one of
-    distinct circle points."""
-    positions = decompose(points).positions
-    n = len(positions)
-    mids = [arc_interior_point(positions[i], positions[(i + 1) % n])
-            for i in range(n)]
+def general_candidates(order: CircleOrder) -> list[GeneralLine]:
+    """One line per unordered pair of gaps between consecutive points of
+    the circle order."""
+    n = len(order.keys)
+    mids = [arc_interior_point(order, i) for i in range(n)]
     cands = []
     for i in range(n):
         for j in range(i + 1, n):
@@ -165,14 +162,16 @@ def min_axis_separation(points):
 
 def min_general_separation_circle(points):
     """(k*, witness lines): exact minimum separation by arbitrary lines,
-    for points on the unit circle."""
+    for points on the unit circle.  Raises as `circle_order` does on an
+    instance that is not one of distinct circle points."""
     points = list(points)
+    order = circle_order(points)
     if len(points) > DEFAULT_GENERAL_BOUND:
         raise TooLarge(f"{len(points)} points exceeds oracle bound "
                        f"{DEFAULT_GENERAL_BOUND}")
     if full_mask(points) == 0:
         return 0, []
-    return _min_separation(points, general_candidates(points))
+    return _min_separation(points, general_candidates(order))
 
 
 def feasible_pq(points, p: int, q: int):

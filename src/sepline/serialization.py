@@ -166,14 +166,16 @@ def solution_from_doc(doc: dict):
 
 def diagnostics_to_doc(dec, graph) -> dict:
     """kappa-command payload: chunks, switch graph, kappa."""
+    order = dec.order
+    chunks = map(dec.chunk, range(max(dec.w, 1)))
     return {
         "w": dec.w,
-        "chunks": [{"color": c.color, "point_ids": list(c.point_ids)}
-                   for c in dec.chunks],
+        "chunks": [{"color": order.colors[c[-1]],
+                    "point_ids": [order.points[i].id for i in c]}
+                   for c in chunks],
         "switch_graph": {
-            "edges": [{"i": i, "j": j,
-                       "orient": graph.orientations(i, j)}
-                      for (i, j) in sorted(graph.edges)],
+            "edges": [{"i": i, "j": j, "orient": orient}
+                      for (i, j), orient in sorted(graph.edges.items())],
             "isolated": list(graph.isolated),
             "kappa": graph.kappa,
         },

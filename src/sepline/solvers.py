@@ -19,6 +19,7 @@ if there is none.  Nothing here imports the brute-force oracles.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
@@ -26,7 +27,7 @@ from itertools import combinations
 from operator import lt, or_
 from typing import Optional
 
-from .decomposition import (CircleDecomposition, SwitchGraph,
+from .decomposition import (CircleDecomposition, CircleOrder, SwitchGraph,
                             build_switch_graph, decompose)
 from .errors import (DominationFailure, GuaranteeViolated, NotSeparating,
                      RepairExhausted)
@@ -67,37 +68,36 @@ def solve_general(points) -> GeneralSolution:
     dec = decompose(points)
     if dec.w == 0:
         return GeneralSolution([], [])
-    w = len(dec.switches)
+    order, sw = dec.order, dec.switches
     lines, anchors = [], []
-    for i, chunk in enumerate(dec.chunks):
-        if chunk.color != BLUE:
+    for k, s in enumerate(sw):
+        if order.colors[s] != BLUE:
             continue
-        before, after = dec.switches[(i - 1) % w], dec.switches[i]
-        p = arc_interior_point(before.start, before.end)
-        q = arc_interior_point(after.start, after.end)
+        p = arc_interior_point(order, sw[k - 1])
+        q = arc_interior_point(order, s)
         lines.append(line_through(p[0], p[1], q[0], q[1]))
-        anchors.append((i, p, q))
-    _certify_general(lines, anchors, dec.positions)
+        anchors.append((k, p, q))
+    _certify_general(lines, anchors, order)
     return GeneralSolution(lines, anchors)
 
 
-def _certify_general(lines, anchors, positions) -> None:
-    """Raise NotSeparating unless `lines` separate the points of
-    `positions`, `decompose`'s angular order; O(n + L log n).
+def _certify_general(lines, anchors, order: CircleOrder) -> None:
+    """Raise NotSeparating unless `lines` separate the points of `order`,
+    read by index from its keys and colours alone; O(n + L log n).
 
     The line of anchors[k] = (chunk, p, q) must pass through the distinct
     unit-circle points p and q, so it meets the circle only there and the
     open ccw arc from p to q is one open side of it.  If that arc holds
     exactly one maximal blue run, no point lies at p or q and each run has
-    its own line, every red-blue pair is split.  Chunks and switches are
-    not read, so a fault in them cannot hide.
+    its own line, every red-blue pair is split.  Switches are not read, so
+    a fault in them cannot hide.
     """
-    keys = [k for k, _ in positions]
+    keys = order.keys
     n = len(keys)
     if not all(map(lt, keys, keys[1:])):
         raise NotSeparating("point keys do not strictly increase")
     # a maximal blue run's first index -> the index of the red after it
-    reds = [i for i, (_, p) in enumerate(positions) if p.color == RED]
+    reds = [i for i, c in enumerate(order.colors) if c == RED]
     run_end = {(r + 1) % n: s for r, s in zip(reds, reds[1:] + reds[:1])
                if (r + 1) % n != s}
     if len(lines) != len(anchors):
@@ -142,19 +142,18 @@ def wedge_baseline(points) -> AxisSolution:
     dec = decompose(points)
     if dec.w == 0:
         return AxisSolution([], kappa=0)
-    w = len(dec.switches)
+    order, sw = dec.order, dec.switches
     # the point coordinates, then also every corner placed so far; they
     # grow in place, O(n + w) in all
-    fx = CoordinateSet(p.x for p in points)
-    fy = CoordinateSet(p.y for p in points)
+    fx = CoordinateSet(p.x for p in order.points)
+    fy = CoordinateSet(p.y for p in order.points)
     lines = []
-    for i, chunk in enumerate(dec.chunks):
-        if chunk.color != BLUE:
+    for k, s in enumerate(sw):
+        if order.colors[s] != BLUE:
             continue
-        before, after = dec.switches[(i - 1) % w], dec.switches[i]
-        p = arc_interior_point(before.start, before.end, fx, fy)
+        p = arc_interior_point(order, sw[k - 1], fx, fy)
         # q also avoids p's x and +-p's y, for this chunk only
-        q = arc_interior_point(after.start, after.end, _Either(fx, (p[0],)),
+        q = arc_interior_point(order, s, _Either(fx, (p[0],)),
                                _Either(fy, (p[1], -p[1])))
         corner = (p[0], q[1]) if q[1] * q[1] < p[1] * p[1] else (q[0], p[1])
         lines += [AxisLine("V", corner[0]), AxisLine("H", corner[1])]
@@ -179,32 +178,31 @@ def build_L0(dec: CircleDecomposition, graph: SwitchGraph) -> AxisSolution:
     """One line per edge-cover edge plus one per isolated switch; kappa lines
     in total, stabbing every switch."""
     # the point coordinates, then also every line placed so far
-    forbidden = {"H": CoordinateSet(p.y for p in dec.points),
-                 "V": CoordinateSet(p.x for p in dec.points)}
+    forbidden = {"H": CoordinateSet(p.y for p in dec.order.points),
+                 "V": CoordinateSet(p.x for p in dec.order.points)}
     lines = []
 
-    def place(orient, interval):
-        c = pick_coordinate(interval.lo, interval.hi, forbidden[orient])
+    def place(orient, lok, hik):
+        c = pick_coordinate(lok[1], hik[1], forbidden[orient])
         forbidden[orient].add(c)
         lines.append(AxisLine(orient, c))
 
     for (i, j) in graph.edge_cover:
-        ann = graph.edges[(i, j)]
-        orient = "H" if "H" in ann else "V"
-        place(orient, ann[orient])
+        orient = "H" if "H" in graph.edges[(i, j)] else "V"
+        # the overlap of the two switches' open intervals
+        lo, hi = graph.lo[orient], graph.hi[orient]
+        place(orient, max(lo[i], lo[j]), min(hi[i], hi[j]))
     for r in graph.isolated:
-        h, v = graph.h_intervals[r], graph.v_intervals[r]
-        (hn, hd), (vn, vd) = _width(h), _width(v)
-        if hn * vd >= vn * hd:
-            place("H", h)
-        else:
-            place("V", v)
+        (hn, hd), (vn, vd) = (_width(graph.lo[o][r], graph.hi[o][r])
+                              for o in ("H", "V"))
+        orient = "H" if hn * vd >= vn * hd else "V"
+        place(orient, graph.lo[orient][r], graph.hi[orient][r])
     return AxisSolution(lines, kappa=graph.kappa)
 
 
-def _width(itv) -> tuple[int, int]:
-    """hi - lo of an interval as (numerator, positive denominator)."""
-    lo, hi = itv.lo, itv.hi
+def _width(lok, hik) -> tuple[int, int]:
+    """hi - lo of the order keys lok, hik as (numerator, denominator > 0)."""
+    lo, hi = lok[1], hik[1]
     return (hi.numerator * lo.denominator - lo.numerator * hi.denominator,
             hi.denominator * lo.denominator)
 
@@ -216,14 +214,14 @@ _IMPROVED = "improved"
 _STUCK = "stuck"
 
 
-def _primary_quadrant(arc: Arc) -> Optional[int]:
+def _primary_quadrant(arc: Arc, keys) -> Optional[int]:
     """The arc's quadrant, or of a 2-quadrant arc the one holding more of
-    its points (the lower on a tie); a point's quadrant is its key's
-    first entry."""
+    its points (the lower on a tie); a point's quadrant is the first entry
+    of its angular key in `keys`."""
     qs = arc_quadrants(arc.start, arc.end)
     if len(qs) > 2:
         return None
-    return max(sorted(qs), key=[k[0] for k, _ in arc.members].count)
+    return max(sorted(qs), key=[keys[i][0] for i in arc.members].count)
 
 
 def _cell_center(sig: CellSignature, cm: CellMap) -> tuple[Fraction, Fraction]:
@@ -241,17 +239,18 @@ def _unstabbed(hks, vks, graph: SwitchGraph) -> list[int]:
     """The indices of the switches whose open interval holds, in neither
     orientation, a line coordinate of that orientation; `hks` and `vks` are
     the sorted order keys of the H and V line coordinates.  O(w log L)."""
-    def stabbed(itv, ks):
-        return bisect_right(ks, itv.lok) < bisect_left(ks, itv.hik)
+    def stabbed(orient, i, ks):
+        return (bisect_right(ks, graph.lo[orient][i])
+                < bisect_left(ks, graph.hi[orient][i]))
 
-    pairs = zip(graph.h_intervals, graph.v_intervals)
-    return [i for i, (h, v) in enumerate(pairs)
-            if not (stabbed(h, hks) or stabbed(v, vks))]
+    return [i for i in range(graph.n)
+            if not (stabbed("H", i, hks) or stabbed("V", i, vks))]
 
 
-def _check_invariants(graph, cm, arcs):
-    """Structural facts every intermediate arrangement must satisfy; raises
-    GuaranteeViolated (also under `python -O`) if one fails."""
+def _check_invariants(graph, cm, arcs, colors):
+    """Structural facts every intermediate arrangement must satisfy, with
+    the circle order's `colors`; raises GuaranteeViolated (also under
+    `python -O`) if one fails."""
     def require(ok, what):
         if not ok:
             raise GuaranteeViolated(f"invariant violated: {what}")
@@ -264,13 +263,13 @@ def _check_invariants(graph, cm, arcs):
             large += 1
         if sig in cm.corrupt:
             require(len(arclist) >= 2, "corrupt cell without 2-4 arcs")
-            require(all(len({p.color for _, p in a.members}) <= 1
+            require(all(len({colors[i] for i in a.members}) <= 1
                         for a in arclist),
                     "non-monochromatic arc in corrupt cell")
     require(large <= 1, "more than one large cell")
 
 
-def refine_step(points, solution: AxisSolution, dec: CircleDecomposition,
+def refine_step(solution: AxisSolution, dec: CircleDecomposition,
                 graph: SwitchGraph, cm: CellMap):
     """One strict-domination step, after checking the invariants of the
     arrangement whose cell partition is `cm`.
@@ -279,8 +278,9 @@ def refine_step(points, solution: AxisSolution, dec: CircleDecomposition,
     corrupt cells are a large cell or 2-arc cells with neither flip,
     (_STUCK, corrupt_sig).
     """
-    arcs = cell_arcs(dec.positions, cm.hks, cm.vks)
-    _check_invariants(graph, cm, arcs)
+    order = dec.order
+    arcs = cell_arcs(order, cm.hks, cm.vks)
+    _check_invariants(graph, cm, arcs, order.colors)
     if not cm.corrupt:
         return (_DONE, solution)
     small = [sig for sig in cm.corrupt if len(arcs[sig]) == 2]
@@ -292,7 +292,7 @@ def refine_step(points, solution: AxisSolution, dec: CircleDecomposition,
     # cell farthest from the y-axis (ties by signature)
     flips = []
     for sig in small:
-        qs = {_primary_quadrant(a) for a in arcs[sig]}
+        qs = {_primary_quadrant(a, order.keys) for a in arcs[sig]}
         cx, cy = _cell_center(sig, cm)
         if qs in ({0, 1}, {2, 3}):
             flips.append((0, -abs(cy), sig, "H", 1 if cy > 0 else -1))
@@ -301,17 +301,18 @@ def refine_step(points, solution: AxisSolution, dec: CircleDecomposition,
     if not flips:
         return (_STUCK, min(small))
     _, _, sig, orient, step = min(flips)
-    lines = _flip(points, solution.lines, cm, arcs, sig, orient, step)
+    lines = _flip(order, solution.lines, cm, arcs, sig, orient, step)
     return (_IMPROVED, AxisSolution(lines, solution.kappa,
                                     solution.steps + 1, solution.repair_used))
 
 
-def _flip(points, lines, cm, arcs, sig, orient, step) -> list[AxisLine]:
+def _flip(order, lines, cm, arcs, sig, orient, step) -> list[AxisLine]:
     """Flip a boundary line of the 2-arc corrupt cell `sig`: for orient "H"
     the horizontal line above it (step +1) or below it (step -1), for "V"
     the vertical line right (+1) or left (-1) of it.  `arcs` are
-    `cell_arcs` of the partition `cm`; no point lies on a line of `cm`, so
-    a cell's points are the members of its arcs.
+    `cell_arcs` of the circle order `order` under the partition `cm`; no
+    point lies on a line of `cm`, so a cell's points are the members of
+    its arcs.
 
     Removing the line merges the cell with its neighbour across it; the
     added perpendicular line, strictly between the protected arc's points
@@ -339,18 +340,19 @@ def _flip(points, lines, cm, arcs, sig, orient, step) -> list[AxisLine]:
 
     # the cell holds both colours and _check_invariants made each arc
     # monochromatic, so each arc holds the points of one colour
+    pts = order.points
     arc_a, arc_b = arcs[sig]
-    exposed, protected = ((arc_a, arc_b) if arc_a.members[0][1].color
+    exposed, protected = ((arc_a, arc_b) if order.colors[arc_a.members[0]]
                           in ncolors else (arc_b, arc_a))
-    exp = [perp(p) for arc in (exposed, *arcs[neighbor])
-           for _, p in arc.members]
-    prot = [perp(p) for _, p in protected.members]
+    exp = [perp(pts[i]) for arc in (exposed, *arcs[neighbor])
+           for i in arc.members]
+    prot = [perp(pts[i]) for i in protected.members]
     lo, hi = ((max(prot), min(exp)) if max(prot) < min(exp)
               else (max(exp), min(prot)))
     require(lo < hi, "no cut fits between the arcs")
     # (lo, hi) lies inside the cell's column (for "H"; row for "V"), which
     # no line of the cut's orientation crosses: the cut is a new line
-    forbidden = CoordinateSet(map(perp, points))
+    forbidden = CoordinateSet(map(perp, pts))
     cut = AxisLine(cut_orient, pick_coordinate(lo, hi, forbidden))
     boundary = AxisLine(orient, coords[b])
     return [ln for ln in lines if ln != boundary] + [cut]
@@ -389,8 +391,8 @@ def _repair_around(points, solution: AxisSolution, cm: CellMap,
     pool = []  # (candidate, the missed switches it stabs as a bitmask)
     for c in axis_candidates(points):
         k = order_key(c.c)
-        itvs = graph.h_intervals if c.orient == "H" else graph.v_intervals
-        hit = sum(1 << i for i in missed if itvs[i].lok < k < itvs[i].hik)
+        lo, hi = graph.lo[c.orient], graph.hi[c.orient]
+        hit = sum(1 << i for i in missed if lo[i] < k < hi[i])
         if hit:
             pool.append((c, hit))
     for combo in combinations(pool, solution.kappa - len(keep)):
@@ -407,20 +409,21 @@ def _repair_around(points, solution: AxisSolution, cm: CellMap,
 # --- the full pipeline -------------------------------------------------------
 
 
-def _unsplit_pairs(cm: CellMap, color) -> int:
-    """Red-blue pairs that share a cell: sum of |R|*|B| over corrupt cells."""
-    total = 0
-    for sig in cm.corrupt:
-        ids = cm.cells[sig]
-        r = sum(1 for i in ids if color[i] == RED)
-        total += r * (len(ids) - r)
-    return total
+def _unsplit_pairs(cm: CellMap, points) -> int:
+    """Red-blue pairs that share a cell: sum of |R|*|B| over corrupt cells;
+    `points` in the input order `cm` was built from."""
+    size, red = Counter(), Counter()
+    for sig, p in zip(cm.cell_of, points):
+        if sig in cm.corrupt:
+            size[sig] += 1
+            red[sig] += p.color == RED
+    return sum(r * (size[sig] - r) for sig, r in red.items())
 
 
-def _strictly_dominates(old: CellMap, new: CellMap, color) -> bool:
+def _strictly_dominates(old: CellMap, new: CellMap, points) -> bool:
     """Whether the lines partitioned as `new` split every red-blue pair the
-    lines partitioned as `old` split, and more, in O(n); `color` maps each
-    point id to its colour.
+    lines partitioned as `old` split, and more, in O(n); both partitions
+    are of `points`, in that input order.
 
     A mixed new cell that meets two old cells holds a pair that only the
     old lines split: a red and a blue from different old cells, or else
@@ -428,11 +431,11 @@ def _strictly_dominates(old: CellMap, new: CellMap, color) -> bool:
     pairs are a subset of the old ones iff every mixed new cell lies inside
     one old cell, and then a strict subset iff there are fewer of them.
     """
-    old_cell = {i: sig for sig, ids in old.cells.items() for i in ids}
-    if any(len({old_cell[i] for i in new.cells[sig]}) > 1
-           for sig in new.corrupt):
-        return False
-    return _unsplit_pairs(new, color) < _unsplit_pairs(old, color)
+    home = {}  # each mixed new cell -> the old cell of its first point
+    for was, now in zip(old.cell_of, new.cell_of):
+        if now in new.corrupt and home.setdefault(now, was) != was:
+            return False
+    return _unsplit_pairs(new, points) < _unsplit_pairs(old, points)
 
 
 def solve_axis(points, on_step=None) -> AxisSolution:
@@ -448,7 +451,6 @@ def solve_axis(points, on_step=None) -> AxisSolution:
     points = list(points)
     dec = decompose(points)
     graph = build_switch_graph(dec)
-    color = {p.id: p.color for p in points}
     r = sum(1 for p in points if p.color == RED)
     b = len(points) - r
 
@@ -457,12 +459,12 @@ def solve_axis(points, on_step=None) -> AxisSolution:
     while True:
         if on_step is not None:
             on_step(sol)
-        outcome, payload = refine_step(points, sol, dec, graph, cm)
+        outcome, payload = refine_step(sol, dec, graph, cm)
         if outcome == _DONE:
             break
         if outcome == _IMPROVED:
             new_cm = cell_map(points, payload.lines)
-            if not _strictly_dominates(cm, new_cm, color):
+            if not _strictly_dominates(cm, new_cm, points):
                 raise DominationFailure(f"step {payload.steps} does not dominate")
             if payload.size > sol.size:
                 raise GuaranteeViolated(f"step {payload.steps} grew the solution")

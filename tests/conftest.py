@@ -2,9 +2,9 @@ from fractions import Fraction
 
 import pytest
 
-from sepline.decomposition import projection_interval
-from sepline.geometry import (BLUE, RED, ColoredPoint, angular_positions,
-                              axis_keys, cell_arcs)
+from sepline.decomposition import circle_order, projection_interval
+from sepline.geometry import (BLUE, RED, Arc, ColoredPoint, axis_keys,
+                              cell_arcs)
 
 F = Fraction
 
@@ -24,12 +24,13 @@ def pt(i, color, x, y):
     return ColoredPoint(i, color, F(x), F(y))
 
 
-def line_stabs_switch(orient: str, c, switch) -> bool:
+def line_stabs_switch(orient: str, c, order, i) -> bool:
     """Whether the axis line of orientation `orient` at `c` crosses the
-    open switch arc: `c` lies inside its open projection interval.  The
-    reference for the solver's bisection stab check."""
-    itv = projection_interval(switch, orient)
-    return itv.lo < c < itv.hi
+    open switch arc from point i of the circle order `order` to the next:
+    `c` lies inside its open projection interval.  The reference for the
+    solver's bisection stab check."""
+    lok, hik = projection_interval(order, i, orient)
+    return lok[1] < c < hik[1]
 
 
 def axis_coords(lines):
@@ -39,8 +40,12 @@ def axis_coords(lines):
 
 
 def arcs_of(pts, lines):
-    """`cell_arcs` of the circle points `pts` under the axis `lines`."""
-    return cell_arcs(angular_positions(pts), *axis_keys(lines))
+    """`cell_arcs` of the circle points `pts` under the axis `lines`, each
+    arc's members read from the circle order as their points, ccw."""
+    order = circle_order(pts)
+    return {sig: [Arc(sig, a.start, a.end,
+                      [order.points[i] for i in a.members]) for a in arcs]
+            for sig, arcs in cell_arcs(order, *axis_keys(lines)).items()}
 
 
 @pytest.fixture

@@ -71,9 +71,9 @@ def axis_runs():
     for pts in _corpus(500, 12, 20_000):
         arrangements, events = [], []
 
-        def flipping(points, lines, cm, arcs, sig, orient, step):
+        def flipping(order, lines, cm, arcs, sig, orient, step):
             events.append(FLIP_DIRECTIONS[(orient, step)])
-            return flip(points, lines, cm, arcs, sig, orient, step)
+            return flip(order, lines, cm, arcs, sig, orient, step)
 
         def repairing(points, sol, cm, sig, graph):
             stuck = arcs_of(points, sol.lines)[sig]
@@ -149,8 +149,8 @@ def test_criterion_4_refinement_invariants(axis_runs):
             if sum(1 for m in arcs if m >= 3) > 1:
                 violations += 1
         # every line set the solver returned still stabs every switch
-        for sw in dec.switches:
-            if not any(line_stabs_switch(ln.orient, ln.c, sw)
+        for s in dec.switches:
+            if not any(line_stabs_switch(ln.orient, ln.c, dec.order, s)
                        for ln in sol.lines):
                 violations += 1
     flips = ", ".join(f"{d} {events[d]}"

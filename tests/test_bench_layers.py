@@ -64,7 +64,8 @@ def test_axis(tmp_path):
     assert run_info["visits"] == 1
     assert list(rows) == ["random/320/2"]
     row = rows["random/320/2"]
-    assert set(row) == TIMES["axis"] | {"w", "kappa", "steps", "repair_used"}
+    assert set(row) == TIMES["axis"] | {"w", "kappa", "steps", "repair_used",
+                                        "tracked"}
     points = gen_circle(320, 2, "random")
     sol = solve_axis(points)
     assert (row["w"], row["kappa"], row["steps"], row["repair_used"]) == (

@@ -15,7 +15,7 @@ from math import gcd
 import pytest
 
 from sepline import solvers
-from sepline.decomposition import decompose
+from sepline.decomposition import CircleOrder, decompose
 from sepline.errors import NotSeparating
 from sepline.generate import gen_circle
 from sepline.geometry import (BLUE, RED, ColoredPoint, GeneralLine,
@@ -62,7 +62,7 @@ def test_accepts_exactly_what_verify_separation_accepts():
     for pts in _corpus():
         sol = solve_general(pts)
         solvers._certify_general(sol.lines, sol.anchors,
-                                 decompose(pts).positions)
+                                 decompose(pts).order)
         assert verify_separation(pts, sol.lines) is None
         lines += sol.size
     assert lines > 1500
@@ -82,7 +82,7 @@ def solved():
 
 def _certify(dec, lines, anchors, match):
     with pytest.raises(NotSeparating, match=match):
-        solvers._certify_general(lines, anchors, dec.positions)
+        solvers._certify_general(lines, anchors, dec.order)
 
 
 def _replace(sol, k, p, q):
@@ -93,35 +93,26 @@ def _replace(sol, k, p, q):
     return lines, anchors
 
 
-def _between(dec, a, b):
-    """A circle point strictly inside the open ccw arc from point id a to
-    point id b."""
-    pairs = {p.id: (k, p) for k, p in dec.positions}
-    return arc_interior_point(pairs[a], pairs[b])
-
-
 @pytest.mark.parametrize("where", ["previous red chunk", "own blue chunk",
                                    "switch beyond the red chunk"])
 def test_anchor_moved_off_its_switch(solved, where):
     pts, sol, dec = solved
     k = 1
     chunk, p, q = sol.anchors[k]
-    w = len(dec.chunks)
-    red, blue = dec.chunks[(chunk - 1) % w], dec.chunks[chunk]
+    # the gap after a chunk's first point lies inside the chunk
     if where == "previous red chunk":
-        moved = _between(dec, red.point_ids[0], red.point_ids[1])
+        moved = arc_interior_point(dec.order, dec.chunk(chunk - 1)[0])
     elif where == "own blue chunk":
-        moved = _between(dec, blue.point_ids[0], blue.point_ids[1])
+        moved = arc_interior_point(dec.order, dec.chunk(chunk)[0])
     else:
-        sw = dec.switches[(chunk - 2) % w]
-        moved = arc_interior_point(sw.start, sw.end)
+        moved = arc_interior_point(dec.order, dec.switches[chunk - 2])
     _certify(dec, *_replace(sol, k, moved, q), "not one maximal blue run")
 
 
 def test_anchor_on_an_input_point(solved):
     pts, sol, dec = solved
     chunk, p, q = sol.anchors[0]
-    _, start = dec.switches[(chunk - 1) % len(dec.switches)].start
+    start = dec.order.points[dec.switches[chunk - 1]]
     _certify(dec, *_replace(sol, 0, (start.x, start.y), q),
              "anchor p is an input point")
 
@@ -156,8 +147,8 @@ def test_two_lines_on_one_chunk(solved):
     lines[1], anchors[1] = lines[0], anchors[0]
     _certify(dec, lines, anchors, "a second line on its blue run")
     chunk, p, q = sol.anchors[0]
-    sw = dec.switches[chunk]
-    other = arc_interior_point(sw.start, sw.end, {q[0]}, {q[1]})
+    other = arc_interior_point(dec.order, dec.switches[chunk], {q[0]},
+                               {q[1]})
     lines, anchors = _replace(sol, 1, p, other)
     anchors[1] = (chunk, p, other)
     _certify(dec, lines, anchors, "a second line on its blue run")
@@ -165,8 +156,9 @@ def test_two_lines_on_one_chunk(solved):
 
 def test_positions_out_of_order(solved):
     pts, sol, dec = solved
+    backwards = CircleOrder(*(field[::-1] for field in dec.order))
     with pytest.raises(NotSeparating, match="do not strictly increase"):
-        solvers._certify_general(sol.lines, sol.anchors, dec.positions[::-1])
+        solvers._certify_general(sol.lines, sol.anchors, backwards)
 
 
 def test_dropped_line(solved):
@@ -176,12 +168,14 @@ def test_dropped_line(solved):
 
 
 def test_a_dropped_chunk_cannot_hide(monkeypatch):
-    # the certificate reads the angular order, not the chunks, so a blue
-    # chunk that decompose loses is still counted
+    # the certificate reads the angular order, not the switches, so a blue
+    # chunk that decompose loses, merged into the red runs around it, is
+    # still counted
     def losing(points):
         dec = decompose(points)
-        blue = next(c for c in dec.chunks if c.color == BLUE)
-        blue.color = RED
+        k = next(k for k, s in enumerate(dec.switches)
+                 if dec.order.colors[s] == BLUE)
+        del dec.switches[k - 1:k + 1]
         return dec
     monkeypatch.setattr(solvers, "decompose", losing)
     with pytest.raises(NotSeparating, match="blue runs"):

@@ -12,11 +12,11 @@ import sepline
 import sepline.solvers
 from sepline import reduction
 from sepline.cli import main
-from sepline.decomposition import decompose
+from sepline.decomposition import circle_order, decompose
 from sepline.errors import BadPattern
 from sepline.generate import gen_circle
-from sepline.geometry import (AxisLine, GeneralLine, angular_sort,
-                              circle_parameter, general_line, line_through)
+from sepline.geometry import (AxisLine, GeneralLine, circle_parameter,
+                              general_line, line_through)
 from sepline.oracles import (DEFAULT_AXIS_BOUND, DEFAULT_GENERAL_BOUND,
                              min_axis_separation,
                              min_general_separation_circle)
@@ -175,7 +175,8 @@ class TestGenerate:
             pts = gen_circle(n, seed, "random")
             ts = [circle_parameter(p.x, p.y) for p in pts]
             assert ts == sorted(ts, key=lambda t: (t < 0, t))
-            assert [p.id for p in angular_sort(pts)] == list(range(n))
+            order = circle_order(pts)
+            assert [p.id for p in order.points] == list(range(n))
 
     def test_bad_patterns(self):
         for spec in ("spiral", "chunked:", "chunked:2,0", "chunked:2,3",
@@ -878,6 +879,29 @@ class TestCommands:
         assert self.run("reduce", str(crbds), "-o", str(tmp_path / "r.json"),
                         "--sidecar", str(side)) == 0
         assert json.loads(side.read_text())["normalized"]["order"] == order
+
+    @pytest.mark.parametrize("points,expected", [
+        ([], "a circle instance needs at least one point"),
+        ([("R", "1", "0"), ("B", "3/5", "3/5")],
+         "point 1 does not lie on the unit circle"),
+        ([("R", "1", "0"), ("R", "1", "0")],
+         "points 0 and 1 share the position (1, 0)")],
+        ids=["empty", "off-circle", "repeated-position"])
+    def test_every_circle_command_rejects_alike(self, tmp_path, capsys,
+                                                points, expected):
+        # one validity rule: solve, kappa and the axis and general oracles
+        # build the circle order first and fail on it alike
+        inst = tmp_path / "c.json"
+        inst.write_text(json.dumps({"kind": "circle", "points": [
+            {"color": c, "x": x, "y": y} for c, x, y in points]}))
+        for argv in (["solve", "--variant", "axis"],
+                     ["solve", "--variant", "general"], ["kappa"],
+                     ["oracle", "--variant", "axis"],
+                     ["oracle", "--variant", "general"]):
+            capsys.readouterr()
+            got = self.run(argv[0], str(inst), *argv[1:])
+            assert (argv, got, capsys.readouterr().err) == (
+                argv, 1, f"error: {expected}\n")
 
     def test_solve_repeated_point_exits_1(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

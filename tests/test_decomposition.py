@@ -21,11 +21,16 @@ def pt(i, color, x, y):
     return ColoredPoint(i, color, F(x), F(y))
 
 
+def chunk_ids(dec, k):
+    """The ids of chunk k's points, ccw."""
+    return [dec.order.points[i].id for i in dec.chunk(k)]
+
+
 class TestDecompose:
     def test_pts4(self, pts4):
         dec = decompose(pts4)
         assert dec.w == 4
-        assert [c.point_ids for c in dec.chunks] == [[0], [1], [2], [3]]
+        assert [chunk_ids(dec, k) for k in range(4)] == [[0], [1], [2], [3]]
         assert len(dec.switches) == 4
 
     def test_two_points(self):
@@ -37,16 +42,19 @@ class TestDecompose:
         pts = [pt(i, RED, *circle_point_from_parameter(F(i, 7)))
                for i in range(5)]
         dec = decompose(pts)
-        assert len(dec.chunks) == 1
+        assert dec.chunk(0) == range(5)
         assert dec.switches == []
         assert dec.w == 0
 
     def test_wraparound_chunk(self, diag):
         dec = decompose(diag)
         assert dec.w == 2
-        colors = sorted(c.color for c in dec.chunks)
+        colors = sorted(dec.order.colors[s] for s in dec.switches)
         assert colors == [BLUE, RED]
-        assert all(len(c.point_ids) == 4 for c in dec.chunks)
+        assert [len(dec.chunk(k)) for k in range(2)] == [4, 4]
+        # the run through angle 0 starts at a negative index
+        assert dec.chunk(0).start < 0
+        assert sorted(chunk_ids(dec, 0) + chunk_ids(dec, 1)) == list(range(8))
 
     def test_empty_raises(self):
         with pytest.raises(EmptyInstance):
@@ -77,59 +85,65 @@ class TestDecompose:
         for _ in range(50):
             pts = _random_instance(rng)
             dec = decompose(pts)
-            w = len(dec.chunks)
+            w, colors = dec.w, dec.order.colors
             if w > 1:
                 assert w % 2 == 0
                 for i in range(w):
-                    assert dec.chunks[i].color != dec.chunks[(i + 1) % w].color
+                    ends = dec.switches[i], dec.switches[(i + 1) % w]
+                    assert colors[ends[0]] != colors[ends[1]]
+
+
+def _values(keys):
+    return tuple(k[1] for k in keys)
 
 
 class TestProjectionInterval:
     def test_first_quadrant_switch(self, pts4):
         dec = decompose(pts4)
         s1 = dec.switches[0]  # open arc (1,0) -> (0,1)
-        itv = projection_interval(s1, "H")
-        assert (itv.lo, itv.hi) == (F(0), F(1))
-        itv = projection_interval(s1, "V")
-        assert (itv.lo, itv.hi) == (F(0), F(1))
+        itv = projection_interval(dec.order, s1, "H")
+        assert _values(itv) == (F(0), F(1))
+        itv = projection_interval(dec.order, s1, "V")
+        assert _values(itv) == (F(0), F(1))
 
     def test_third_quadrant_switch(self, pts4):
         dec = decompose(pts4)
         s3 = dec.switches[2]  # open arc (-1,0) -> (0,-1)
-        itv = projection_interval(s3, "V")
-        assert (itv.lo, itv.hi) == (F(-1), F(0))
+        itv = projection_interval(dec.order, s3, "V")
+        assert _values(itv) == (F(-1), F(0))
 
     def test_turning_point_closes_endpoint(self):
         # arc from (3/5,4/5) to (-3/5,4/5) passes through (0,1), which
         # widens hi to 1
         a = pt(0, RED, F(3, 5), F(4, 5))
         b = pt(1, BLUE, F(-3, 5), F(4, 5))
-        s = decompose([a, b]).switches[0]
-        assert (s.start[1], s.end[1]) == (a, b)
-        itv = projection_interval(s, "H")
-        assert (itv.lo, itv.hi) == (F(4, 5), F(1))
+        dec = decompose([a, b])
+        s = dec.switches[0]
+        assert dec.order.points[s:s + 2] == [a, b]
+        itv = projection_interval(dec.order, s, "H")
+        assert _values(itv) == (F(4, 5), F(1))
 
     def test_stab(self, pts4):
         dec = decompose(pts4)
         s1 = dec.switches[0]
-        assert line_stabs_switch("H", F(1, 2), s1)
-        assert not line_stabs_switch("H", F(0), s1)
-        assert not line_stabs_switch("H", F(-1, 2), s1)
+        assert line_stabs_switch("H", F(1, 2), dec.order, s1)
+        assert not line_stabs_switch("H", F(0), dec.order, s1)
+        assert not line_stabs_switch("H", F(-1, 2), dec.order, s1)
 
 
 class TestFaces:
     def test_pts4_horizontal_pair(self, pts4):
         dec = decompose(pts4)
-        ann = faces(dec.switches[0], dec.switches[1])
+        ann = faces(dec.order, dec.switches[0], dec.switches[1])
         assert set(ann) == {"H"}
 
     def test_pts4_opposite_disjoint(self, pts4):
         dec = decompose(pts4)
-        assert faces(dec.switches[0], dec.switches[2]) == {}
+        assert faces(dec.order, dec.switches[0], dec.switches[2]) == {}
 
     def test_diag_isolated(self, diag):
         dec = decompose(diag)
-        assert faces(dec.switches[0], dec.switches[1]) == {}
+        assert faces(dec.order, dec.switches[0], dec.switches[1]) == {}
 
     def test_symmetric(self):
         rng = random.Random(17)
@@ -139,8 +153,8 @@ class TestFaces:
             sw = dec.switches
             for i in range(len(sw)):
                 for j in range(i + 1, len(sw)):
-                    a = faces(sw[i], sw[j])
-                    b = faces(sw[j], sw[i])
+                    a = faces(dec.order, sw[i], sw[j])
+                    b = faces(dec.order, sw[j], sw[i])
                     assert set(a) == set(b)
 
 
@@ -148,10 +162,8 @@ class TestSwitchGraph:
     def test_pts4_cycle(self, pts4):
         g = build_switch_graph(decompose(pts4))
         assert set(g.edges) == {(0, 1), (1, 2), (2, 3), (0, 3)}
-        assert g.orientations(0, 1) == "H"
-        assert g.orientations(1, 2) == "V"
-        assert g.orientations(2, 3) == "H"
-        assert g.orientations(0, 3) == "V"
+        assert g.edges == {(0, 1): "H", (1, 2): "V", (2, 3): "H",
+                           (0, 3): "V"}
         assert g.isolated == []
         assert g.kappa == 2
 
@@ -192,17 +204,19 @@ class TestSwitchGraph:
             g = build_switch_graph(dec)
             fx = {p.x for p in pts}
             fy = {p.y for p in pts}
+            sw = dec.switches
             for (i, j), ann in g.edges.items():
-                for orient, itv in ann.items():
+                for orient in ann:
+                    lo, hi = g.lo[orient], g.hi[orient]
+                    lok, hik = max(lo[i], lo[j]), min(hi[i], hi[j])
                     # a facing overlap is never a single point, so a witness
                     # coordinate off every input coordinate always exists
-                    assert itv.lo < itv.hi
-                    c = pick_coordinate(itv.lo, itv.hi,
+                    assert lok < hik
+                    c = pick_coordinate(lok[1], hik[1],
                                         fy if orient == "H" else fx)
-                    assert line_stabs_switch(orient, c, dec.switches[i])
-                    assert line_stabs_switch(orient, c, dec.switches[j])
+                    assert line_stabs_switch(orient, c, dec.order, sw[i])
+                    assert line_stabs_switch(orient, c, dec.order, sw[j])
             # non-edges: a dense rational sample never stabs both
-            sw = dec.switches
             sample = [F(k, 17) for k in range(-16, 17)]
             for i in range(len(sw)):
                 for j in range(i + 1, len(sw)):
@@ -210,27 +224,29 @@ class TestSwitchGraph:
                         continue
                     for c in sample:
                         for orient in ("H", "V"):
-                            assert not (line_stabs_switch(orient, c, sw[i])
-                                        and line_stabs_switch(orient, c, sw[j]))
+                            assert not (
+                                line_stabs_switch(orient, c, dec.order, sw[i])
+                                and line_stabs_switch(orient, c, dec.order,
+                                                      sw[j]))
 
 
 def test_projection_intervals_computed_once_per_switch(monkeypatch):
     calls = []
     original = decomposition.projection_interval
 
-    def counting(switch, orient):
-        calls.append((switch.index, orient))
-        return original(switch, orient)
+    def counting(order, i, orient):
+        calls.append((i, orient))
+        return original(order, i, orient)
 
     for n, seed in ((32, 9), (15, 1227)):
         pts = gen_circle(n, seed, "random")
-        w = decompose(pts).w
-        assert w > 0
+        switches = decompose(pts).switches
+        assert switches
         calls.clear()
         with monkeypatch.context() as m:
             m.setattr(decomposition, "projection_interval", counting)
             solve_axis(pts)
-        assert sorted(calls) == [(i, orient) for i in range(w)
+        assert sorted(calls) == [(s, orient) for s in switches
                                  for orient in ("H", "V")]
 
 
@@ -277,12 +293,13 @@ def _random_instance(rng, n=None):
 
 def _all_pairs_edges(dec):
     """The switch-graph edges by the facing test on every pair of
-    switches, in (i, j) order; the reference for the interval sweep."""
+    switches, in (i, j) order, each with its overlaps; the reference for
+    the interval sweep."""
     sw = dec.switches
     edges = {}
     for i in range(len(sw)):
         for j in range(i + 1, len(sw)):
-            ann = faces(sw[i], sw[j])
+            ann = faces(dec.order, sw[i], sw[j])
             if ann:
                 edges[(i, j)] = ann
     return edges
@@ -321,14 +338,19 @@ def test_sweep_edges_equal_all_pairs(monkeypatch, name, pts):
     calls = []
     pairwise = decomposition.faces
 
-    def counting(a, b):
-        calls.append((a.index, b.index))
-        return pairwise(a, b)
+    def counting(order, i, j):
+        calls.append((i, j))
+        return pairwise(order, i, j)
     monkeypatch.setattr(decomposition, "faces", counting)
     dec = decompose(pts)
-    edges = build_switch_graph(dec).edges
+    g = build_switch_graph(dec)
     monkeypatch.undo()
     assert calls == []
     expected = _all_pairs_edges(dec)
-    assert list(edges) == list(expected)
-    assert edges == expected
+    assert list(g.edges) == list(expected)
+    assert g.edges == {e: "".join(ann) for e, ann in expected.items()}
+    # the overlap build_L0 takes from the switches' interval ends
+    for (i, j), ann in expected.items():
+        for orient, overlap in ann.items():
+            lo, hi = g.lo[orient], g.hi[orient]
+            assert (max(lo[i], lo[j]), min(hi[i], hi[j])) == overlap

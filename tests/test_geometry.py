@@ -5,10 +5,11 @@ from functools import cmp_to_key
 import pytest
 
 import sepline.geometry as geometry
+from sepline.decomposition import circle_order
 from sepline.errors import GuaranteeViolated, PointOnLine
 from sepline.geometry import (BLUE, RED, Arc, AxisLine, CellSignature,
-                              ColoredPoint, GeneralLine,
-                              angular_sort, arc_contains,
+                              ColoredPoint, GeneralLine, angular_sort,
+                              arc_contains,
                               arc_interior_point, arc_quadrants, cell_map,
                               circle_point_from_parameter, general_line,
                               line_side, line_through, pick_coordinate,
@@ -21,12 +22,6 @@ F = Fraction
 
 def pt(i, color, x, y):
     return ColoredPoint(i, color, F(x), F(y))
-
-
-def _pair(p):
-    """The (angular key, point) pair of `p`, as `angular_positions` builds
-    it."""
-    return geometry._point_key(p.x, p.y), p
 
 
 class TestCircleParametrization:
@@ -135,19 +130,25 @@ class TestVerifySeparation:
 class TestCellMap:
     def test_three_cells_all_mono(self, pts4):
         cm = cell_map(pts4, [AxisLine("H", F(1, 2)), AxisLine("H", F(-1, 2))])
-        assert len(cm.cells) == 3
+        assert len(cm.colors) == 3
         assert not cm.corrupt
 
     def test_no_lines_one_corrupt_cell(self, pts4):
         cm = cell_map(pts4, [])
-        assert len(cm.cells) == 1
+        assert len(cm.colors) == 1
         assert len(cm.corrupt) == 1
 
     def test_mixed_lines(self, pts4):
         cm = cell_map(pts4, [AxisLine("H", F(1, 2)), AxisLine("V", F(-1, 2))])
         sig = CellSignature(0, 1)
-        assert sorted(cm.cells[sig]) == [0, 3]  # red (1,0) with blue (0,-1)
+        # red (1,0) with blue (0,-1)
+        assert [p.id for p, s in zip(pts4, cm.cell_of) if s == sig] == [0, 3]
         assert sig in cm.corrupt
+
+    def test_one_signature_object_per_cell(self, pts4):
+        cm = cell_map(pts4, [AxisLine("H", F(1, 2))])
+        assert cm.cell_of == [(0, 0), (1, 0), (0, 0), (0, 0)]
+        assert cm.cell_of[0] is cm.cell_of[2] is cm.cell_of[3]
 
     def test_sorted_coordinates(self, pts4):
         lines = [AxisLine("V", F(1, 2)), AxisLine("H", F(1, 3)),
@@ -189,7 +190,7 @@ class TestCellArcs:
         lines = [AxisLine("H", F(1, 3)), AxisLine("V", F(-2, 7))]
         arcs = arcs_of(pts4, lines)
         ids = sorted(p.id for arclist in arcs.values() for a in arclist
-                     for _, p in a.members)
+                     for p in a.members)
         assert ids == [0, 1, 2, 3]
 
     def test_arc_count_never_exceeds_four(self):
@@ -221,11 +222,12 @@ class TestCellArcs:
             arcs = arcs_of(pts, lines)
             hs, vs = axis_coords(lines)
             members = 0
+            cell_of = dict(zip(pts, cm.cell_of))
             for sig, arclist in arcs.items():
                 for a in arclist:
-                    for _, p in a.members:
+                    for p in a.members:
                         members += 1
-                        assert cm.cells[sig].count(p.id) == 1
+                        assert cell_of[p] == sig
                         assert sig == (sum(1 for c in hs if c < p.y),
                                        sum(1 for c in vs if c < p.x))
             assert members == len(pts)
@@ -261,28 +263,38 @@ class TestCellArcs:
 
 class TestArcInteriorPoint:
     def test_inside_and_on_circle(self, pts4):
-        x, y = arc_interior_point(_pair(pts4[0]), _pair(pts4[1]))
+        x, y = arc_interior_point(circle_order(pts4), 0)
         assert x * x + y * y == 1
         assert 0 < x < 1 and 0 < y < 1
 
     def test_wrapping_arc_through_left(self):
         a = pt(0, RED, 0, 1)
         b = pt(1, BLUE, 0, -1)
-        x, y = arc_interior_point(_pair(a), _pair(b))
+        x, y = arc_interior_point(circle_order([a, b]), 0)
         assert x * x + y * y == 1
         assert x < 0
 
     def test_respects_forbidden(self, pts4):
-        x, y = arc_interior_point(_pair(pts4[0]), _pair(pts4[1]),
+        x, y = arc_interior_point(circle_order(pts4), 0,
                                   forbidden_x={F(3, 5)}, forbidden_y={F(4, 5)})
         assert x != F(3, 5) and y != F(4, 5)
 
     def test_endpoint_is_left(self):
         a = pt(0, RED, -1, 0)
         b = pt(1, BLUE, 0, -1)
-        x, y = arc_interior_point(_pair(a), _pair(b))
+        x, y = arc_interior_point(circle_order([a, b]), 0)
         assert x * x + y * y == 1
         assert y < 0
+
+    def test_last_gap_wraps_past_angle_zero(self, pts4):
+        # the gap after (0, -1) ends at (1, 0)
+        x, y = arc_interior_point(circle_order(pts4), 3)
+        assert x * x + y * y == 1
+        assert x > 0 and y < 0
+
+    def test_one_point_leaves_the_rest_of_the_circle(self):
+        x, y = arc_interior_point(circle_order([pt(0, RED, 1, 0)]), 0)
+        assert x * x + y * y == 1 and (x, y) != (1, 0)
 
 
 def test_pick_coordinate():
@@ -294,7 +306,12 @@ def test_pick_coordinate():
 
 
 def test_angular_sort(pts4):
-    assert [p.id for p in angular_sort(pts4)] == [0, 1, 2, 3]
+    points, keys = angular_sort(pts4[::-1])
+    assert [p.id for p in points] == [0, 1, 2, 3]
+    assert keys == [geometry._point_key(p.x, p.y) for p in pts4]
+    order = circle_order(pts4[::-1])
+    assert (order.points, order.keys) == (points, keys)
+    assert order.colors == "RBRB"
 
 
 # The references below place a circle point by the sign of x, the square of
@@ -424,8 +441,7 @@ def _per_arc_scan(points, lines):
     ref_sig = CellSignature(sum(1 for c in hs if c < pts[0].y),
                             sum(1 for c in vs if c < pts[0].x))
     if not events:
-        return {ref_sig: [Arc(ref_sig, ref_key, ref_key,
-                              [_pair(p) for p in pts])]}
+        return {ref_sig: [Arc(ref_sig, ref_key, ref_key, pts)]}
     events.sort(key=cmp_to_key(lambda a, b: _ref_cmp(a[0], b[0])))
     groups = []
     for pos, key, dr, dc in events:
@@ -443,8 +459,10 @@ def _per_arc_scan(points, lines):
         row += dr
         col += dc
         nxt, nxt_key = groups[(g + 1) % len(groups)][:2]
-        members = [_pair(p) for p in pts
-                   if _ref_inside(_ref_pos(p.x, p.y), pos, nxt)]
+        inside = [p for p in pts if _ref_inside(_ref_pos(p.x, p.y), pos, nxt)]
+        # ccw from the crossing: the points past it, then those past angle 0
+        members = sorted(inside, key=lambda p: _ref_cmp(_ref_pos(p.x, p.y),
+                                                        pos) < 0)
         sig = CellSignature(row, col)
         out.setdefault(sig, []).append(Arc(sig, key, nxt_key, members))
     return out

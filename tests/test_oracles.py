@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from sepline.decomposition import circle_order
 from sepline.errors import TooLarge
 from sepline.geometry import (BLUE, RED, AxisLine, ColoredPoint,
                               circle_point_from_parameter, verify_separation)
@@ -85,8 +86,8 @@ class TestMinGeneral:
 
     @pytest.mark.parametrize("n", [2, 5, 10])
     def test_keys_each_point_once(self, monkeypatch, n):
-        # the gaps' interior points come from decompose's angular order,
-        # whose keys are built once per point
+        # the gaps' interior points come from the circle order, whose keys
+        # are built once per point
         calls = []
         point_key = sepline.geometry._point_key
 
@@ -161,7 +162,7 @@ class TestDiscretization:
                 assert sep_bitset(pts, [twin]) == bits
 
     def test_general_candidate_count(self, pts4):
-        assert len(general_candidates(pts4)) == 6
+        assert len(general_candidates(circle_order(pts4))) == 6
 
     def test_full_mask(self, pts4):
         assert full_mask(pts4) == 0b1111

@@ -185,7 +185,7 @@ def test_near_tie_corpus(pairs, seed):
     for lines in arrangements:
         cm = cell_map(pts, lines)
         plain = _plain_cells(pts, lines)
-        assert {i: sig for sig, ids in cm.cells.items() for i in ids} == plain
+        assert dict(zip((p.id for p in pts), cm.cell_of)) == plain
         assert (cm.hs, cm.vs) == axis_coords(lines)
         line_ties += _shared_floors([p.y for p in pts], cm.hks)
         line_ties += _shared_floors([p.x for p in pts], cm.vks)

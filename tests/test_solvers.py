@@ -82,7 +82,8 @@ class TestSolveGeneral:
     def test_anchor_per_blue_chunk(self, pts4):
         sol = solve_general(pts4)
         dec = decompose(pts4)
-        blue_idx = [i for i, c in enumerate(dec.chunks) if c.color == BLUE]
+        blue_idx = [k for k, s in enumerate(dec.switches)
+                    if dec.order.colors[s] == BLUE]
         assert [a[0] for a in sol.anchors] == blue_idx
 
 
@@ -148,17 +149,16 @@ def _wedge_reference(points) -> list[AxisLine]:
     dec = decompose(points)
     if dec.w == 0:
         return []
-    w = len(dec.switches)
+    order, sw = dec.order, dec.switches
     fx, fy = {p.x for p in points}, {p.y for p in points}
     used_x, used_y = set(), set()
     lines = []
-    for i, chunk in enumerate(dec.chunks):
-        if chunk.color != BLUE:
+    for k, s in enumerate(sw):
+        if order.colors[s] != BLUE:
             continue
-        prev_sw, next_sw = dec.switches[(i - 1) % w], dec.switches[i]
-        p = arc_interior_point(prev_sw.start, prev_sw.end,
+        p = arc_interior_point(order, sw[k - 1],
                                set(fx | used_x), set(fy | used_y))
-        q = arc_interior_point(next_sw.start, next_sw.end,
+        q = arc_interior_point(order, s,
                                set(fx | used_x | {p[0]}),
                                set(fy | used_y | {p[1], -p[1]}))
         corner = (p[0], q[1]) if q[1] * q[1] < p[1] * p[1] else (q[0], p[1])
@@ -198,8 +198,8 @@ class TestBuildL0:
             sol = build_L0(dec, g)
             assert sol.size == g.kappa
             assert len(set(sol.lines)) == sol.size
-            for sw in dec.switches:
-                assert any(line_stabs_switch(ln.orient, ln.c, sw)
+            for s in dec.switches:
+                assert any(line_stabs_switch(ln.orient, ln.c, dec.order, s)
                            for ln in sol.lines)
 
     def test_no_tangent_lines(self):
@@ -219,8 +219,7 @@ class TestRefineStep:
         g = build_switch_graph(dec)
         sol = build_L0(dec, g)
         # pts4's L0 already separates; refine must report done unchanged
-        outcome, payload = refine_step(pts4, sol, dec, g,
-                                       cell_map(pts4, sol.lines))
+        outcome, payload = refine_step(sol, dec, g, cell_map(pts4, sol.lines))
         if outcome == "done":
             assert payload is sol
         else:
@@ -237,7 +236,7 @@ class TestRefineStep:
             sol = build_L0(dec, g)
             while True:
                 old = sep_bitset(pts, sol.lines)
-                outcome, payload = refine_step(pts, sol, dec, g,
+                outcome, payload = refine_step(sol, dec, g,
                                                cell_map(pts, sol.lines))
                 if outcome != "improved":
                     break
@@ -304,7 +303,7 @@ def _run_optimized(script):
 # ends on: a loop stopped at L0 of gen_circle(60, 14), which has 2 corrupt
 # cells, must not return it
 UNVERIFIED = {
-    "solve_axis": ("s.refine_step = lambda pts, sol, *rest: (s._DONE, sol)",
+    "solve_axis": ("s.refine_step = lambda sol, *rest: (s._DONE, sol)",
                    "gen_circle(60, 14, 'random')"),
     # every line misses the circle, so its certificate fails
     "solve_general": ("s.line_through = lambda *pq: s.GeneralLine(1, 0, -2)",
@@ -345,7 +344,7 @@ def test_broken_invariant_raises_without_asserts():
 
 
 def test_non_dominating_step_raises(monkeypatch):
-    def unchanged(points, sol, dec, graph, cm):
+    def unchanged(sol, dec, graph, cm):
         return (solvers._IMPROVED,
                 AxisSolution(sol.lines, sol.kappa, sol.steps + 1))
     monkeypatch.setattr(solvers, "refine_step", unchanged)
@@ -362,11 +361,11 @@ def test_one_flip_per_step(monkeypatch):
     calls = []
     flip = solvers._flip
 
-    def recording(points, lines, cm, arcs, sig, orient, step):
+    def recording(order, lines, cm, arcs, sig, orient, step):
         calls.append(sig)
-        return flip(points, lines, cm, arcs, sig, orient, step)
+        return flip(order, lines, cm, arcs, sig, orient, step)
     monkeypatch.setattr(solvers, "_flip", recording)
-    outcome, payload = refine_step(pts, sol, dec, g, cell_map(pts, sol.lines))
+    outcome, payload = refine_step(sol, dec, g, cell_map(pts, sol.lines))
     assert len(calls) == 1
     assert outcome == "improved"
     assert (payload.steps, payload.size) == (1, sol.size)
@@ -469,7 +468,6 @@ def test_lost_witness_raises_without_asserts():
     # interval yields no coordinate: here every edge's overlap is emptied
     _run_optimized("\n".join([
         "import sepline.solvers as s",
-        "from sepline.decomposition import Interval",
         "from sepline.errors import GuaranteeViolated",
         "from sepline.generate import gen_circle",
         "graph = s.build_switch_graph",
@@ -477,9 +475,8 @@ def test_lost_witness_raises_without_asserts():
         "    g = graph(dec)",
         "    if not g.edge_cover:",
         "        raise SystemExit('no edge to empty')",
-        "    for ann in g.edges.values():",
-        "        for orient, itv in ann.items():",
-        "            ann[orient] = Interval(itv.lok, itv.lok)",
+        "    for orient in ('H', 'V'):",
+        "        g.hi[orient] = list(g.lo[orient])",
         "    return g",
         "s.build_switch_graph = emptied",
         "try:",
@@ -589,6 +586,10 @@ def test_repair_equals_bitset_reference_padded(monkeypatch):
 
 @pytest.mark.parametrize("n,seed", [(34, 14), (15, 1227), (10, 11)], ids=str)
 def test_padding_keeps_w_and_kappa(n, seed):
+    def ends(dec):
+        keys = dec.order.keys
+        return [(keys[s], keys[(s + 1) % len(keys)]) for s in dec.switches]
+
     pts = gen_circle(n, seed, "random")
     dec = decompose(pts)
     for f in (2, 5):
@@ -596,8 +597,7 @@ def test_padding_keeps_w_and_kappa(n, seed):
         pdec = decompose(padded)
         assert len(padded) > n and pdec.w == dec.w
         # the ends' angular keys, which fix their positions on the circle
-        assert [(s.start[0], s.end[0]) for s in pdec.switches] == [
-            (s.start[0], s.end[0]) for s in dec.switches]
+        assert ends(pdec) == ends(dec)
         assert (build_switch_graph(pdec).kappa
                 == build_switch_graph(dec).kappa)
 
@@ -633,8 +633,7 @@ def _bitset_dominates(pts, old_lines, new_lines):
 
 def _partition_dominates(pts, old_lines, new_lines):
     return solvers._strictly_dominates(cell_map(pts, old_lines),
-                                       cell_map(pts, new_lines),
-                                       {p.id: p.color for p in pts})
+                                       cell_map(pts, new_lines), pts)
 
 
 def test_partition_domination_on_golden_steps():
@@ -686,8 +685,8 @@ def test_bisection_stab_check_equals_line_loop():
         mids = [(a + b) / 2 for a, b in zip(coords, coords[1:])]
         lines = [AxisLine(rng.choice("HV"), rng.choice(coords + mids))
                  for _ in range(rng.randint(0, 6))]
-        want = [sw.index for sw in dec.switches
-                if not any(line_stabs_switch(ln.orient, ln.c, sw)
+        want = [k for k, s in enumerate(dec.switches)
+                if not any(line_stabs_switch(ln.orient, ln.c, dec.order, s)
                            for ln in lines)]
         # keys only: these lines may pass through points
         graph = build_switch_graph(dec)
@@ -730,9 +729,9 @@ def test_one_partition_per_arrangement(monkeypatch, pattern, n, seed, steps):
     # L0 and each step's arrangement are partitioned once, through solvers
     # or through geometry (verify_separation), and the final arrangement is
     # checked on the loop's partition; the points are sorted by angle once,
-    # in decompose, which keys each point once: the steps read each
-    # point's quadrant from those keys
-    calls = {"cell_map": 0, "angular_positions": 0, "_point_key": 0}
+    # in circle_order's angular_sort, which keys each point once: the steps
+    # read each point's quadrant from those keys
+    calls = {"cell_map": 0, "circle_order": 0, "_point_key": 0}
 
     def counting(mod, name):
         fn = getattr(mod, name)
@@ -743,10 +742,9 @@ def test_one_partition_per_arrangement(monkeypatch, pattern, n, seed, steps):
         monkeypatch.setattr(mod, name, wrapped)
     counting(solvers, "cell_map")
     counting(sepline.geometry, "cell_map")
-    counting(sepline.geometry, "angular_positions")
-    counting(sepline.decomposition, "angular_positions")
+    counting(sepline.decomposition, "circle_order")
     counting(sepline.geometry, "_point_key")
     sol = solve_axis(gen_circle(n, seed, pattern))
     assert sol.steps == steps
-    assert calls == {"cell_map": sol.steps + 1, "angular_positions": 1,
+    assert calls == {"cell_map": sol.steps + 1, "circle_order": 1,
                      "_point_key": n}

@@ -27,6 +27,12 @@ axis: `solve_axis(gen_circle(n, seed, pattern))` up to n = 10**5
   Older rows may hold a ``final_verify`` column: the separate
   `verify_separation` call of a tree that did not check the partition its
   loop ends on.
+* ``tracked``        -- not a time: the objects the cyclic garbage
+                        collector tracks, `len(gc.get_objects())`, per
+                        input point, taken when the untimed call first
+                        enters `refine_step`; it counts the whole
+                        process, so the interpreter's own objects weigh
+                        most at small n
 
 general: `solve_general(gen_circle(n, 1, pattern))` up to n = 4 * 10**4
 * ``decompose``      -- `decompose`
@@ -53,9 +59,10 @@ Every target also writes ``total``, the whole call.  A run makes the call
 `visits` times (20 for `reduce`, else 1) after a `gc.collect()` and keeps
 the mean per call; each number written is the median of ``--repeat`` runs,
 in seconds, on the host the script runs on.  One more untimed call gives
-the columns that are not times: `w`, `kappa`, `steps` and `repair_used`;
-`size`; the reduced `points` and the calls of `_emit` (`emits`) and `lift`
-(`lifts`) and the `ColoredPoint`s `reduction` builds (`points_built`).
+the columns that are not times, after a `gc.collect()`: `w`, `kappa`,
+`steps`, `repair_used` and `tracked`; `size`; the reduced `points` and the
+calls of `_emit` (`emits`) and `lift` (`lifts`) and the `ColoredPoint`s
+`reduction` builds (`points_built`).
 ``--max-n`` skips larger circle instances, for trees whose quadratic
 layers would take minutes there.
 """
@@ -96,6 +103,8 @@ class Target(NamedTuple):
     report: Callable      # (sepline, input, result) -> non-timing columns
     counts: dict = {}     # "module.attr" -> column of its calls per visit
     visits: int = 1
+    tracked: Optional[str] = None  # "module.attr" at whose first call the
+    # untimed call's tracked objects per input point are counted
 
 
 def _circles(spec):
@@ -143,8 +152,8 @@ TARGETS = {
         _circles([(320, 2, "random"), (480, 1, "random"),
                   (640, 3, "random"), (1280, 1, "random"),
                   (5120, 1, "random"), (10_000, 1, "random"),
-                  (10_000, 1, "alternating"), (10**5, 1, "random"),
-                  (10**5, 1, "alternating")]),
+                  (10_000, 1, "alternating"), (20_000, 1, "alternating"),
+                  (10**5, 1, "random"), (10**5, 1, "alternating")]),
         {"solvers.decompose": Layer("decompose"),
          "solvers.build_switch_graph": Layer("switch_graph", "edge_cover"),
          "matching.minimum_edge_cover": Layer("edge_cover"),
@@ -156,7 +165,8 @@ TARGETS = {
         lambda sl, points: sl.solvers.solve_axis(points),
         lambda sl, points, sol: {
             "w": sl.decomposition.decompose(points).w, "kappa": sol.kappa,
-            "steps": sol.steps, "repair_used": sol.repair_used}),
+            "steps": sol.steps, "repair_used": sol.repair_used},
+        tracked="solvers.refine_step"),
     "general": Target(
         "BENCH_solve_general.json",
         "solve_general per-layer seconds (median of the runs) on "
@@ -237,6 +247,16 @@ def _counter(column, seen):
     return wrap
 
 
+def _tracker(seen, n):
+    def wrap(fn):
+        def counted(*args, **kwargs):
+            if "tracked" not in seen:
+                seen["tracked"] = round(len(gc.get_objects()) / n, 2)
+            return fn(*args, **kwargs)
+        return counted
+    return wrap
+
+
 def measure(sl, target: Target, inst, repeat: int) -> dict:
     """One instance's row: the non-timing columns of an untimed call, then
     every column's median over `repeat` runs of seconds per visit."""
@@ -257,8 +277,12 @@ def measure(sl, target: Target, inst, repeat: int) -> dict:
                 spent["total"] += time.perf_counter() - t0
         runs.append(spent)
     seen = dict.fromkeys(target.counts.values(), 0)
-    with _wrapped(sl, {path: _counter(col, seen)
-                       for path, col in target.counts.items()}):
+    wrappers = {path: _counter(col, seen)
+                for path, col in target.counts.items()}
+    if target.tracked:
+        wrappers[target.tracked] = _tracker(seen, len(inst))
+    gc.collect()
+    with _wrapped(sl, wrappers):
         result = target.call(sl, inst)
     return {**target.report(sl, inst, result), **seen,
             **{c: round(statistics.median(r[c] for r in runs)

@@ -147,8 +147,17 @@ def main(argv=None) -> int:
     def edges(points):
         graph = decomposition.build_switch_graph(
             decomposition.decompose(points))
+
+        def overlap(i, j, o):
+            ann = graph.edges[(i, j)]
+            if isinstance(ann, str):
+                # a tree whose edges hold only their orientations: the
+                # overlap of the two switches' intervals
+                lo, hi = graph.lo[o], graph.hi[o]
+                return f"{max(lo[i], lo[j])[1]},{min(hi[i], hi[j])[1]}"
+            return f"{ann[o].lo},{ann[o].hi}"
         return ";".join(f"{i},{j}:" + ",".join(
-            f"{o}({itv.lo},{itv.hi})" for o, itv in ann.items())
+            f"{o}({overlap(i, j, o)})" for o in ann)
             for (i, j), ann in graph.edges.items())
 
     def wedge(points):
